@@ -24,16 +24,17 @@ same pure counter-hash draws as the reference engine's ``link_filter``
 path -- so faulty runs are byte-identical across engines too.
 
 The compatibility surface (``queues``, ``configuration()``,
-``iter_packets`` and the observer hooks) is provided by materializing
-Packet objects on demand; the hot path never touches them, so a run
-without observers stays fully vectorized.  See docs/PERFORMANCE.md for
-the memory layout, the porting checklist, and the equivalence-gate
-protocol.
+``iter_packets`` and the observer hooks' move lists) is provided by
+materializing Packet objects on demand.  The hot path never touches
+them, and the verify oracles read the arrays directly, so a run without
+object-level observers -- checked or not -- stays fully vectorized.  See
+docs/PERFORMANCE.md for the memory layout, the porting checklist, and the
+equivalence-gate protocol.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -490,6 +491,74 @@ class CreditAdaptiveKernel(RouterKernel):
         return vertical | (st.occ[tgt, came] < self.engine.spec.capacity)
 
 
+class ArrayMoves(Sequence[ScheduledMove]):
+    """One step's accepted moves: parallel arrays, read as a lazy move list.
+
+    ``slots`` (packet slots), ``src`` and ``target`` (flat node ids) and
+    ``direction`` (direction values) are in the reference engine's
+    accepted-move order, (target, inlink).  Array-aware observers -- the
+    verify oracles' array paths -- read the arrays directly.  Indexing or
+    iterating builds the ``ScheduledMove`` list the reference engine hands
+    its hooks, once; a build during the step that made the moves also
+    moves each Packet's ``pos`` to its target, as the reference engine
+    does.
+    """
+
+    __slots__ = ("slots", "src", "direction", "target", "_engine", "_time", "_moves")
+
+    def __init__(
+        self,
+        engine: "ArraySimulator",
+        slots: np.ndarray,
+        src: np.ndarray,
+        direction: np.ndarray,
+        target: np.ndarray,
+    ) -> None:
+        self.slots = slots
+        self.src = src
+        self.direction = direction
+        self.target = target
+        self._engine = engine
+        self._time = engine.time
+        self._moves: list[ScheduledMove] | None = None
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._build()[index]
+
+    def __iter__(self) -> Iterator[ScheduledMove]:
+        return iter(self._build())
+
+    def _build(self) -> list[ScheduledMove]:
+        moves = self._moves
+        if moves is not None:
+            return moves
+        engine = self._engine
+        height = engine._height
+        packet_of = engine._packet_of
+        current = engine.time == self._time
+        moves = []
+        for slot, src_f, d, tgt_f in zip(
+            self.slots.tolist(),
+            self.src.tolist(),
+            self.direction.tolist(),
+            self.target.tolist(),
+        ):
+            p = packet_of[slot]
+            target = (tgt_f // height, tgt_f % height)
+            if current:
+                p.pos = target
+            moves.append(
+                ScheduledMove(
+                    p, (src_f // height, src_f % height), DIRECTIONS[d], target
+                )
+            )
+        self._moves = moves
+        return moves
+
+
 class ArraySimulator(Simulator):
     """Array-backend drop-in for :class:`~repro.mesh.simulator.Simulator`.
 
@@ -503,13 +572,14 @@ class ArraySimulator(Simulator):
     time (fault plans attach through :meth:`attach_fault_plan` instead),
     and packet drops raise at the call.
 
-    The observable surface matches the reference engine exactly:
-    ``queues`` materializes Packet objects lazily (cached per step), so
-    inherited ``configuration()``/``iter_packets``/``result()`` and the
-    verify oracles work unchanged; :meth:`step` returns the transmitted
-    ``ScheduledMove`` list only when post-step hooks are attached (it is
-    empty otherwise -- building it would put a Python loop back on the
-    hot path).
+    The observable surface matches the reference engine exactly, built
+    only when an object-level observer looks: ``queues`` materializes
+    Packet objects lazily (cached per step), so inherited
+    ``configuration()``/``iter_packets``/``result()`` work unchanged, and
+    :meth:`step` returns (and hands post-step hooks) the step's moves as
+    :class:`ArrayMoves`, which builds the ``ScheduledMove`` list only when
+    iterated.  The verify oracles read the arrays instead, so a checked
+    run builds neither.
     """
 
     engine_name = "array"
@@ -817,8 +887,14 @@ class ArraySimulator(Simulator):
 
     # -- the step ----------------------------------------------------------
 
-    def step(self) -> list[ScheduledMove]:
-        """Run one synchronous step (the reference phase order, batched)."""
+    def step(self) -> ArrayMoves:  # type: ignore[override]
+        """Run one synchronous step (the reference phase order, batched).
+
+        Returns the accepted moves as :class:`ArrayMoves`, the same
+        sequence the post-step hooks receive: a hook that iterates it gets
+        the reference engine's ``ScheduledMove`` list, and one that reads
+        its arrays makes no per-move object at all.
+        """
         instr = self.instrument
         if instr is not None:
             instr.begin_step()
@@ -921,12 +997,12 @@ class ArraySimulator(Simulator):
         adir: np.ndarray,
         atgt: np.ndarray,
         acame: np.ndarray,
-    ) -> list[ScheduledMove]:
+    ) -> "ArrayMoves":
         st = self._state
         n_acc = len(apkt)
         self.total_moves += n_acc
         if n_acc == 0:
-            return []
+            return ArrayMoves(self, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
         # Arrival order is (target, inlink direction): targets ascending,
         # multi-offer groups by came_from -- the reference accepted_moves
         # order, which fixes FIFO sequence numbers and key creation order.
@@ -976,10 +1052,10 @@ class ArraySimulator(Simulator):
             now = self.time
             delivery_times = self.delivery_times
             slot_of = self._slot_of
-            pids_arr = st.pids
-            for slot in dpkt.tolist():
-                delivery_times[pids_arr[slot]] = now
-                slot_of.pop(int(pids_arr[slot]), None)
+            # Plain-int pids, as on the reference engine.
+            for pid in st.pids[dpkt].tolist():
+                delivery_times[pid] = now
+                slot_of.pop(pid, None)
             self._in_flight -= len(dpkt)
             st.in_net[dpkt] = False
             act = self._act
@@ -993,24 +1069,7 @@ class ArraySimulator(Simulator):
             if len(emptied):
                 st.key_rank[emptied] = -1
                 st.key_count[emptied] = 0
-        if not self.post_step_hooks:
-            return []
-        # Observers attached: materialize real ScheduledMoves (in the same
-        # (target, inlink) order the reference engine produces).
-        height = self._height
-        packet_of = self._packet_of
-        moves = []
-        for slot, src_f, d, tgt_f in zip(
-            apkt.tolist(), asrc.tolist(), adir.tolist(), atgt.tolist()
-        ):
-            p = packet_of[slot]
-            p.pos = (tgt_f // height, tgt_f % height)
-            moves.append(
-                ScheduledMove(
-                    p, (src_f // height, src_f % height), DIRECTIONS[d], p.pos
-                )
-            )
-        return moves
+        return ArrayMoves(self, apkt, asrc, adir, atgt)
 
     def _record_key_creations(self, stgt: np.ndarray, skey: np.ndarray) -> None:
         """Assign creation ranks to queue keys first occupied this step.

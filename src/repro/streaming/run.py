@@ -204,13 +204,12 @@ def run_streaming(
         oracle_mode: ``record`` (default) counts violations without
             aborting; ``strict`` raises on the first one (tests); ``off``
             disables the oracles.
-        plan: Optional :class:`repro.faults.plan.FaultPlan` attached as
-            the link filter -- streaming under faults composes freely.
-            Requires the reference engine.
+        plan: Optional :class:`repro.faults.plan.FaultPlan` attached
+            through ``plan.attach`` -- streaming under faults composes
+            freely, on either engine (the array engine evaluates the
+            plan's vectorized link mask).
         engine: Step engine (``Simulator(engine=...)``); ``"array"``
-            falls back to the reference engine for unported routers, and
-            a fault ``plan`` forces the reference engine (link filters
-            are not vectorized).
+            falls back to the reference engine for unported routers.
 
     The simulator runs with ``validate=False`` for the same reason the
     faults layer does: observing overload-induced overflows is the
@@ -223,8 +222,6 @@ def run_streaming(
     if drain < 0:
         raise ValueError(f"drain must be >= 0, got {drain}")
 
-    if plan is not None:
-        engine = "reference"  # link filters run on the reference engine only
     sim = Simulator(topology, algorithm, [], validate=False, engine=engine)
     if plan is not None:
         plan.attach(sim)

@@ -27,16 +27,35 @@ The oracles deliberately re-derive everything from public simulator state
 instead of trusting the simulator's own ``validate`` flag, so they catch
 regressions in the enforcement code itself (run with ``validate=False`` to
 see them work alone).
+
+The conservation, queue-bound and minimality oracles each have two paths,
+and the simulator being checked picks one.  ``check_objects`` walks Packet
+objects and ``ScheduledMove`` lists; it runs on the reference engine.
+``check_arrays`` runs on :class:`~repro.mesh.array_engine.ArraySimulator`
+and makes the same checks as numpy reductions over its packet arrays and
+the step's :class:`~repro.mesh.array_engine.ArrayMoves`, so a checked
+array run never builds per-packet objects.  Both report the same
+violations, with the same messages in the same order.  The array paths
+re-derive their figures rather than read the engine's bookkeeping: queue
+lengths are recounted from packet positions, not read from the occupancy
+table, and distances use each packet's own source and destination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import islice
+from typing import Any, Iterable, Sequence
 
+import numpy as np
+from numpy.typing import NDArray
+
+from repro.mesh.array_engine import ArrayMoves, ArraySimulator
 from repro.mesh.simulator import ScheduledMove, Simulator
 
 MODES = ("strict", "record", "off")
+
+_EMPTY: NDArray[Any] = np.empty(0, dtype=np.int64)
 
 
 class VerificationError(AssertionError):
@@ -71,7 +90,10 @@ class Oracle:
         """Called at the top of every step, before scheduling."""
 
     def post_step(
-        self, checker: "InvariantChecker", sim: Simulator, moves: list[ScheduledMove]
+        self,
+        checker: "InvariantChecker",
+        sim: Simulator,
+        moves: Sequence[ScheduledMove],
     ) -> None:
         """Called at the end of every step with the transmitted moves."""
 
@@ -103,7 +125,7 @@ class InvariantChecker:
         for oracle in self.oracles:
             oracle.pre_step(self, sim)
 
-    def _post(self, sim: Simulator, moves: list[ScheduledMove]) -> None:
+    def _post(self, sim: Simulator, moves: Sequence[ScheduledMove]) -> None:
         for oracle in self.oracles:
             oracle.post_step(self, sim, moves)
 
@@ -136,7 +158,32 @@ def attach_checker(
 # -- the oracles ---------------------------------------------------------------
 
 
-class PacketConservationOracle(Oracle):
+class DualPathOracle(Oracle):
+    """An oracle with an object path and an array path; the simulator it
+    checks picks one (see the module docstring)."""
+
+    def post_step(
+        self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
+    ) -> None:
+        if isinstance(sim, ArraySimulator) and isinstance(moves, ArrayMoves):
+            self.check_arrays(checker, sim, moves)
+        else:
+            self.check_objects(checker, sim, moves)
+
+    def check_objects(
+        self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
+    ) -> None:
+        """Check one step by walking Packet and ScheduledMove objects."""
+        raise NotImplementedError
+
+    def check_arrays(
+        self, checker: InvariantChecker, sim: ArraySimulator, moves: ArrayMoves
+    ) -> None:
+        """Check the same step from the array engine's state and moves."""
+        raise NotImplementedError
+
+
+class PacketConservationOracle(DualPathOracle):
     """Packets are conserved: pending + in-network + delivered + dropped
     + rejected == total, no pid occupies two queues, deliveries happen at
     the destination, and the delivered set only grows.
@@ -155,29 +202,100 @@ class PacketConservationOracle(Oracle):
 
     def on_attach(self, checker: InvariantChecker, sim: Simulator) -> None:
         self._delivered_seen: set[int] = set(sim.delivery_times)
+        self._delivered = _Ledger(sim.delivery_times)
+        self._dropped = _Ledger(sim.dropped)
+        self._rejected = _Ledger(sim.rejected)
+        self._ends = _SlotEndpoints()
 
-    def post_step(
-        self, checker: InvariantChecker, sim: Simulator, moves: list[ScheduledMove]
+    def check_objects(
+        self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
     ) -> None:
-        in_network = 0
+        """The object path: walks the queued Packet objects."""
+        queued = [p.pid for p in sim.iter_packets()]
+        self._check_queued(checker, sim, queued)
+        self._check_totals(checker, sim, len(queued))
+        delivered_now = set(sim.delivery_times)
+        if not self._delivered_seen <= delivered_now:
+            lost = sorted(self._delivered_seen - delivered_now)[:5]
+            checker.report(self, f"delivered set shrank (lost pids {lost})")
+        newly_delivered = delivered_now - self._delivered_seen
+        for mv in moves:
+            p = mv.packet
+            if p.pid in newly_delivered and p.pos != p.dest:
+                checker.report(
+                    self,
+                    f"packet {p.pid} recorded delivered at {p.pos}, "
+                    f"destination is {p.dest}",
+                )
+        self._delivered_seen = delivered_now
+
+    def check_arrays(
+        self, checker: InvariantChecker, sim: ArraySimulator, moves: ArrayMoves
+    ) -> None:
+        """The array path: the same checks as reductions over the queued pids.
+
+        Reports exactly what :meth:`check_objects` reports, in the same
+        order; only a step that violates something walks its packets.
+        """
+        st = sim._state
+        act = sim._act
+        pids = st.pids[act]
+        new_delivered, lost = self._delivered.update(sim.delivery_times)
+        self._dropped.update(sim.dropped)
+        self._rejected.update(sim.rejected)
+        ordered = np.sort(pids)
+        suspect = bool((ordered[1:] == ordered[:-1]).any())
+        for ledger in (self._delivered, self._dropped, self._rejected):
+            suspect = suspect or bool(ledger.contains(ordered).any())
+        if suspect:
+            # Name the offenders in the order the object path meets them:
+            # materialized queue order, (node, queue key, FIFO).
+            order = np.lexsort((st.qseq[act], st.qkey[act], st.posf[act]))
+            self._check_queued(checker, sim, pids[order].tolist())
+        self._check_totals(checker, sim, len(pids))
+        if len(lost):
+            checker.report(
+                self, f"delivered set shrank (lost pids {lost[:5].tolist()})"
+            )
+        if len(new_delivered) and len(moves):
+            self._ends.refresh(sim)
+            slots = moves.slots
+            delivering = np.isin(st.pids[slots], new_delivered)
+            wrong = delivering & (moves.target != self._ends.dest[slots])
+            height = sim.topology.height
+            for slot, target in zip(
+                slots[wrong].tolist(), moves.target[wrong].tolist()
+            ):
+                p = sim._packet_of[slot]
+                checker.report(
+                    self,
+                    f"packet {p.pid} recorded delivered at "
+                    f"{(target // height, target % height)}, "
+                    f"destination is {p.dest}",
+                )
+
+    def _check_queued(
+        self, checker: InvariantChecker, sim: Simulator, queued: list[int]
+    ) -> None:
+        """Per-packet checks over the queued pids, in queue order."""
         seen: set[int] = set()
-        for p in sim.iter_packets():
-            in_network += 1
-            if p.pid in seen:
-                checker.report(self, f"packet {p.pid} occupies two queues")
-            seen.add(p.pid)
-            if p.pid in sim.delivery_times:
+        for pid in queued:
+            if pid in seen:
+                checker.report(self, f"packet {pid} occupies two queues")
+            seen.add(pid)
+            if pid in sim.delivery_times:
+                checker.report(self, f"packet {pid} still queued after delivery")
+            if pid in sim.dropped:
+                checker.report(self, f"packet {pid} still queued after being dropped")
+            if pid in sim.rejected:
                 checker.report(
-                    self, f"packet {p.pid} still queued after delivery"
+                    self, f"packet {pid} queued despite admission rejection"
                 )
-            if p.pid in sim.dropped:
-                checker.report(
-                    self, f"packet {p.pid} still queued after being dropped"
-                )
-            if p.pid in sim.rejected:
-                checker.report(
-                    self, f"packet {p.pid} queued despite admission rejection"
-                )
+
+    def _check_totals(
+        self, checker: InvariantChecker, sim: Simulator, in_network: int
+    ) -> None:
+        """The in-flight counter and the conservation sum."""
         if in_network != sim.in_flight:
             checker.report(
                 self,
@@ -198,31 +316,46 @@ class PacketConservationOracle(Oracle):
                 f"dropped {len(sim.dropped)} + rejected {len(sim.rejected)} "
                 f"!= total {sim.total_packets}",
             )
-        delivered_now = set(sim.delivery_times)
-        if not self._delivered_seen <= delivered_now:
-            lost = sorted(self._delivered_seen - delivered_now)[:5]
-            checker.report(self, f"delivered set shrank (lost pids {lost})")
-        newly_delivered = delivered_now - self._delivered_seen
-        for mv in moves:
-            p = mv.packet
-            if p.pid in newly_delivered and p.pos != p.dest:
-                checker.report(
-                    self,
-                    f"packet {p.pid} recorded delivered at {p.pos}, "
-                    f"destination is {p.dest}",
-                )
-        self._delivered_seen = delivered_now
 
 
-class QueueBoundOracle(Oracle):
+class QueueBoundOracle(DualPathOracle):
     """No queue ever holds more than ``k`` packets, and only queue keys the
     regime defines are in use (Section 2 / Section 5 queue models)."""
 
     name = "queue-bound"
 
-    def post_step(
-        self, checker: InvariantChecker, sim: Simulator, moves: list[ScheduledMove]
+    def check_arrays(
+        self, checker: InvariantChecker, sim: ArraySimulator, moves: ArrayMoves
     ) -> None:
+        """The array path: queue lengths recounted from packet positions.
+
+        The count comes from each queued packet's node and queue key, never
+        from the engine's incrementally kept occupancy table, so a slip in
+        that bookkeeping cannot hide an overflow.  Queues are visited in
+        the object path's order, (node, queue key).  The regime check has
+        nothing to do here: the engine's key indices are the regime's keys.
+        """
+        capacity = sim.spec.capacity
+        st = sim._state
+        act = sim._act
+        num_keys = st.num_keys
+        counts = np.bincount(
+            st.posf[act] * num_keys + st.qkey[act],
+            minlength=st.geom.num_nodes * num_keys,
+        )
+        height = sim.topology.height
+        for cell in np.flatnonzero(counts > capacity).tolist():
+            flat, kidx = divmod(cell, num_keys)
+            checker.report(
+                self,
+                f"queue {sim._key_object(kidx)!r} at {(flat // height, flat % height)} "
+                f"holds {counts[cell]} > capacity {capacity}",
+            )
+
+    def check_objects(
+        self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
+    ) -> None:
+        """The object path: walks the (materialized) queue dicts."""
         spec = sim.spec
         allowed = set(spec.keys)
         for node, node_queues in sim.queues.items():
@@ -241,7 +374,7 @@ class QueueBoundOracle(Oracle):
                     )
 
 
-class MinimalityOracle(Oracle):
+class MinimalityOracle(DualPathOracle):
     """Minimal routers shrink distance-to-destination by exactly one per
     move; delta-bounded routers never stray more than ``delta`` hops beyond
     the rectangle spanned by source and destination (Section 5's class).
@@ -253,9 +386,63 @@ class MinimalityOracle(Oracle):
 
     name = "minimality"
 
-    def post_step(
-        self, checker: InvariantChecker, sim: Simulator, moves: list[ScheduledMove]
+    def on_attach(self, checker: InvariantChecker, sim: Simulator) -> None:
+        self._ends = _SlotEndpoints()
+
+    def check_arrays(
+        self, checker: InvariantChecker, sim: ArraySimulator, moves: ArrayMoves
     ) -> None:
+        """The array path: both checks vectorized over the step's moves.
+
+        Distances come from the topology's shape and each packet's own
+        source and destination (cached per slot), not from the engine's
+        destination array.
+        """
+        delta = sim.algorithm.excursion_delta()
+        if delta is None or not len(moves):
+            return
+        topo = sim.topology
+        self._ends.refresh(sim)
+        slots = moves.slots
+        src = self._ends.src[slots]
+        dest = self._ends.dest[slots]
+        width, height = topo.width, topo.height
+        if sim.algorithm.minimal:
+            before = _grid_distance(moves.src, dest, width, height, topo.wraps)
+            after = _grid_distance(moves.target, dest, width, height, topo.wraps)
+            for i in np.flatnonzero(after != before - 1).tolist():
+                p = sim._packet_of[int(slots[i])]
+                a, b = int(moves.src[i]), int(moves.target[i])
+                checker.report(
+                    self,
+                    f"packet {p.pid} moved {(a // height, a % height)}->"
+                    f"{(b // height, b % height)} (distance {before[i]}->"
+                    f"{after[i]}), not a profitable move for dest {p.dest}",
+                )
+        if topo.wraps:
+            # The array engine runs neither interceptors nor irregular
+            # topologies, the object path's other two reasons to skip.
+            return
+        excess = np.zeros(len(slots), dtype=np.int64)
+        for coord in (np.floor_divide, np.remainder):
+            x = coord(moves.target, height)
+            a = coord(src, height)
+            b = coord(dest, height)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            excess += np.maximum(np.maximum(lo - x, 0), x - hi)
+        for i in np.flatnonzero(excess > delta).tolist():
+            p = sim._packet_of[int(slots[i])]
+            t = int(moves.target[i])
+            checker.report(
+                self,
+                f"packet {p.pid} at {(t // height, t % height)} strays "
+                f"{excess[i]} > delta {delta} beyond rectangle {p.source}..{p.dest}",
+            )
+
+    def check_objects(
+        self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
+    ) -> None:
+        """The object path: walks the step's ScheduledMove list."""
         delta = sim.algorithm.excursion_delta()
         if delta is None:
             return
@@ -284,6 +471,88 @@ class MinimalityOracle(Oracle):
                     f"packet {p.pid} at {p.pos} strays {excess} > delta "
                     f"{delta} beyond rectangle {p.source}..{p.dest}",
                 )
+
+
+class _Ledger:
+    """The keys of one pid-keyed dict, mirrored as a sorted array.
+
+    The simulator's delivered, dropped and rejected dicts gain keys at the
+    end of their insertion order, so an update reads only the entries
+    added since the last one, plus the entry just before them: that must
+    still be the newest key the last update saw.  Any deletion moves it,
+    and the dict is then re-read whole, so the mirror is always exact.
+    """
+
+    def __init__(self, ledger: dict[int, int]) -> None:
+        self.seen = len(ledger)
+        self.newest = next(reversed(ledger), None)
+        self.keys = np.sort(np.fromiter(ledger, dtype=np.int64, count=self.seen))
+
+    def update(self, ledger: dict[int, int]) -> tuple[NDArray[Any], NDArray[Any]]:
+        """Catch up with ``ledger``; returns the keys (added, lost) since
+        the last update."""
+        n = len(ledger)
+        fresh = n - self.seen
+        tail = list(islice(reversed(ledger), fresh + 1)) if fresh >= 0 else []
+        if fresh >= 0 and (not self.seen or tail[-1] == self.newest):
+            added = np.sort(np.array(tail[:fresh], dtype=np.int64))
+            lost = _EMPTY
+            if fresh:
+                self.keys = np.insert(
+                    self.keys, np.searchsorted(self.keys, added), added
+                )
+        else:
+            now = np.sort(np.fromiter(ledger, dtype=np.int64, count=n))
+            added = np.setdiff1d(now, self.keys)
+            lost = np.setdiff1d(self.keys, now)
+            self.keys = now
+        self.seen = n
+        self.newest = next(reversed(ledger), None)
+        return added, lost
+
+    def contains(self, pids: NDArray[Any]) -> NDArray[Any]:
+        """Membership mask of ``pids`` in the ledger."""
+        keys = self.keys
+        if not len(keys):
+            return np.zeros(len(pids), dtype=bool)
+        at = np.minimum(np.searchsorted(keys, pids), len(keys) - 1)
+        return keys[at] == pids
+
+
+class _SlotEndpoints:
+    """Source and destination flat node ids per array-engine packet slot.
+
+    Read once per slot from the slot's own Packet, so the array paths
+    measure every move against where its packet was sent, not against the
+    engine's destination array.
+    """
+
+    def __init__(self) -> None:
+        self.src: NDArray[Any] = _EMPTY
+        self.dest: NDArray[Any] = _EMPTY
+
+    def refresh(self, sim: ArraySimulator) -> None:
+        """Cover the slots admitted since the last refresh."""
+        new = sim._packet_of[len(self.src) :]
+        if not new:
+            return
+        height = sim.topology.height
+        src = [p.source[0] * height + p.source[1] for p in new]
+        dest = [p.dest[0] * height + p.dest[1] for p in new]
+        self.src = np.concatenate([self.src, np.array(src, dtype=np.int64)])
+        self.dest = np.concatenate([self.dest, np.array(dest, dtype=np.int64)])
+
+
+def _grid_distance(
+    a: NDArray[Any], b: NDArray[Any], width: int, height: int, wraps: bool
+) -> NDArray[Any]:
+    """``Topology.distance`` between flat node ids on a mesh or torus."""
+    dx = np.abs(a // height - b // height)
+    dy = np.abs(a % height - b % height)
+    if wraps:
+        dx = np.minimum(dx, width - dx)
+        dy = np.minimum(dy, height - dy)
+    return dx + dy
 
 
 def _rectangle_excess(
@@ -323,7 +592,7 @@ class StepBoundOracle(Oracle):
                 self._floor[p.pid] = p.injection_time + topo.distance(p.source, p.dest)
 
     def post_step(
-        self, checker: InvariantChecker, sim: Simulator, moves: list[ScheduledMove]
+        self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
     ) -> None:
         if self.bound_steps is not None and sim.time > self.bound_steps:
             checker.report(

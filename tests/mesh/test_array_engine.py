@@ -169,3 +169,44 @@ class TestEngineAccessors:
         )
         assert ra.delivery_times == rr.delivery_times
         assert ra.counters == rr.counters
+
+    def test_hooks_and_step_see_the_reference_move_lists(self):
+        """Object-level post-step hooks (and ``step``'s return value) get
+        the reference engine's ScheduledMove list, built only on demand,
+        with each moved Packet's ``pos`` at its target."""
+
+        def seen(sim):
+            log = []
+            sim.post_step_hooks.append(
+                lambda s, moves: log.append(
+                    [
+                        (m.packet.pid, m.src, m.direction, m.target, m.packet.pos)
+                        for m in moves
+                    ]
+                )
+            )
+            return log
+
+        topology = Mesh(6)
+        array = make(algorithm=GreedyAdaptiveRouter(2, "incoming"))
+        reference = Simulator(
+            topology,
+            GreedyAdaptiveRouter(2, "incoming"),
+            random_permutation(topology, seed=0),
+        )
+        array_log, reference_log = seen(array), seen(reference)
+        for _ in range(8):
+            returned = array.step()
+            expected = reference.step()
+            assert len(returned) == len(expected)
+            assert [(m.packet.pid, m.target) for m in returned] == [
+                (m.packet.pid, m.target) for m in expected
+            ]
+        assert array_log == reference_log
+
+    def test_moves_are_built_only_when_iterated(self):
+        sim = make()
+        moves = sim.step()
+        assert len(moves) > 0 and moves._moves is None
+        assert moves[0].target == (moves.target[0] // 6, moves.target[0] % 6)
+        assert moves._moves is not None

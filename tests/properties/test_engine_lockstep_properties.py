@@ -12,8 +12,16 @@ aggregate counters but cannot survive a per-step configuration check.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import BernoulliLinkPlan
 from repro.mesh import Mesh, Simulator, Torus
-from repro.verify import ARRAY_PORTED, REGISTRY
+from repro.verify import (
+    ARRAY_PORTED,
+    REGISTRY,
+    MinimalityOracle,
+    PacketConservationOracle,
+    QueueBoundOracle,
+    attach_checker,
+)
 from repro.verify.differential import fresh_copies, step_budget
 from repro.verify.engine_equivalence import LockstepReport, lockstep
 from repro.workloads import (
@@ -62,8 +70,6 @@ def test_engines_agree_step_by_step_under_link_faults(case):
     """Per-step equality must survive a Bernoulli link plan: both engines
     evaluate the same pure counter-hash draws (scalar closure vs
     vectorized mask), so the filtered traces are byte-identical too."""
-    from repro.faults import BernoulliLinkPlan
-
     router, n, k, seed, torus, availability, fault_seed = case
     topology = Torus(n) if torus else Mesh(n)
     packets = random_permutation(topology, seed=seed)
@@ -120,3 +126,76 @@ def test_engines_agree_step_by_step(case):
     budget = min(step_budget(n, k), 60 * n)
     lockstep(reference, array, budget, report)
     assert report.ok, report.findings
+
+
+# -- oracle paths: the array path against the object path ----------------------
+
+
+def checked_oracles():
+    return [PacketConservationOracle(), QueueBoundOracle(), MinimalityOracle()]
+
+
+def object_path(oracle):
+    """``oracle`` forced onto its object path, whatever engine runs it."""
+    oracle.post_step = oracle.check_objects
+    return oracle
+
+
+def cross_checked_run(topology, router, packets, plan, steps):
+    """One array-engine run checked twice: by the oracles' array path and,
+    through the materialized queues and move lists, by their object path.
+    Returns both checkers' violations grouped by step."""
+    sim = Simulator(topology, router, packets, engine="array", validate=False)
+    assert sim.engine_name == "array", "ported router must not fall back"
+    plan.attach(sim)
+    arrays = attach_checker(sim, checked_oracles(), mode="record")
+    objects = attach_checker(
+        sim, [object_path(o) for o in checked_oracles()], mode="record"
+    )
+    sim.run(steps)
+    by_step = []
+    for checker in (arrays, objects):
+        steps_seen = {}
+        for v in checker.violations:
+            steps_seen.setdefault(v.time, []).append(v)
+        by_step.append(steps_seen)
+    return by_step
+
+
+def assert_same_steps(arrays, objects):
+    for t in sorted(set(arrays) | set(objects)):
+        assert arrays.get(t, []) == objects.get(t, []), f"paths differ at step {t}"
+
+
+@given(faulted_lockstep_case())
+@settings(max_examples=25, deadline=None)
+def test_oracle_paths_agree_step_by_step(case):
+    """The array path reports exactly the object path's violations, step
+    by step, on any ported router under any link plan (overflows of the
+    always-accepting inqueues included)."""
+    router, n, k, seed, torus, availability, fault_seed = case
+    topology = Torus(n) if torus else Mesh(n)
+    arrays, objects = cross_checked_run(
+        topology,
+        REGISTRY[router].factory(k, seed),
+        random_permutation(topology, seed=seed),
+        BernoulliLinkPlan(availability, seed=fault_seed),
+        min(step_budget(n, k), 40 * n),
+    )
+    assert_same_steps(arrays, objects)
+
+
+def test_oracle_paths_agree_on_a_real_overflow():
+    """bounded-dor's vertical inqueues always accept, so flaky links
+    overflow them: both paths must report the same overflows."""
+    topology = Mesh(8)
+    arrays, objects = cross_checked_run(
+        topology,
+        REGISTRY["bounded-dor"].factory(2, 0),
+        random_permutation(topology, seed=0),
+        BernoulliLinkPlan(0.8, seed=0),
+        400,
+    )
+    assert sum(len(vs) for vs in arrays.values()) >= 1
+    assert {v.oracle for vs in arrays.values() for v in vs} == {"queue-bound"}
+    assert_same_steps(arrays, objects)

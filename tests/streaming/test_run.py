@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mesh import Mesh
+from repro.faults import BernoulliLinkPlan
+from repro.mesh import Mesh, Torus
 from repro.routing import (
     BoundedDimensionOrderRouter,
     DimensionOrderRouter,
@@ -83,6 +84,38 @@ class TestStallDetection:
     def test_theorem15_router_does_not_wedge(self):
         report = small_run(rate=0.8, drain=2000)
         assert report.drained and not report.stalled
+
+
+class TestFaultPlanEngine:
+    """A fault plan no longer forces the reference engine: the requested
+    engine runs, and both engines agree on everything but its name."""
+
+    @pytest.mark.parametrize("topology", [Mesh(12), Torus(10)], ids=["mesh12", "torus10"])
+    @pytest.mark.parametrize(
+        "router",
+        [BoundedDimensionOrderRouter, GreedyAdaptiveRouter],
+        ids=["bounded-dor", "greedy-adaptive"],
+    )
+    def test_engines_agree_under_a_link_plan(self, topology, router):
+        reports = {
+            engine: run_streaming(
+                topology,
+                router(2),
+                build_process("poisson", 0.1, seed=5),
+                warmup=8,
+                measure=32,
+                drain=256,
+                plan=BernoulliLinkPlan(0.8, seed=7),
+                engine=engine,
+            )
+            for engine in ("reference", "array")
+        }
+        reference, array = reports["reference"], reports["array"]
+        assert (reference.engine, array.engine) == ("reference", "array")
+        ref_metrics, arr_metrics = reference.to_metrics(), array.to_metrics()
+        del ref_metrics["engine"], arr_metrics["engine"]
+        assert arr_metrics == ref_metrics
+        assert array.result.delivery_times == reference.result.delivery_times
 
 
 class TestValidation:

@@ -3,8 +3,16 @@
 Every test here runs with ``validate=False`` where it matters, proving the
 oracles re-derive the paper's invariants independently of the simulator's
 own enforcement -- a regression in either layer is caught by the other.
+
+The conservation, queue-bound and minimality tests run on both engines:
+each ``...OnArrays`` class reruns its parent's tests with ``engine =
+"array"``.  The broken routers are not ported to the array engine, so
+there the same defect is planted in its ``ArrayState`` instead, and a
+second checker forced onto the object path (walking the materialized
+queues) must report exactly what the array path reports.
 """
 
+import numpy as np
 import pytest
 
 from repro.mesh import Mesh, Packet, Simulator
@@ -47,6 +55,65 @@ class NonMinimalLiar(GreedyAdaptiveRouter):
         return super().outqueue(ctx)
 
 
+def object_path(oracle):
+    """``oracle`` forced onto its object path, whatever engine runs it."""
+    oracle.post_step = oracle.check_objects
+    return oracle
+
+
+def attach_paths(sim, make_oracles, mode):
+    """Attach ``make_oracles()`` on the engine's own path and, on the array
+    engine, a second copy forced onto the object path.  Returns both
+    checkers (the second is None on the reference engine)."""
+    checker = attach_checker(sim, make_oracles(), mode=mode)
+    if sim.engine_name == "reference":
+        return checker, None
+    objects = attach_checker(sim, [object_path(o) for o in make_oracles()], mode=mode)
+    return checker, objects
+
+
+def assert_paths_agree(checker, objects):
+    if objects is not None:
+        assert checker.violations == objects.violations
+        assert checker.counters == objects.counters
+
+
+def build(engine, topology, router, packets, **kwargs):
+    sim = Simulator(topology, router, packets, engine=engine, **kwargs)
+    assert sim.engine_name == engine
+    return sim
+
+
+def pile_into_one_queue(sim, moves):
+    """Post-step tamper (array engine): every queued packet joins the first
+    packet's queue.  Only positions change; the occupancy table the
+    engine keeps does not, so only a recount from positions sees it."""
+    st = sim._state
+    act = sim._act
+    st.posf[act] = st.posf[act[0]]
+    st.qkey[act] = st.qkey[act[0]]
+    sim._mat = None
+
+
+def overflowing_sim(engine):
+    """Four packets converging on one queue of capacity 1: the broken
+    router on the reference engine, the tampered state on the array one."""
+    if engine == "reference":
+        return build(
+            engine, Mesh(8), OverflowingRouter(1), converging_packets(), validate=False
+        )
+    return build(
+        engine, Mesh(8), GreedyAdaptiveRouter(1), converging_packets(), validate=False
+    )
+
+
+def plant_overflow(sim):
+    """Runs ahead of the checkers' hooks (no-op on the reference engine,
+    whose router overflows by itself)."""
+    if sim.engine_name == "array":
+        sim.post_step_hooks.insert(0, pile_into_one_queue)
+
+
 def converging_packets():
     # Four packets converge on (1,1); an accept-all inqueue overflows k=1.
     return [
@@ -58,13 +125,14 @@ def converging_packets():
 
 
 class TestQueueBoundOracle:
+    engine = "reference"
+
     def test_broken_router_caught_by_oracle_alone(self):
         """The acceptance scenario: queue bound k+1, simulator enforcement
         off, the oracle layer still catches it."""
-        sim = Simulator(
-            Mesh(8), OverflowingRouter(1), converging_packets(), validate=False
-        )
+        sim = overflowing_sim(self.engine)
         checker = attach_checker(sim, [QueueBoundOracle()], mode="strict")
+        plant_overflow(sim)
         with pytest.raises(VerificationError) as exc_info:
             sim.run(10)
         assert "queue-bound" in str(exc_info.value)
@@ -73,6 +141,8 @@ class TestQueueBoundOracle:
     def test_simulator_raises_typed_structured_overflow(self):
         """With validation on, the simulator raises first -- and the typed
         exception carries node/queue/occupancy/capacity for tests."""
+        if self.engine != "reference":
+            pytest.skip("the overflowing router runs on the reference engine only")
         sim = Simulator(Mesh(8), OverflowingRouter(1), converging_packets())
         with pytest.raises(QueueOverflowError) as exc_info:
             sim.run(10)
@@ -83,18 +153,16 @@ class TestQueueBoundOracle:
         assert err.algorithm == "broken-overflow"
 
     def test_record_mode_collects_instead_of_raising(self):
-        sim = Simulator(
-            Mesh(8), OverflowingRouter(1), converging_packets(), validate=False
-        )
-        checker = attach_checker(sim, [QueueBoundOracle()], mode="record")
+        sim = overflowing_sim(self.engine)
+        checker, objects = attach_paths(sim, lambda: [QueueBoundOracle()], "record")
+        plant_overflow(sim)
         sim.run(5)
         assert checker.counters["queue-bound"] >= 1
         assert all(v.oracle == "queue-bound" for v in checker.violations)
+        assert_paths_agree(checker, objects)
 
     def test_off_mode_attaches_nothing(self):
-        sim = Simulator(
-            Mesh(8), OverflowingRouter(1), converging_packets(), validate=False
-        )
+        sim = overflowing_sim(self.engine)
         checker = attach_checker(sim, [QueueBoundOracle()], mode="off")
         sim.run(5)
         assert checker.ok
@@ -102,78 +170,143 @@ class TestQueueBoundOracle:
 
     def test_clean_router_is_clean(self):
         mesh = Mesh(8)
-        sim = Simulator(
-            mesh, GreedyAdaptiveRouter(2, "incoming"), random_permutation(mesh, seed=0)
+        sim = build(
+            self.engine,
+            mesh,
+            GreedyAdaptiveRouter(2, "incoming"),
+            random_permutation(mesh, seed=0),
         )
         checker = attach_checker(sim, default_oracles(sim), mode="strict")
+        _, objects = attach_paths(
+            sim,
+            lambda: [PacketConservationOracle(), QueueBoundOracle(), MinimalityOracle()],
+            "strict",
+        )
         result = sim.run(5_000)
         checker.finish()
         assert result.completed
         assert checker.ok
+        assert objects is None or objects.ok
+
+
+class TestQueueBoundOracleOnArrays(TestQueueBoundOracle):
+    """The same tests on the array engine, overflows planted in ArrayState."""
+
+    engine = "array"
+
+    @pytest.mark.parametrize("occupancy", [0, 9])
+    def test_array_path_ignores_the_occupancy_table(self, occupancy):
+        """The recount reads positions only: an occupancy table overwritten
+        behind the engine's back neither hides the planted overflow (all
+        zeros) nor invents one (all past capacity)."""
+        sim = overflowing_sim("array")
+        checker = attach_checker(sim, [QueueBoundOracle()], mode="record")
+        if occupancy == 0:
+            plant_overflow(sim)
+        sim.post_step_hooks.insert(0, lambda s, moves: s._state.occ.fill(occupancy))
+        sim.step()
+        expected = ["queue 'central' at (0, 1) holds 4 > capacity 1"]
+        assert [v.message for v in checker.violations] == (
+            expected if occupancy == 0 else []
+        )
 
 
 class TestMinimalityOracle:
+    engine = "reference"
+
     def test_nonminimal_liar_caught(self):
         mesh = Mesh(6)
-        # One packet that gets deflected unprofitably on step 1.
-        sim = Simulator(
-            mesh, NonMinimalLiar(2), [Packet(0, (5, 5), (5, 4))], validate=False
-        )
-        checker = attach_checker(sim, [MinimalityOracle()], mode="record")
+        # One packet that gets deflected unprofitably (west) on step 1.
+        packets = [Packet(0, (5, 5), (5, 4))]
+        if self.engine == "reference":
+            sim = build(self.engine, mesh, NonMinimalLiar(2), packets, validate=False)
+        else:
+            # The array engine routes by its own destination array; point
+            # it west of the packet's real destination.
+            sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), packets, validate=False)
+            sim._state.destf[0] = mesh.node_index((0, 5))
+        checker, objects = attach_paths(sim, lambda: [MinimalityOracle()], "record")
         sim.run(3)
         assert any("not a profitable move" in v.message for v in checker.violations)
+        assert_paths_agree(checker, objects)
 
     def test_minimal_router_distance_monotone_clean(self):
         mesh = Mesh(8)
-        sim = Simulator(
-            mesh, BoundedDimensionOrderRouter(1), random_permutation(mesh, seed=3)
+        sim = build(
+            self.engine,
+            mesh,
+            BoundedDimensionOrderRouter(1),
+            random_permutation(mesh, seed=3),
         )
-        checker = attach_checker(sim, [MinimalityOracle()], mode="strict")
+        checker, objects = attach_paths(sim, lambda: [MinimalityOracle()], "strict")
         assert sim.run(5_000).completed
         assert checker.ok
+        assert objects is None or objects.ok
+
+
+class TestMinimalityOracleOnArrays(TestMinimalityOracle):
+    """The same tests on the array engine, a wrong destination planted in
+    ArrayState."""
+
+    engine = "array"
 
 
 class TestConservationOracle:
+    engine = "reference"
+
     def test_clean_run_conserves(self):
         mesh = Mesh(6)
-        sim = Simulator(
-            mesh, GreedyAdaptiveRouter(4), random_permutation(mesh, seed=1)
-        )
-        checker = attach_checker(sim, [PacketConservationOracle()], mode="strict")
+        packets = random_permutation(mesh, seed=1)
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(4), packets)
+        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "strict")
         assert sim.run(5_000).completed
         assert checker.ok
+        assert objects is None or objects.ok
 
     def test_detects_duplicated_packet(self):
         mesh = Mesh(6)
-        sim = Simulator(
-            mesh, GreedyAdaptiveRouter(4), [Packet(0, (0, 0), (3, 3))], validate=False
+        sim = build(
+            self.engine, mesh, GreedyAdaptiveRouter(4), [Packet(0, (0, 0), (3, 3))],
+            validate=False,
         )
-        checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
+        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
         sim.step()
         # Corrupt the state behind the simulator's back: clone a packet.
-        p = next(sim.iter_packets())
-        for node_queues in sim.queues.values():
-            for q in node_queues.values():
-                if q:
-                    q.append(p.copy())
-                    break
+        if self.engine == "reference":
+            p = next(sim.iter_packets())
+            for node_queues in sim.queues.values():
+                for q in node_queues.values():
+                    if q:
+                        q.append(p.copy())
+                        break
+        else:
+            st = sim._state
+            slot = int(sim._act[0])
+            clone = st.new_slot(
+                int(st.pids[slot]), int(st.posf[slot]), int(st.destf[slot]),
+                int(st.qkey[slot]), int(st.qseq[slot]),
+            )
+            sim._packet_of.append(sim._packet_of[slot].copy())
+            sim._act = np.append(sim._act, clone)
         sim.step()
         assert any("occupies two queues" in v.message for v in checker.violations) or any(
             "in-flight counter" in v.message for v in checker.violations
         )
+        assert_paths_agree(checker, objects)
 
     def test_rejected_packets_conserve(self):
         """Regression for the streaming layer: packets refused at admission
         (reject_packet) count toward the conservation total instead of
         tripping the oracle as lost."""
         mesh = Mesh(6)
-        sim = Simulator(mesh, GreedyAdaptiveRouter(2), [], validate=False)
-        checker = attach_checker(sim, [PacketConservationOracle()], mode="strict")
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), [], validate=False)
+        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "strict")
         sim.inject_packet(Packet(0, (0, 0), (5, 5), injection_time=0))
         sim.reject_packet(Packet(1, (0, 0), (5, 5)))
         sim.reject_packet(Packet(2, (3, 3), (0, 2)))
         assert sim.run(5_000).completed
         assert checker.ok
+        assert objects is None or objects.ok
         assert sim.total_packets == 3
         assert len(sim.delivery_times) == 1 and len(sim.rejected) == 2
 
@@ -181,8 +314,8 @@ class TestConservationOracle:
         """A pid that is both rejected and queued is corruption, not
         backpressure -- the oracle must say so."""
         mesh = Mesh(6)
-        sim = Simulator(mesh, GreedyAdaptiveRouter(2), [], validate=False)
-        checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), [], validate=False)
+        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
         sim.inject_packet(Packet(0, (0, 0), (5, 5), injection_time=0))
         sim.step()
         # Corrupt: mark the in-network packet as rejected behind the
@@ -193,16 +326,39 @@ class TestConservationOracle:
         assert any(
             "despite admission rejection" in v.message for v in checker.violations
         )
+        assert_paths_agree(checker, objects)
+
+    def test_forgotten_delivery_is_flagged(self):
+        """Deleting a delivery record shrinks the delivered set and breaks
+        the sum; both are reported, by both paths alike."""
+        mesh = Mesh(6)
+        packets = random_permutation(mesh, seed=1)
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(4), packets)
+        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
+        while not sim.delivery_times:
+            sim.step()
+        del sim.delivery_times[next(iter(sim.delivery_times))]
+        sim.step()
+        messages = [v.message for v in checker.violations]
+        assert any("delivered set shrank" in m for m in messages)
+        assert any("conservation broken" in m for m in messages)
+        assert_paths_agree(checker, objects)
 
     def test_duplicate_pid_rejected_across_outcomes(self):
         """reject_packet and inject_packet share the duplicate-pid guard."""
         mesh = Mesh(6)
-        sim = Simulator(mesh, GreedyAdaptiveRouter(2), [], validate=False)
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), [], validate=False)
         sim.reject_packet(Packet(7, (0, 0), (5, 5)))
         with pytest.raises(ValueError, match="duplicate packet id"):
             sim.inject_packet(Packet(7, (0, 0), (5, 5)))
         with pytest.raises(ValueError, match="duplicate packet id"):
             sim.reject_packet(Packet(7, (1, 1), (5, 5)))
+
+
+class TestConservationOracleOnArrays(TestConservationOracle):
+    """The same tests on the array engine, corruption planted in ArrayState."""
+
+    engine = "array"
 
 
 class TestStepBoundOracle:
