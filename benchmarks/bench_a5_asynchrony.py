@@ -18,11 +18,8 @@ from __future__ import annotations
 
 from conftest import run_once
 from repro.analysis import format_table
+from repro.faults import BernoulliLinkPlan, ConservativeBoundedDimensionOrderRouter
 from repro.mesh import Mesh, Simulator
-from repro.mesh.asynchrony import (
-    ConservativeBoundedDimensionOrderRouter,
-    make_async,
-)
 from repro.mesh.errors import QueueOverflowError
 from repro.routing import (
     BoundedDimensionOrderRouter,
@@ -45,10 +42,8 @@ def run_experiment():
     rows = []
     for name, factory in ROUTERS:
         for avail in (1.0, 0.9, 0.7):
-            sim = make_async(
-                Simulator(mesh, factory(), random_permutation(mesh, seed=0)),
-                avail,
-                seed=1,
+            sim = BernoulliLinkPlan(avail, seed=1).attach(
+                Simulator(mesh, factory(), random_permutation(mesh, seed=0))
             )
             try:
                 result = sim.run(max_steps=50_000)

@@ -19,8 +19,8 @@ Three engines, wired into ``python -m repro analyze [cdg|bounds|lint|all]``:
 - :mod:`repro.analysis.static_check.lint` -- an AST lint pass enforcing the
   simulator's reproducibility contract (no unseeded RNG, no wall clock in
   step logic, no bare asserts, no unordered-set iteration) plus the
-  array-kernel hazard rules SC006-SC009 (aliasing mutation, unstable
-  sorts, implicit dtypes, silent engine fallback).  Pre-existing
+  array-kernel hazard rules SC006-SC008 (aliasing mutation, unstable
+  sorts, implicit dtypes).  Pre-existing
   violations live in a checked-in baseline
   (:mod:`repro.analysis.static_check.baseline`).
 """

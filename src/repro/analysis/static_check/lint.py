@@ -40,13 +40,6 @@ SC008  No implicit dtypes in array construction: ``np.zeros`` / ``ones`` /
        ``empty`` / ``full`` / ``arange`` / ``array`` without an explicit
        ``dtype=``.  Platform-default integer widths silently change
        occupancy arithmetic across OSes, breaking bit-identity.
-SC009  No silent engine fallback: a function calling
-       ``Simulator(..., engine=...)`` with anything but the literal
-       ``"reference"`` must read ``engine_name`` somewhere in the same
-       function -- the engine argument is a *hint* that can silently fall
-       back to the reference engine, and an unreported fallback turns a
-       20-60x array-engine run into a slow reference run no metric
-       records.
 ====== ======================================================================
 
 SC003 applies to all of ``src/repro``; SC001/SC002/SC004 to the simulation
@@ -54,13 +47,11 @@ packages (``mesh``, ``routing``, ``tiling``, ``workloads``), where
 nondeterminism can reach packet scheduling; SC005 to the infrastructure
 packages (``perf``, ``harness``) and the ``DOCSTRING_MODULES`` list
 (array engine/state, transition models, engine-equivalence harness);
-SC006/SC007/SC008 to the numpy kernel modules in ``ARRAY_MODULES``; SC009
-to all of ``src/repro`` (dispatch sites live in the CLI, harness, and
-streaming layers, not just the kernels).  A finding can be waived in
-place with a ``# noqa: SC00x`` comment on the offending line; waivers with
-no rule list (bare ``# noqa``) waive every rule on that line.  Pre-existing
-findings live in the checked-in baseline (see ``baseline.py``) so CI fails
-only on *new* violations.
+and SC006/SC007/SC008 to the numpy kernel modules in ``ARRAY_MODULES``.
+A finding can be waived in place with a ``# noqa: SC00x`` comment on the
+offending line; waivers with no rule list (bare ``# noqa``) waive every
+rule on that line.  Pre-existing findings live in the checked-in baseline
+(see ``baseline.py``) so CI fails only on *new* violations.
 """
 
 from __future__ import annotations
@@ -82,7 +73,6 @@ RULES: Dict[str, str] = {
     "SC006": "in-place mutation of an array parameter that may alias state",
     "SC007": "order-sensitive reduction without a stable sort kind",
     "SC008": "numpy array construction without an explicit dtype",
-    "SC009": "engine-hinted Simulator call without an engine_name readback",
 }
 
 #: Packages (under src/repro) where SC001/SC002/SC004 apply.
@@ -537,50 +527,6 @@ class _Checker(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- SC009: silent engine fallback ---------------------------------------
-
-    def _check_sc009(self, node: ast.AST) -> None:
-        """Flag Simulator(engine=...) calls in functions that never read
-        ``engine_name`` (nested functions are checked on their own)."""
-        if "SC009" not in self.rules:
-            return
-        offending: List[ast.Call] = []
-        reads_engine_name = False
-        stack: List[ast.AST] = list(ast.iter_child_nodes(node))
-        while stack:
-            current = stack.pop()
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(current, ast.Attribute) and current.attr == "engine_name":
-                reads_engine_name = True
-            if isinstance(current, ast.Call):
-                func = current.func
-                callee = (
-                    func.id
-                    if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else ""
-                )
-                if callee == "Simulator":
-                    for kw in current.keywords:
-                        if kw.arg != "engine":
-                            continue
-                        explicit_reference = (
-                            isinstance(kw.value, ast.Constant)
-                            and kw.value.value == "reference"
-                        )
-                        if not explicit_reference:
-                            offending.append(current)
-            stack.extend(ast.iter_child_nodes(current))
-        if reads_engine_name:
-            return
-        for call in offending:
-            self._emit(
-                call,
-                "SC009",
-                "Simulator(engine=...) may silently fall back to the "
-                "reference engine; read engine_name and report it",
-            )
-
     # -- name binding tracking ----------------------------------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -626,8 +572,6 @@ class _Checker(ast.NodeVisitor):
     def _visit_scope(self, node: ast.AST) -> None:
         self.setish_stack.append({})
         self.alias_stack.append(self._parameter_names(node))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._check_sc009(node)
         self.generic_visit(node)
         self.alias_stack.pop()
         self.setish_stack.pop()
@@ -676,7 +620,7 @@ def lint_source(
 def rules_for_path(relative: str) -> Tuple[str, ...]:
     """The rule set that applies to a repo-relative source path.
 
-    SC003 and SC009 apply everywhere under ``src/repro``; the determinism
+    SC003 applies everywhere under ``src/repro``; the determinism
     rules to the simulation packages; SC005 to the infrastructure packages
     and ``DOCSTRING_MODULES``; the array-hazard rules SC006-SC008 to the
     numpy kernels in ``ARRAY_MODULES``.
@@ -696,7 +640,6 @@ def rules_for_path(relative: str) -> Tuple[str, ...]:
             rules.append("SC005")
         if inside in ARRAY_MODULES:
             rules.extend(("SC006", "SC007", "SC008"))
-    rules.append("SC009")
     return tuple(rules)
 
 

@@ -105,11 +105,14 @@ def cmd_route(args: argparse.Namespace) -> int:
         topology = Torus(args.n) if args.torus else Mesh(args.n)
     algorithm = ALGORITHMS[args.algorithm](args)
     packets = make_workload(args.workload, topology, args.seed)
-    sim = Simulator(topology, algorithm, packets, engine=args.engine)
+    try:
+        sim = Simulator(topology, algorithm, packets, engine=args.engine)
+    except ValueError as exc:
+        raise _usage_error(str(exc))
     if args.availability < 1.0:
-        from repro.mesh.asynchrony import make_async
+        from repro.faults import BernoulliLinkPlan
 
-        make_async(sim, args.availability, seed=args.seed)
+        BernoulliLinkPlan(args.availability, seed=args.seed).attach(sim)
     if args.profile:
         from repro.perf import StepInstrumentation, hotspot_table, profile_run
         from repro.perf.profiling import format_phase_summary
@@ -119,8 +122,6 @@ def cmd_route(args: argparse.Namespace) -> int:
     else:
         result = sim.run(max_steps=args.max_steps)
     status = "delivered" if result.completed else "STALLED"
-    # Report the engine that actually ran: "array" silently falls back
-    # to "reference" for routers the backend has not ported.
     engine_tag = (
         f" [{sim.engine_name} engine]" if args.engine != "reference" else ""
     )
@@ -237,6 +238,12 @@ def _verify_engines(args: argparse.Namespace, progress) -> int:
     """The ``verify --engines`` mode: array-vs-reference lockstep matrix."""
     from repro.verify import ARRAY_PORTED, LOCKSTEP_FAMILIES, run_engine_matrix
 
+    unported = sorted(set(args.routers or ()) - set(ARRAY_PORTED))
+    if unported:
+        raise _usage_error(
+            f"routers {unported} are not ported to the array engine; "
+            f"--engines supports {', '.join(ARRAY_PORTED)}"
+        )
     reports = run_engine_matrix(
         routers=tuple(args.routers) if args.routers else ARRAY_PORTED,
         families=tuple(args.families) if args.families else LOCKSTEP_FAMILIES,
@@ -801,8 +808,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["reference", "array"],
         default="reference",
         help="step engine: the per-packet reference simulator or the "
-        "vectorized array backend (falls back to reference for unported "
-        "routers; the output reports which engine ran)",
+        "vectorized array backend (ported routers on --torus or the 2D "
+        "mesh only; anything else is a usage error)",
     )
     p.add_argument(
         "--profile",

@@ -119,7 +119,9 @@ def run_faulty(
             aborting; ``strict`` raises on the first one (tests).
         engine: Step-engine to run on (``reference`` or ``array``);
             fault plans evaluate the same pure counter-hash draws on
-            either, so results are byte-identical.
+            either, so results are byte-identical.  ``array`` raises
+            ``ValueError`` for a router it has not ported, the
+            resilience-layer routers included.
 
     The simulator runs with ``validate=False``: enforcement is exactly
     the oracles' job here, and record mode must be able to observe a
@@ -169,9 +171,6 @@ def run_faulty(
             t - injection_time[pid] for pid, t in result.delivery_times.items()
         )
         extra = {"retransmissions": 0, "dropped_by_outage": 0}
-    # Report the engine that actually ran: "array" silently falls back to
-    # "reference" for unported routers, and a fault sweep must not claim
-    # array-engine coverage it did not get.
     extra["engine"] = sim.engine_name
 
     degradation = degradation_metrics(

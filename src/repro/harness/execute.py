@@ -117,9 +117,9 @@ def _run_route(spec: TrialSpec) -> dict[str, Any]:
     packets = build_workload(spec.workload, topology, spec.seed)
     sim = Simulator(topology, algorithm, packets, engine=spec.engine)
     if spec.availability < 1.0:
-        from repro.mesh.asynchrony import make_async
+        from repro.faults import BernoulliLinkPlan
 
-        make_async(sim, spec.availability, seed=spec.seed)
+        BernoulliLinkPlan(spec.availability, seed=spec.seed).attach(sim)
     result = sim.run(max_steps=spec.max_steps)
     return {
         "algorithm_name": algorithm.name,
@@ -343,13 +343,11 @@ def _run_bench(spec: TrialSpec) -> dict[str, Any]:
     repeats = 3
     best_result = None
     best_name = ""
-    engine_name = spec.engine
     for _ in range(repeats):
         algorithm = build_router(spec)
         packets = build_workload(spec.workload, topology, spec.seed)
         sim = Simulator(topology, algorithm, packets, validate=False, engine=spec.engine)
         sim.instrument = StepInstrumentation()
-        engine_name = sim.engine_name
         result = sim.run(max_steps=spec.max_steps)
         if (
             best_result is None
@@ -366,7 +364,7 @@ def _run_bench(spec: TrialSpec) -> dict[str, Any]:
     )
     return {
         "algorithm_name": best_name,
-        "engine": engine_name,
+        "engine": sim.engine_name,
         "completed": best_result.completed,
         "steps": best_result.steps,
         "delivered": best_result.delivered,

@@ -91,9 +91,25 @@ VERIFY_FAMILIES = (
 )
 
 #: Step engines a simulator-driving trial may request (see
-#: ``Simulator(engine=...)``; "array" falls back to "reference" for
-#: unported routers).
+#: ``Simulator(engine=...)``).
 ENGINES = ("reference", "array")
+
+#: Trial kinds whose simulator honours ``engine``; every other kind runs
+#: its own machinery and rejects ``engine="array"``.
+ENGINE_KINDS = ("route", "bench", "faults", "streaming")
+
+#: Registry names of the routers the array backend has kernels for, in
+#: registry order.  Extending the backend means appending here *and*
+#: registering the kernel in ``repro.mesh.array_engine``; a test asserts
+#: the two agree.
+ARRAY_PORTED = (
+    "dor",
+    "bounded-dor",
+    "hot-potato",
+    "greedy-adaptive",
+    "farthest-first",
+    "credit-adaptive",
+)
 
 #: Engines an ``analyze`` trial may run (see repro.analysis.static_check).
 ANALYZE_ENGINES = ("cdg", "bounds", "lint", "all")
@@ -148,9 +164,9 @@ class TrialSpec:
     measure: int = 256
     drain: int = 512
     #: Step engine: "reference" (the per-packet-object simulator) or
-    #: "array" (the vectorized backend; silently falls back to the
-    #: reference engine for routers it has not ported).  Honoured by
-    #: ``route``, ``bench``, and ``streaming`` trials.
+    #: "array" (the vectorized backend, for ARRAY_PORTED routers on 2D
+    #: topologies).  Honoured by ``route``, ``bench``, ``faults`` and
+    #: ``streaming`` trials (ENGINE_KINDS).
     engine: str = "reference"
     label: str = ""
 
@@ -285,10 +301,35 @@ class TrialSpec:
             raise ValueError(f"queues must be 'central' or 'incoming', got {self.queues!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+        if self.engine == "array":
+            self._validate_array_engine()
         if not 0.0 < self.availability <= 1.0:
             raise ValueError(f"availability must be in (0, 1], got {self.availability}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+
+    def _validate_array_engine(self) -> None:
+        """Reject, at spec time, every trial the array engine cannot run."""
+        if self.kind not in ENGINE_KINDS:
+            raise ValueError(
+                f"{self.kind} trials ignore the engine field; engine='array' "
+                f"applies to {ENGINE_KINDS} trials only"
+            )
+        if self.algorithm not in ARRAY_PORTED:
+            raise ValueError(
+                f"algorithm {self.algorithm!r} is not ported to the array "
+                f"engine; engine='array' supports {ARRAY_PORTED}"
+            )
+        if self.topology in ND_TOPOLOGIES:
+            raise ValueError(
+                f"the array engine runs 2D mesh/torus only, got topology "
+                f"{self.topology!r}"
+            )
+        if self.kind == "faults" and self.retransmit_timeout > 0:
+            raise ValueError(
+                "retransmission (retransmit_timeout > 0) needs the reference "
+                "engine; node outages without it run on engine='array'"
+            )
 
     def canonical(self) -> dict[str, Any]:
         """The identity-defining dict: every field except ``label``."""

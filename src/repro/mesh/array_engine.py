@@ -13,11 +13,11 @@ and the hypothesis lockstep suite enforce.
 Only the *ported* routers run here -- bounded dimension-order,
 central-queue dimension-order, hot-potato, greedy-adaptive,
 farthest-first, and credit-adaptive, each as a :class:`RouterKernel` --
-and only on plain ``Mesh``/``Torus`` topologies without interceptors.
-``Simulator(engine="array")`` dispatches through
-:func:`resolve_array_class` and silently falls back to the reference
-engine for everything else, so callers can request the array engine
-unconditionally.  Fault plans (:mod:`repro.faults.plan`) attach through
+and only on plain ``Mesh``/``Torus`` topologies without interceptors or
+link-load recording.  ``Simulator(engine="array")`` always constructs
+:class:`ArraySimulator`, whose constructor raises ``ValueError`` naming
+the supported set for anything else.  Fault plans
+(:mod:`repro.faults.plan`) attach through
 :meth:`ArraySimulator.attach_fault_plan` and run as a vectorized
 per-step availability mask over the scheduled moves, evaluated from the
 same pure counter-hash draws as the reference engine's ``link_filter``
@@ -562,15 +562,14 @@ class ArrayMoves(Sequence[ScheduledMove]):
 class ArraySimulator(Simulator):
     """Array-backend drop-in for :class:`~repro.mesh.simulator.Simulator`.
 
-    Construct through ``Simulator(..., engine="array")`` -- the dispatch
-    in ``Simulator.__new__`` instantiates this class when the router is
-    ported and the run shape is supported, and silently falls back to the
-    reference engine otherwise.  Unsupported at construction time:
-    interceptors and link-load recording (the factory never routes those
-    here).  Unsupported capabilities fail fast with a message naming the
-    fallback: arbitrary ``link_filter`` assignment raises at assignment
-    time (fault plans attach through :meth:`attach_fault_plan` instead),
-    and packet drops raise at the call.
+    Construct through ``Simulator(..., engine="array")``.  This
+    constructor is the one place that decides support: an unported router
+    (subclasses of ported routers included), a topology other than
+    ``Mesh``/``Torus``, an interceptor, or link-load recording raises
+    ``ValueError`` naming the supported set.  Capabilities used after
+    construction fail fast too: arbitrary ``link_filter`` assignment
+    raises at assignment time (fault plans attach through
+    :meth:`attach_fault_plan` instead), and packet drops raise at the call.
 
     The observable surface matches the reference engine exactly, built
     only when an object-level observer looks: ``queues`` materializes
@@ -597,13 +596,22 @@ class ArraySimulator(Simulator):
         engine: str = "array",
     ) -> None:
         if interceptor is not None:
-            raise ValueError("array engine does not support interceptors")
+            raise ValueError(
+                f"array engine does not support interceptors; {_supported()}"
+            )
         if record_link_loads:
-            raise ValueError("array engine does not support link-load recording")
+            raise ValueError(
+                f"array engine does not support link-load recording; {_supported()}"
+            )
+        if type(topology) not in (Mesh, Torus):
+            raise ValueError(
+                f"array engine does not support topology {topology!r}; {_supported()}"
+            )
         kernel_cls = _KERNELS.get(type(algorithm))
         if kernel_cls is None:
             raise ValueError(
-                f"router {algorithm.name!r} is not ported to the array engine"
+                f"router {type(algorithm).__name__} ({algorithm.name!r}) is not "
+                f"ported to the array engine; {_supported()}"
             )
         self.topology = topology
         self.algorithm = algorithm
@@ -1165,17 +1173,10 @@ def ported_router_types() -> tuple[type, ...]:
     return tuple(_KERNELS)
 
 
-def resolve_array_class(
-    topology: Any, algorithm: Any, kwargs: dict
-) -> type[ArraySimulator] | None:
-    """The array simulator class when (topology, algorithm, kwargs) is
-    supported, else None (caller falls back to the reference engine)."""
-    if kwargs.get("interceptor") is not None:
-        return None
-    if kwargs.get("record_link_loads"):
-        return None
-    if type(topology) not in (Mesh, Torus):
-        return None
-    if type(algorithm) not in _KERNELS:
-        return None
-    return ArraySimulator
+def _supported() -> str:
+    """The supported set, for the constructor's rejection messages."""
+    routers = ", ".join(cls.__name__ for cls in _KERNELS)
+    return (
+        f"it runs exact instances of {routers} on Mesh or Torus, without "
+        "interceptors or link-load recording; use engine='reference' otherwise"
+    )

@@ -121,34 +121,25 @@ class Simulator:
         record_series: Record a :class:`StepRecord` per step.
         engine: ``"reference"`` (this class) or ``"array"`` (the
             vectorized :class:`repro.mesh.array_engine.ArraySimulator`).
-            Requesting ``"array"`` is a *hint*: runs the array engine does
-            not support (unported routers, custom topologies,
-            interceptors, link-load recording) silently fall back to the
-            reference engine.  Check :attr:`engine_name` on the
-            constructed simulator for the engine actually running.
+            The string alone picks the class; ``"array"`` on a run the
+            array engine does not support (an unported router or a router
+            subclass, a topology other than ``Mesh``/``Torus``, an
+            interceptor, link-load recording) raises ``ValueError`` naming
+            the supported set.
     """
 
-    #: The engine actually running ("reference" here; the array backend
-    #: overrides this with "array").  Compare against the requested
-    #: ``engine`` argument to detect fallback.
+    #: The engine running this simulator ("reference" here; the array
+    #: backend overrides this with "array").
     engine_name = "reference"
 
-    def __new__(
-        cls,
-        topology: Topology | None = None,
-        algorithm: RoutingAlgorithm | None = None,
-        packets: Iterable[Packet] = (),
-        **kwargs: Any,
-    ) -> "Simulator":
+    def __new__(cls, *args: Any, **kwargs: Any) -> "Simulator":
         engine = kwargs.get("engine", "reference")
         if engine not in ("reference", "array"):
             raise ValueError(f"unknown engine {engine!r}")
         if cls is Simulator and engine == "array":
-            from repro.mesh.array_engine import resolve_array_class
+            from repro.mesh.array_engine import ArraySimulator
 
-            array_cls = resolve_array_class(topology, algorithm, kwargs)
-            if array_cls is not None:
-                return object.__new__(array_cls)
+            return object.__new__(ArraySimulator)
         return object.__new__(cls)
 
     def __init__(

@@ -41,24 +41,17 @@ BENCH_FILENAME = "BENCH_step_throughput.json"
 DEFAULT_TOLERANCE = 0.2
 
 
-def bench_key(spec: TrialSpec, engine: str | None = None) -> str:
+def bench_key(spec: TrialSpec) -> str:
     """The stable baseline key of one bench cell.
 
     The engine leads the key so reference and array measurements are
     separate ratchets: merging an array run never overwrites (or gets
-    compared against) the reference entry for the same cell.
-
-    Args:
-        engine: The engine that *actually ran* the cell, when known.
-            ``compare_and_merge`` always passes the ``sim.engine_name``
-            readback recorded in the trial metrics, never the requested
-            ``spec.engine`` -- a silent fallback (unported router, ND
-            topology) must not file reference-speed numbers under an
-            ``array/`` key.
+    compared against) the reference entry for the same cell.  The spec's
+    engine is the engine that ran: ``TrialSpec.validate`` and the array
+    constructor reject every cell the array engine cannot run.
     """
     return (
-        f"{engine if engine is not None else spec.engine}"
-        f"/{spec.algorithm}/{spec.workload}"
+        f"{spec.engine}/{spec.algorithm}/{spec.workload}"
         f"/n{spec.n}/k{spec.k}/s{spec.seed}"
     )
 
@@ -169,19 +162,7 @@ def compare_and_merge(
             failed.append(bench_key(trial.spec))
             continue
         metrics = trial.metrics
-        actual_engine = metrics.get("engine", trial.spec.engine)
-        if actual_engine != trial.spec.engine:
-            # Silent fallback (unported router, ND topology): the numbers
-            # are real but belong to a different engine than the cell
-            # requested.  Recording them would poison the requested
-            # engine's ratchet, so the cell fails instead of merging.
-            failed.append(
-                f"{bench_key(trial.spec)}"
-                f" (requested engine {trial.spec.engine!r}"
-                f" but {actual_engine!r} ran)"
-            )
-            continue
-        key = bench_key(trial.spec, engine=actual_engine)
+        key = bench_key(trial.spec)
         timing = metrics.get("timing", {})
         steps_per_s = float(timing.get("steps_per_s", 0.0))
         stored = entries.get(key)

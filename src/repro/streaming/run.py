@@ -74,9 +74,7 @@ class StreamingReport:
             for :data:`STALL_STEPS` consecutive steps with packets still
             in flight) -- the overload exchange-deadlock of central-queue
             routers, reported as data rather than an error.
-        engine: The step engine that *actually* ran
-            (:attr:`Simulator.engine_name`) -- the requested engine is a
-            hint that can silently fall back to the reference engine, and
+        engine: The step engine that ran (:attr:`Simulator.engine_name`);
             throughput metrics are meaningless without knowing which one
             produced them.
     """
@@ -209,7 +207,7 @@ def run_streaming(
             freely, on either engine (the array engine evaluates the
             plan's vectorized link mask).
         engine: Step engine (``Simulator(engine=...)``); ``"array"``
-            falls back to the reference engine for unported routers.
+            raises ``ValueError`` for a router it has not ported.
 
     The simulator runs with ``validate=False`` for the same reason the
     faults layer does: observing overload-induced overflows is the

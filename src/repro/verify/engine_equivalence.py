@@ -24,11 +24,9 @@ is addressed the same way as a differential cell: (router, family, n, k,
 seed).  :func:`run_engine_matrix` sweeps a grid of cells -- this is what
 the CI ``engine-lockstep`` job and ``repro verify --engines`` run.
 
-Routers the array backend has not ported silently fall back to the
-reference engine at dispatch time; a lockstep run would then trivially
-"pass" by comparing the reference engine against itself.  The harness
-therefore checks :attr:`Simulator.engine_name` after construction and
-(by default) reports a non-engaged array engine as a finding.
+The default grid sweeps every router in
+:data:`~repro.harness.specs.ARRAY_PORTED`; an unported router cannot
+reach a lockstep run, because ``Simulator(engine="array")`` raises on it.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.harness.specs import ARRAY_PORTED
 from repro.mesh import Packet, Simulator, Topology
 from repro.verify.differential import (
     REGISTRY,
@@ -43,19 +42,6 @@ from repro.verify.differential import (
     build_instance,
     fresh_copies,
     step_budget,
-)
-
-#: Registry names of the routers the array backend has kernels for, in
-#: registry order.  Extending the backend means appending here *and*
-#: registering the kernel in ``repro.mesh.array_engine``; the lockstep
-#: test suite asserts the two lists agree.
-ARRAY_PORTED = (
-    "dor",
-    "bounded-dor",
-    "hot-potato",
-    "greedy-adaptive",
-    "farthest-first",
-    "credit-adaptive",
 )
 
 #: Instance families the lockstep matrix sweeps by default: static
@@ -70,9 +56,6 @@ class LockstepReport:
 
     Attributes:
         steps: Steps both engines executed together.
-        engaged: True when the array simulator actually dispatched to the
-            array engine (``engine_name == "array"``) rather than falling
-            back to the reference implementation.
         divergence_step: First step whose configurations differed, or
             ``None`` when the trace matched throughout.
         findings: Human-readable mismatch descriptions; empty means the
@@ -85,7 +68,6 @@ class LockstepReport:
     k: int
     seed: int
     steps: int = 0
-    engaged: bool = False
     divergence_step: int | None = None
     findings: list[str] = field(default_factory=list)
 
@@ -103,7 +85,6 @@ class LockstepReport:
             "k": self.k,
             "seed": self.seed,
             "steps": self.steps,
-            "engaged": self.engaged,
             "divergence_step": self.divergence_step,
             "findings": self.findings,
             "ok": self.ok,
@@ -205,7 +186,6 @@ def lockstep_cell(
     seed: int,
     *,
     max_steps: int | None = None,
-    require_array: bool = True,
 ) -> LockstepReport:
     """Run one (router, family, n, k, seed) cell on both engines in lockstep.
 
@@ -213,10 +193,7 @@ def lockstep_cell(
     shortened for router/family pairs documented never to complete (the
     engines must still agree step for step while livelocked, so those
     cells are compared over a bounded window rather than skipped).
-    ``require_array=False`` permits the array simulator to have fallen
-    back to the reference engine (useful for probing dispatch itself);
-    the default treats a silent fallback as a finding, because a
-    reference-vs-reference comparison proves nothing.
+    An unported ``router`` raises ``ValueError`` at array construction.
     """
     entry: RouterEntry = REGISTRY[router]
     topology, packets = build_instance(family, n, seed)
@@ -233,12 +210,6 @@ def lockstep_cell(
         topology, entry.factory(k, seed), fresh_copies(packets), engine="array"
     )
     report = LockstepReport(router=router, family=family, n=n, k=k, seed=seed)
-    report.engaged = array.engine_name == "array"
-    if require_array and not report.engaged:
-        report.findings.append(
-            "array engine did not engage (dispatch fell back to reference)"
-        )
-        return report
     lockstep(reference, array, max_steps, report)
     return report
 

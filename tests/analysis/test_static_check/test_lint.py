@@ -1,4 +1,4 @@
-"""Unit tests for the SC001-SC009 AST lint rules, plus the repo self-scan."""
+"""Unit tests for the SC001-SC008 AST lint rules, plus the repo self-scan."""
 
 import pathlib
 import textwrap
@@ -475,54 +475,6 @@ class TestSC008ImplicitDtype:
         ) == []
 
 
-class TestSC009EngineFallback:
-    def test_engine_hint_without_readback_flagged(self):
-        assert rules_of(
-            """
-            def run(topology, algorithm, packets):
-                sim = Simulator(topology, algorithm, packets, engine="array")
-                return sim.run()
-            """,
-            rules=("SC009",),
-        ) == ["SC009"]
-
-    def test_engine_name_readback_ok(self):
-        assert rules_of(
-            """
-            def run(topology, algorithm, packets):
-                sim = Simulator(topology, algorithm, packets, engine="array")
-                used = sim.engine_name
-                return used, sim.run()
-            """,
-            rules=("SC009",),
-        ) == []
-
-    def test_literal_reference_engine_is_exempt(self):
-        # Explicitly requesting the reference engine cannot fall back.
-        assert rules_of(
-            """
-            def run(topology, algorithm, packets):
-                sim = Simulator(topology, algorithm, packets, engine="reference")
-                return sim.run()
-            """,
-            rules=("SC009",),
-        ) == []
-
-    def test_nested_functions_are_checked_separately(self):
-        assert rules_of(
-            """
-            def outer(spec):
-                def inner():
-                    sim = Simulator(engine="array")
-                    return sim.engine_name
-
-                bad = Simulator(engine=spec.engine)
-                return inner(), bad.run()
-            """,
-            rules=("SC009",),
-        ) == ["SC009"]
-
-
 class TestWaivers:
     def test_noqa_with_rule_waives(self):
         assert rules_of("for x in {1, 2}:  # noqa: SC004\n    pass\n") == []
@@ -536,31 +488,20 @@ class TestWaivers:
 
 class TestScoping:
     def test_scheduling_packages_get_determinism_rules(self):
-        # SC009 rides everywhere: dispatch sites live outside the kernels.
-        assert rules_for_path("src/repro/mesh/simulator.py") == (
-            *DETERMINISM_RULES, "SC009"
-        )
-        assert rules_for_path("src/repro/routing/dor.py") == (
-            *DETERMINISM_RULES, "SC009"
-        )
+        assert rules_for_path("src/repro/mesh/simulator.py") == DETERMINISM_RULES
+        assert rules_for_path("src/repro/routing/dor.py") == DETERMINISM_RULES
 
     def test_infrastructure_packages_get_docstring_rule(self):
-        assert rules_for_path("src/repro/perf/bench.py") == (
-            "SC003", "SC005", "SC009"
-        )
-        assert rules_for_path("src/repro/harness/specs.py") == (
-            "SC003", "SC005", "SC009"
-        )
+        assert rules_for_path("src/repro/perf/bench.py") == ("SC003", "SC005")
+        assert rules_for_path("src/repro/harness/specs.py") == ("SC003", "SC005")
 
-    def test_other_packages_get_assert_and_engine_rules_only(self):
-        assert rules_for_path("src/repro/core/bounds.py") == ("SC003", "SC009")
-        assert rules_for_path("src/repro/verify/oracles.py") == (
-            "SC003", "SC009"
-        )
+    def test_other_packages_get_assert_rule_only(self):
+        assert rules_for_path("src/repro/core/bounds.py") == ("SC003",)
+        assert rules_for_path("src/repro/verify/oracles.py") == ("SC003",)
 
     def test_transition_models_get_docstring_rule(self):
         assert rules_for_path("src/repro/mesh/transitions.py") == (
-            *DETERMINISM_RULES, "SC005", "SC009"
+            *DETERMINISM_RULES, "SC005"
         )
 
     def test_array_kernels_get_every_hazard_rule(self):
@@ -568,14 +509,14 @@ class TestScoping:
         # the SC005 prose-contract rule, and the array hazards SC006-SC008.
         assert rules_for_path("src/repro/mesh/array_engine.py") == (
             "SC001", "SC002", "SC003", "SC004", "SC005",
-            "SC006", "SC007", "SC008", "SC009",
+            "SC006", "SC007", "SC008",
         )
         assert rules_for_path("src/repro/mesh/array_state.py") == (
             "SC001", "SC002", "SC003", "SC004", "SC005",
-            "SC006", "SC007", "SC008", "SC009",
+            "SC006", "SC007", "SC008",
         )
         assert rules_for_path("src/repro/verify/engine_equivalence.py") == (
-            "SC003", "SC005", "SC009"
+            "SC003", "SC005"
         )
 
     def test_every_rule_is_scoped_somewhere(self):

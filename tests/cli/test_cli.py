@@ -54,13 +54,14 @@ class TestCommands:
         assert rc == 0
         assert "[array engine]" in capsys.readouterr().out
 
-    def test_route_array_engine_reports_fallback(self, capsys):
-        rc = main(
-            ["route", "--algorithm", "alternating-adaptive", "--n", "8",
-             "--k", "2", "--queues", "incoming", "--engine", "array"]
-        )
-        assert rc == 0
-        assert "[reference engine]" in capsys.readouterr().out
+    def test_route_array_engine_unported_router_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["route", "--algorithm", "alternating-adaptive", "--n", "8",
+                 "--k", "2", "--queues", "incoming", "--engine", "array"]
+            )
+        assert exc.value.code == 2
+        assert "BoundedDimensionOrderRouter" in capsys.readouterr().err
 
     def test_route_array_engine_degraded_links(self, capsys):
         rc = main(["route", "--n", "8", "--engine", "array",
@@ -77,6 +78,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "verify --engines PASS" in out
         assert "lockstep steps" in out
+
+    def test_verify_engines_unported_router_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--engines", "--routers", "alternating-adaptive"])
+        assert exc.value.code == 2
+        assert "bounded-dor" in capsys.readouterr().err
 
     def test_lower_bound_adaptive(self, capsys):
         rc = main(

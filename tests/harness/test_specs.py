@@ -68,6 +68,43 @@ class TestEngineField:
         )
         spec.validate()
 
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [
+            (dict(kind="route", algorithm="alternating-adaptive"), "not ported"),
+            (dict(kind="streaming", algorithm="randomized-adaptive"), "not ported"),
+            (dict(kind="faults", algorithm="conservative-bounded-dor"), "not ported"),
+            (dict(kind="faults", algorithm="fault-reroute"), "not ported"),
+            (
+                dict(kind="route", algorithm="credit-adaptive", topology="mesh3d"),
+                "2D",
+            ),
+            (
+                dict(kind="bench", algorithm="credit-adaptive", topology="pillar"),
+                "2D",
+            ),
+            (
+                dict(kind="faults", algorithm="bounded-dor", retransmit_timeout=50),
+                "retransmi",
+            ),
+            (dict(kind="lower_bound", construction="adaptive"), "ignore"),
+            (dict(kind="section6"), "ignore"),
+            (dict(kind="sort_route"), "ignore"),
+            (dict(kind="verify", workload="permutation"), "ignore"),
+            (dict(kind="analyze", workload="lint"), "ignore"),
+            (dict(kind="bounds"), "ignore"),
+        ],
+    )
+    def test_array_engine_rejects_what_it_cannot_run(self, bad, reason):
+        with pytest.raises(ValueError, match=reason):
+            TrialSpec.from_dict(dict(n=8, k=2, engine="array", **bad))
+
+    def test_array_engine_runs_node_outages_without_retransmission(self):
+        TrialSpec(
+            kind="faults", n=8, k=2, algorithm="bounded-dor",
+            mttf=100, mttr=10, engine="array",
+        ).validate()
+
     def test_engine_affects_cache_key(self):
         reference = TrialSpec(kind="bench", n=8, algorithm="bounded-dor")
         array = TrialSpec(kind="bench", n=8, algorithm="bounded-dor", engine="array")

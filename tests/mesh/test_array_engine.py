@@ -2,15 +2,16 @@
 
 The lockstep suites prove the array engine *computes* the same thing as
 the reference engine; these tests pin the dispatch contract around it --
-when ``Simulator(engine="array")`` engages, when it silently falls back,
-and how the backend refuses features it does not model instead of
-guessing at them.
+when ``Simulator(engine="array")`` engages, that it raises (naming the
+supported set) on everything else, and how the backend refuses features
+it does not model instead of guessing at them.
 """
 
 import pytest
 
 from repro.mesh import Mesh, Packet, Simulator, Torus
 from repro.mesh.array_engine import ArraySimulator, ported_router_types
+from repro.mesh.ndtopology import MeshND, SparsePillarMesh, TorusND
 from repro.routing import (
     AlternatingAdaptiveRouter,
     BoundedDimensionOrderRouter,
@@ -21,6 +22,11 @@ from repro.routing import (
     HotPotatoRouter,
 )
 from repro.workloads import random_permutation
+
+
+#: Every rejection names the supported set: the ported router classes and
+#: the two 2D topologies.
+SUPPORTED = "BoundedDimensionOrderRouter.*CreditAdaptiveRouter on Mesh or Torus"
 
 
 def make(engine="array", algorithm=None, topology=None, **kwargs):
@@ -59,30 +65,40 @@ class TestDispatch:
         with pytest.raises(ValueError, match="engine"):
             make(engine="simd")
 
-    def test_unported_router_falls_back(self):
-        sim = make(algorithm=AlternatingAdaptiveRouter(2))
-        assert sim.engine_name == "reference"
+    def test_unported_router_raises(self):
+        with pytest.raises(ValueError, match=SUPPORTED):
+            make(algorithm=AlternatingAdaptiveRouter(2))
 
-    def test_router_subclass_falls_back(self):
+    def test_router_subclass_raises(self):
         """A subclass may override any policy hook; the kernel only models
-        the exact base class, so subclasses must take the reference path."""
+        the exact base class, so subclasses are rejected."""
 
         class Tweaked(BoundedDimensionOrderRouter):
             pass
 
-        sim = make(algorithm=Tweaked(2))
-        assert sim.engine_name == "reference"
+        with pytest.raises(ValueError, match="Tweaked.*" + SUPPORTED):
+            make(algorithm=Tweaked(2))
 
-    def test_interceptor_falls_back(self):
-        sim = make(interceptor=lambda s, moves: None)
-        assert sim.engine_name == "reference"
+    @pytest.mark.parametrize(
+        "topology",
+        [MeshND((4, 4, 4)), TorusND((4, 4, 4)), SparsePillarMesh(4, layers=3)],
+        ids=repr,
+    )
+    def test_nd_topology_raises(self, topology):
+        with pytest.raises(ValueError, match=SUPPORTED):
+            Simulator(topology, CreditAdaptiveRouter(2), [], engine="array")
 
-    def test_link_load_recording_falls_back(self):
-        sim = make(record_link_loads=True)
-        assert sim.engine_name == "reference"
+    def test_interceptor_raises(self):
+        with pytest.raises(ValueError, match="interceptors.*" + SUPPORTED):
+            make(interceptor=lambda s, moves: None)
+
+    def test_link_load_recording_raises(self):
+        with pytest.raises(ValueError, match="link-load.*" + SUPPORTED):
+            make(record_link_loads=True)
 
     def test_ported_types_match_public_list(self):
-        from repro.verify import ARRAY_PORTED, REGISTRY
+        from repro.harness.specs import ARRAY_PORTED
+        from repro.verify import REGISTRY
 
         ported = {type(REGISTRY[name].factory(2, 0)) for name in ARRAY_PORTED}
         assert ported == set(ported_router_types())

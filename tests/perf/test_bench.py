@@ -22,11 +22,11 @@ def bench_spec(**overrides):
     return TrialSpec(**fields)
 
 
-def trial(spec, steps_per_s, *, status="ok", engine=None):
+def trial(spec, steps_per_s, *, status="ok"):
     metrics = None
     if status == "ok":
         metrics = {
-            "engine": engine if engine is not None else spec.engine,
+            "engine": spec.engine,
             "steps": 40,
             "completed": True,
             "total_moves": 1000,
@@ -186,45 +186,18 @@ class TestCompareAndMerge:
         assert not report.ok
         assert path.read_text() == before
 
-    def test_engine_fallback_refused_not_recorded(self, tmp_path):
-        """The silent-fallback bugfix: a trial whose actual engine differs
-        from the requested one must fail the report and write nothing --
-        reference-speed numbers under an ``array/`` key would poison the
-        array ratchet forever."""
-        path = tmp_path / "bench.json"
-        report = compare_and_merge(
-            fake_run(trial(bench_spec(engine="array"), 5.0, engine="reference")),
-            path, tolerance=0.2,
-        )
-        assert not report.ok
-        (failed,) = report.failed_trials
-        assert "array" in failed and "reference" in failed
-        assert not path.exists()
-
-    def test_unported_router_array_request_writes_no_array_key(self, tmp_path):
-        """End-to-end regression: run the real bench executor with
-        engine='array' for a router the backend has not ported, and
-        assert no ``array/`` baseline entry appears."""
+    def test_unported_router_array_request_rejected_before_running(self):
+        """An array bench cell for a router the backend has not ported is
+        refused at spec validation, so no ``array/`` key can ever hold
+        reference-engine numbers."""
         from repro.harness.execute import execute_trial
 
         spec = bench_spec(
             algorithm="alternating-adaptive", n=6, k=2, max_steps=200,
             engine="array", queues="incoming",
         )
-        metrics = execute_trial(spec)
-        assert metrics["engine"] == "reference"  # the fallback happened
-        path = tmp_path / "bench.json"
-        report = compare_and_merge(
-            fake_run(
-                TrialResult(
-                    index=0, key="x", spec=spec, status="ok",
-                    metrics=metrics, error=None, wall_s=0.0, cached=False,
-                )
-            ),
-            path, tolerance=0.2,
-        )
-        assert not report.ok
-        assert not path.exists()
+        with pytest.raises(ValueError, match="not ported"):
+            execute_trial(spec)
 
     def test_entries_sorted_for_stable_diffs(self, tmp_path):
         path = tmp_path / "bench.json"

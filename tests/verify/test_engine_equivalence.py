@@ -1,9 +1,11 @@
 """Unit tests for the lockstep engine-equivalence harness itself.
 
 The harness is a gate, so these tests check both directions: clean cells
-report ok, and genuinely different traces / silent fallbacks are caught
-(a comparison harness that cannot fail would prove nothing).
+report ok, and genuinely different traces are caught (a comparison harness
+that cannot fail would prove nothing).
 """
+
+import pytest
 
 from repro.mesh import Mesh, Simulator
 from repro.verify import ARRAY_PORTED, REGISTRY, lockstep_cell, run_engine_matrix
@@ -15,26 +17,16 @@ class TestLockstepCell:
     def test_clean_cell_reports_ok(self):
         report = lockstep_cell("bounded-dor", "permutation", 6, 2, 0)
         assert report.ok
-        assert report.engaged
         assert report.steps > 0
         assert report.divergence_step is None
 
     def test_dynamic_family_exercises_pending_path(self):
         report = lockstep_cell("hot-potato", "dynamic", 6, 1, 3)
-        assert report.ok and report.engaged
+        assert report.ok
 
-    def test_unported_router_fallback_is_a_finding(self):
-        report = lockstep_cell("alternating-adaptive", "permutation", 6, 2, 0)
-        assert not report.ok
-        assert not report.engaged
-        assert "did not engage" in report.findings[0]
-
-    def test_fallback_tolerated_when_not_required(self):
-        report = lockstep_cell(
-            "alternating-adaptive", "permutation", 6, 2, 0, require_array=False
-        )
-        assert report.ok  # reference-vs-reference, trivially equal
-        assert not report.engaged
+    def test_unported_router_raises(self):
+        with pytest.raises(ValueError, match="not ported"):
+            lockstep_cell("alternating-adaptive", "permutation", 6, 2, 0)
 
     def test_to_metrics_round_trips(self):
         metrics = lockstep_cell("dor", "torus", 6, 2, 0).to_metrics()
