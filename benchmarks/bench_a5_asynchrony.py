@@ -8,8 +8,10 @@ arguments are load-bearing:
 
 - Theorem 15's always-accepting N/S queues overflow the moment links can
   fail (their safety WAS the synchrony);
-- bufferless hot-potato routing overflows once availability drops enough
-  that nodes cannot drain;
+- bufferless hot-potato routing has no queue-bound argument at all:
+  whether a node overflows depends on the fault sample (under seed 1's
+  draws it overflows at availability 0.9 yet drains at 0.7; seeds 0, 2,
+  3 and 4 overflow at 0.7);
 - conservative accept-if-space designs never overflow and degrade
   gracefully (roughly 1/availability slowdown).
 """
@@ -63,7 +65,10 @@ def test_a5_asynchrony(benchmark, record_result):
     outcomes = {(r[0], r[1]): r[2] for r in rows}
     # Synchrony-dependent guarantees break.
     assert outcomes[("thm15 (always-accept N/S)", 0.9)].startswith("OVERFLOW")
-    assert outcomes[("hot-potato (bufferless)", 0.7)].startswith("OVERFLOW")
+    # Pinned to the pure counter-hash fault draws (repro.faults.plan);
+    # bufferless deflection is safe or not by luck of the sample.
+    assert outcomes[("hot-potato (bufferless)", 0.9)].startswith("OVERFLOW")
+    assert outcomes[("hot-potato (bufferless)", 0.7)] == "delivered in 37"
     # Conservative acceptance survives every availability level.
     for avail in (1.0, 0.9, 0.7):
         assert outcomes[("thm15 conservative variant", avail)].startswith("delivered")

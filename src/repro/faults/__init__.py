@@ -23,6 +23,7 @@ from repro.faults.plan import (
     RenewalOutagePlan,
     ScheduledOutagePlan,
     counter_draw,
+    counter_draw_array,
     link_draw,
 )
 from repro.faults.reroute import FaultAwareRerouteRouter
@@ -44,6 +45,7 @@ __all__ = [
     "ResilienceManager",
     "ScheduledOutagePlan",
     "counter_draw",
+    "counter_draw_array",
     "link_draw",
     "percentile",
     "run_faulty",

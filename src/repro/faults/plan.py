@@ -76,23 +76,6 @@ def _mix_u64(h: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint64(31))
 
 
-def link_draw_array(
-    seed: int, xs: np.ndarray, ys: np.ndarray, dirs: np.ndarray, time: int
-) -> np.ndarray:
-    """Vectorized :func:`link_draw`: bit-identical draws for whole arrays.
-
-    Element ``i`` equals ``counter_draw(seed, xs[i], ys[i], dirs[i],
-    time)`` exactly: uint64 arithmetic wraps mod 2**64 like the masked
-    Python-int path, and ``(h >> 11) / 2**53`` is exact in float64.
-    """
-    h: np.ndarray = np.uint64(_mix(seed ^ _GOLDEN))  # scalar prefix
-    with np.errstate(over="ignore"):
-        for c in (xs, ys, dirs):
-            h = _mix_u64(h ^ (c.astype(np.uint64) + _GOLDEN_U64))
-        h = _mix_u64(h ^ np.uint64((time + _GOLDEN) & _MASK64))
-    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-
-
 def counter_draw(seed: int, *counters: int) -> float:
     """A uniform draw in [0, 1) as a pure function of its arguments.
 
@@ -105,6 +88,30 @@ def counter_draw(seed: int, *counters: int) -> float:
     for c in counters:
         h = _mix(h ^ ((c + _GOLDEN) & _MASK64))
     return (h >> 11) / float(1 << 53)
+
+
+def _counter_u64(c: int | np.ndarray) -> np.ndarray:
+    """``(c + _GOLDEN) & _MASK64`` of one counter as uint64."""
+    if isinstance(c, np.ndarray):
+        # int64 -> uint64 wraps negatives mod 2**64, like the masked int.
+        return c.astype(np.uint64) + _GOLDEN_U64
+    return np.uint64((int(c) + _GOLDEN) & _MASK64)
+
+
+def counter_draw_array(seed: int, *counters: int | np.ndarray) -> np.ndarray:
+    """Vectorized :func:`counter_draw`: bit-identical draws for whole arrays.
+
+    Each counter is an int or an integer array (arrays broadcast against
+    each other); element ``i`` equals ``counter_draw(seed, ...)`` with the
+    arrays' ``i``-th entries exactly.  uint64 arithmetic wraps mod 2**64
+    like the masked Python-int path, and ``(h >> 11) / 2**53`` is exact in
+    float64.
+    """
+    h: np.ndarray = np.uint64(_mix(seed ^ _GOLDEN))
+    with np.errstate(over="ignore"):
+        for c in counters:
+            h = _mix_u64(h ^ _counter_u64(c))
+    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
 def link_draw(
@@ -227,7 +234,8 @@ class BernoulliLinkPlan(FaultPlan):
     ) -> np.ndarray:
         if self.availability >= 1.0:
             return np.ones(len(xs), dtype=bool)
-        return link_draw_array(self.seed, xs, ys, dirs, time) < self.availability
+        draws = counter_draw_array(self.seed, xs, ys, dirs, time)
+        return draws < self.availability
 
 
 @dataclass(frozen=True)

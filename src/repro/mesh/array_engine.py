@@ -66,6 +66,19 @@ _REPR_RANK = np.array([1, 0, 2, 3], dtype=np.int64)
 _BIG = np.int64(1) << 60
 
 
+def _rank_within(keys: np.ndarray) -> np.ndarray:
+    """Per entry, how many earlier entries (in array order) share its key."""
+    order = np.argsort(keys, kind="stable")
+    keys_s = keys[order]
+    newg = np.empty(len(keys_s), dtype=bool)
+    newg[:1] = True
+    newg[1:] = keys_s[1:] != keys_s[:-1]
+    starts = np.flatnonzero(newg)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys_s), dtype=np.int64) - starts[np.cumsum(newg) - 1]
+    return rank
+
+
 class RouterKernel:
     """Vectorized scheduling policy of one ported router.
 
@@ -637,7 +650,12 @@ class ArraySimulator(Simulator):
         self.injected_packets = 0
         self.instrument: Any = None
         self.series: list[StepRecord] = []
+        # Packets waiting outside the network, sorted by (injection_time,
+        # pid), with parallel (time, pid, source, dest) arrays.  Single
+        # ``inject_packet`` calls only append to the list and mark the
+        # arrays stale; ``pending_arrays`` re-sorts and rebuilds them.
         self._pending: list[Packet] = []
+        self._pend: tuple[np.ndarray, ...] = (_EMPTY,) * 4
         self._pending_dirty = False
         self._in_flight = 0
         self.pre_step_hooks: list = []
@@ -652,6 +670,13 @@ class ArraySimulator(Simulator):
         self._state = ArrayState(
             GridGeometry(topology), self._kernel.num_keys, self._kernel.track_age
         )
+        # Injection queue index per 4-bit profitable mask (made on first use).
+        self._initial_kidx: np.ndarray | None = None
+        # Same-step admission ledger of offer_packets: offers per flat
+        # (node, key) slot during step ``_offer_time`` (made on first use).
+        self._offer_time = -1
+        self._offers = _EMPTY
+        self._nodes: tuple[tuple[int, int], ...] | None = None
         if algorithm.uses_credit:
             algorithm.attach_credit_probe(self._downstream_occupancy)
         self._packet_of: list[Packet] = []  # slot -> Packet
@@ -675,10 +700,8 @@ class ArraySimulator(Simulator):
 
     def _load_packets(self, packets: Iterable[Packet]) -> None:
         topology = self.topology
-        st = self._state
-        spec = self.spec
         seen: set[int] = set()
-        originating: dict[tuple[int, int], list[Packet]] = {}
+        originating: list[Packet] = []
         for p in packets:
             if p.pid in seen:
                 raise ValueError(f"duplicate packet id {p.pid}")
@@ -693,74 +716,142 @@ class ArraySimulator(Simulator):
             if p.source == p.dest:
                 self.delivery_times[p.pid] = 0
                 continue
-            originating.setdefault(p.source, []).append(p)
+            originating.append(p)
         self._known_pids = seen
-        self._pending.sort(key=lambda p: (p.injection_time, p.pid))
-        act: list[int] = []
-        max_pid = -1
-        for node, plist in originating.items():
-            plist.sort(key=lambda p: p.pid)
-            flat = self._flat(node)
-            for p in plist:
-                profitable = topology.profitable_directions(node, p.dest)
-                if st.track_age:
-                    p.state = 0
-                key = spec.initial_key(profitable)
-                kidx = 0 if self._central else int(key)
-                # Load-time FIFO sequence = pid: per-queue load order is
-                # pid-ascending, matching the reference append order.
-                act.append(self._admit(p, flat, kidx, p.pid))
-                if p.pid > max_pid:
-                    max_pid = p.pid
-            if self.validate:
-                self._check_node_capacity(flat, node)
-            self._note_flat_load(flat)
-        self._act = np.array(act, dtype=np.int64) if act else _EMPTY
-        self._seq = max_pid + 1
+        self._pending_dirty = bool(self._pending)
+        if not originating:
+            return
+        pid, src, dst = self._packet_arrays(originating)
+        # The reference engine loads node by node, in order of each node's
+        # first appearance, pid-ascending within a node.
+        first = _rank_within(src) == 0
+        appearance = np.empty(self._state.geom.num_nodes, dtype=np.int64)
+        appearance[src[first]] = np.flatnonzero(first)
+        order = np.lexsort((pid, appearance[src]))
+        if bool((order[1:] < order[:-1]).any()):
+            originating = [originating[i] for i in order.tolist()]
+            pid, src, dst = pid[order], src[order], dst[order]
+        # Load-time FIFO sequence = pid: per-queue load order is
+        # pid-ascending, matching the reference append order.
+        self._place(originating, pid, src, dst, qseq=pid)
+        self._seq = int(pid.max()) + 1
 
-    def _admit(self, p: Packet, flat: int, kidx: int, qseq: int) -> int:
-        """Place one packet into (flat, kidx) with sequence ``qseq``."""
-        st = self._state
-        slot = st.new_slot(p.pid, flat, self._flat(p.dest), kidx, qseq)
-        self._packet_of.append(p)
-        self._slot_of[p.pid] = slot
-        st.occ[flat, kidx] += 1
-        st.load[flat] += 1
-        self._in_flight += 1
-        if st.key_rank is not None and st.key_rank[flat, kidx] < 0:
-            # First packet ever queued under this key since the node last
-            # emptied: it takes the next creation rank (the reference
-            # engine's dict key insertion order).
-            st.key_rank[flat, kidx] = st.key_count[flat]
-            st.key_count[flat] += 1
-        return slot
+    def _packet_arrays(
+        self, packets: list[Packet]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(pid, source flat, dest flat)`` arrays of ``packets``."""
+        h = self._height
+        n = len(packets)
+        pid = np.fromiter((p.pid for p in packets), dtype=np.int64, count=n)
+        src = np.fromiter(
+            (x * h + y for x, y in (p.source for p in packets)), dtype=np.int64, count=n
+        )
+        dst = np.fromiter(
+            (x * h + y for x, y in (p.dest for p in packets)), dtype=np.int64, count=n
+        )
+        return pid, src, dst
 
-    def _check_node_capacity(self, flat: int, node: tuple[int, int]) -> None:
-        st = self._state
-        capacity = self.spec.capacity
-        over = [k for k in range(st.num_keys) if st.occ[flat, k] > capacity]
-        if over:
-            # Report the key the reference engine would: first over-capacity
-            # queue in creation order.
-            if st.key_rank is not None:
-                over.sort(key=lambda k: int(st.key_rank[flat, k]))
-            k = over[0]
-            raise QueueOverflowError(
-                self.algorithm.name,
-                node,
-                self._key_object(k),
-                int(st.occ[flat, k]),
-                capacity,
+    def _injection_slots(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Injection queue index and flat (node, key) slot of each packet."""
+        table = self._initial_kidx
+        if table is None:
+            # ``spec.initial_key`` of the direction set each mask encodes.
+            self._initial_kidx = table = np.array(
+                [
+                    0
+                    if self._central
+                    else int(
+                        self.spec.initial_key(
+                            frozenset(d for d in DIRECTIONS if mask >> d & 1)
+                        )
+                    )
+                    for mask in range(16)
+                ],
+                dtype=np.int64,
             )
-
-    def _note_flat_load(self, flat: int) -> None:
         st = self._state
-        q = int(st.occ[flat].max())
-        if q > self.max_queue_len:
-            self.max_queue_len = q
-        load = int(st.load[flat])
-        if load > self.max_node_load:
-            self.max_node_load = load
+        kidx = table[st.geom.profitable_mask(src, dst)]
+        return kidx, src * st.num_keys + kidx
+
+    def _place(
+        self,
+        packets: list[Packet],
+        pid: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        *,
+        qseq: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Queue packets at their sources, in the given order; returns the
+        placed mask.
+
+        ``qseq=None`` is dynamic injection: a packet whose injection queue
+        is full stays out (the caller keeps it pending) -- per queue, the
+        first ``capacity - occupancy`` packets in order get in, exactly as
+        the reference engine's one-at-a-time retry rule admits them -- and
+        FIFO sequence numbers continue the engine's counter.  With ``qseq``
+        (load time) every packet is placed with the given sequence numbers.
+        """
+        st = self._state
+        kidx, slot = self._injection_slots(src, dst)
+        rank = _rank_within(slot)
+        if qseq is None:
+            placed = rank < self.spec.capacity - st.occ.ravel()[slot]
+            if not bool(placed.all()):
+                packets = [p for p, ok in zip(packets, placed.tolist()) if ok]
+                pid, src, dst = pid[placed], src[placed], dst[placed]
+                kidx, slot, rank = kidx[placed], slot[placed], rank[placed]
+            n = len(pid)
+            qseq = self._seq + np.arange(n, dtype=np.int64)
+            self._seq += n
+            self.injected_packets += n
+        else:
+            placed = np.ones(len(pid), dtype=bool)
+        if not len(pid):
+            return placed
+        track_age = st.track_age
+        for p in packets:
+            p.pos = p.source
+            if track_age:
+                p.state = 0
+        slots = st.new_slots(pid, src, dst, kidx, qseq)
+        self._packet_of.extend(packets)
+        self._slot_of.update(zip((p.pid for p in packets), range(slots[0], slots[-1] + 1)))
+        np.add.at(st.occ.ravel(), slot, 1)
+        np.add.at(st.load, src, 1)
+        self._in_flight += len(pid)
+        if st.key_rank is not None:
+            first = rank == 0  # a queue key is created by its first placement
+            self._record_key_creations(src[first], kidx[first])
+        # Every queue and node load increase updates the maxima, so the
+        # maxima over all queues are the maxima over the touched ones.
+        qmax = int(st.occ.max())
+        self.max_queue_len = max(self.max_queue_len, qmax)
+        self.max_node_load = max(self.max_node_load, int(st.load.max()))
+        capacity = self.spec.capacity
+        if self.validate and qmax > capacity:
+            hit = (st.occ > capacity).any(axis=1)[src]
+            if bool(hit.any()):
+                # Report what the reference engine reports: the first node
+                # in placement order with an over-capacity queue, and its
+                # first such queue in creation order.
+                flat = int(src[np.argmax(hit)])
+                keys = np.flatnonzero(st.occ[flat] > capacity)
+                if st.key_rank is not None:
+                    keys = keys[np.argsort(st.key_rank[flat, keys], kind="stable")]
+                k = int(keys[0])
+                raise QueueOverflowError(
+                    self.algorithm.name,
+                    self._node_tuple(flat),
+                    self._key_object(k),
+                    int(st.occ[flat, k]),
+                    capacity,
+                )
+        self._act = np.concatenate([self._act, slots])
+        self._mat = None
+        return placed
 
     # -- compatibility surface ---------------------------------------------
 
@@ -868,6 +959,19 @@ class ArraySimulator(Simulator):
         ):
             raise ValueError(f"packet {packet.pid} endpoints outside topology")
 
+    def _check_new_offers(
+        self, pids: range, sources: np.ndarray, dests: np.ndarray
+    ) -> None:
+        if not self._known_pids.isdisjoint(pids):
+            dup = min(set(pids) & self._known_pids)
+            raise ValueError(f"duplicate packet id {dup}")
+        n = self._state.geom.num_nodes
+        bad = (sources < 0) | (sources >= n) | (dests < 0) | (dests >= n)
+        if bool(bad.any()):
+            raise ValueError(
+                f"packet {pids[int(np.argmax(bad))]} endpoints outside topology"
+            )
+
     def inject_packet(self, packet: Packet) -> None:
         """Add a dynamic packet mid-run (same admission rule as load time)."""
         self._check_new_pid(packet)
@@ -876,12 +980,69 @@ class ArraySimulator(Simulator):
         self._pending.append(packet)
         self._pending_dirty = True
 
-    def reject_packet(self, packet: Packet) -> None:
-        """Refuse a packet at admission time (open-loop backpressure)."""
-        self._check_new_pid(packet)
-        self._known_pids.add(packet.pid)
-        self.total_packets += 1
-        self.rejected[packet.pid] = self.time
+    def offer_packets(
+        self, first_pid: int, sources: np.ndarray, dests: np.ndarray
+    ) -> np.ndarray:
+        """The reference engine's admission rule over arrays (see
+        :meth:`Simulator.offer_packets`): per (source, injection key) slot,
+        an offer is admitted iff fewer than ``capacity - occupancy`` offers
+        reached that slot earlier this step."""
+        sources = np.asarray(sources, dtype=np.int64)
+        dests = np.asarray(dests, dtype=np.int64)
+        m = len(sources)
+        pids = range(first_pid, first_pid + m)
+        self._check_new_offers(pids, sources, dests)
+        self._known_pids.update(pids)
+        self.total_packets += m
+        st = self._state
+        if self._offer_time != self.time:
+            self._offer_time = self.time
+            if len(self._offers):
+                self._offers.fill(0)
+            else:
+                self._offers = np.zeros(st.occ.size, dtype=np.int64)
+        _, slot = self._injection_slots(sources, dests)
+        free = self.spec.capacity - st.occ.ravel()[slot] - self._offers[slot]
+        admitted = _rank_within(slot) < free
+        np.add.at(self._offers, slot, 1)
+        pid = first_pid + np.arange(m, dtype=np.int64)
+        time = self.time
+        self.rejected.update(dict.fromkeys(pid[~admitted].tolist(), time))
+        if bool(admitted.any()):
+            self._queue_offers(pid[admitted], sources[admitted], dests[admitted])
+        return admitted
+
+    def _queue_offers(self, pid: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+        """Append admitted offers (injection time = now) to the pending pool."""
+        nodes = self._nodes
+        if nodes is None:
+            # Node tuples by flat id, shared by every offered packet.
+            self._nodes = nodes = tuple(self.topology.nodes())
+        time = self.time
+        self._pending.extend(
+            Packet(i, nodes[s], nodes[d], injection_time=time)
+            for i, s, d in zip(pid.tolist(), src.tolist(), dst.tolist())
+        )
+        ptime, ppid, psrc, pdst = self._pend
+        if len(ppid) and (ptime[-1], ppid[-1]) > (time, pid[0]):
+            self._pending_dirty = True  # out of order: re-sort before use
+        self._pend = (
+            np.concatenate([ptime, np.full(len(pid), time, dtype=np.int64)]),
+            np.concatenate([ppid, pid]),
+            np.concatenate([psrc, src]),
+            np.concatenate([pdst, dst]),
+        )
+
+    def pending_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The pending pool as ``(injection_time, pid, source flat, dest
+        flat)`` arrays, sorted by (injection_time, pid)."""
+        if self._pending_dirty:
+            self._pending.sort(key=lambda p: (p.injection_time, p.pid))
+            pid, src, dst = self._packet_arrays(self._pending)
+            ptime = np.array([p.injection_time for p in self._pending], dtype=np.int64)
+            self._pend = (ptime, pid, src, dst)
+            self._pending_dirty = False
+        return self._pend
 
     def drop_packet(self, packet: Packet) -> None:
         raise NotImplementedError(
@@ -1082,9 +1243,10 @@ class ArraySimulator(Simulator):
     def _record_key_creations(self, stgt: np.ndarray, skey: np.ndarray) -> None:
         """Assign creation ranks to queue keys first occupied this step.
 
-        ``stgt``/``skey`` are in arrival order; at most one arrival per
-        (node, key) in the incoming regime, so each new (node, key) is a
-        single creation event, ranked per node in arrival order.
+        ``stgt``/``skey`` are in arrival order, at most one arrival per
+        (node, key) (one per inlink in transit; :meth:`_place` passes each
+        key's first placement), so each new (node, key) is a single
+        creation event, ranked per node in arrival order.
         """
         st = self._state
         is_new = st.key_rank[stgt, skey] < 0
@@ -1106,42 +1268,34 @@ class ArraySimulator(Simulator):
         np.add.at(st.key_count, node_s, 1)
 
     def _inject_pending(self) -> None:
-        if self._pending_dirty:
-            self._pending.sort(key=lambda p: (p.injection_time, p.pid))
-            self._pending_dirty = False
-        st = self._state
-        spec = self.spec
-        capacity = spec.capacity
-        still_pending: list[Packet] = []
-        new_slots: list[int] = []
-        for p in self._pending:
-            if p.injection_time >= self.time:
-                still_pending.append(p)
-                continue
-            if p.source == p.dest:
-                self.delivery_times[p.pid] = self.time
-                continue
-            profitable = self.topology.profitable_directions(p.source, p.dest)
-            key = spec.initial_key(profitable)
-            kidx = 0 if self._central else int(key)
-            flat = self._flat(p.source)
-            if st.occ[flat, kidx] >= capacity:
-                still_pending.append(p)  # its queue is full; retry next step
-                continue
-            p.pos = p.source
-            if st.track_age:
-                p.state = 0
-            seq = self._seq
-            self._seq = seq + 1
-            new_slots.append(self._admit(p, flat, kidx, seq))
-            self.injected_packets += 1
-            self._note_flat_load(flat)
-        self._pending = still_pending
-        if new_slots:
-            self._mat = None
-            self._act = np.concatenate(
-                [self._act, np.array(new_slots, dtype=np.int64)]
+        ptime, ppid, psrc, pdst = self.pending_arrays()
+        due = int(np.searchsorted(ptime, self.time))  # injection_time < now
+        if due == 0:
+            return
+        pending = self._pending
+        waiting = pending[:due]
+        routed = psrc[:due] != pdst[:due]
+        if not bool(routed.all()):
+            # Source == destination: delivered on entry, never queued.
+            now = self.time
+            for pid in ppid[:due][~routed].tolist():
+                self.delivery_times[pid] = now
+            waiting = [p for p, ok in zip(waiting, routed.tolist()) if ok]
+        placed = self._place(
+            waiting, ppid[:due][routed], psrc[:due][routed], pdst[:due][routed]
+        )
+        # Packets whose queue was full keep their place in the pool.
+        keep = routed.copy()
+        keep[routed] = ~placed
+        if bool(keep.any()):
+            self._pending = [p for p, k in zip(pending[:due], keep.tolist()) if k]
+            self._pending.extend(pending[due:])
+            self._pend = tuple(
+                np.concatenate([a[:due][keep], a[due:]]) for a in self._pend
             )
+        else:
+            self._pending = pending[due:]
+            self._pend = tuple(a[due:] for a in self._pend)
 
 
 #: Exact router type -> kernel.  Exact types, not subclasses: a subclass may

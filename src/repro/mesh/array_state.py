@@ -80,6 +80,51 @@ class GridGeometry:
             (nbr >= 0).astype(np.int64) << np.arange(4, dtype=np.int64)
         ).sum(axis=1)
 
+    def displacement(
+        self, pos: np.ndarray, dest: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Signed minimal displacement ``(dx, dy)`` from ``pos`` to ``dest``
+        (flat node ids).
+
+        Matches :meth:`repro.mesh.topology.Topology.displacement`: on the
+        torus the shorter way around is chosen and an exact
+        half-circumference tie is reported positive.
+        """
+        h = self.height
+        px, py = pos // h, pos % h
+        dx_, dy_ = dest // h, dest % h
+        if self.wraps:
+            dx = (dx_ - px) % self.width
+            dx -= self.width * (dx > self.width // 2)
+            dy = (dy_ - py) % h
+            dy -= h * (dy > h // 2)
+        else:
+            dx = dx_ - px
+            dy = dy_ - py
+        return dx, dy
+
+    def profitable_mask(self, pos: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        """4-bit profitable-outlink mask from ``pos`` toward ``dest`` (bit
+        ``d`` = profitable).
+
+        Matches :meth:`Topology.profitable_directions`, including the torus
+        tie case where *both* directions of an axis are profitable.
+        """
+        dx, dy = self.displacement(pos, dest)
+        if self.wraps:
+            e = dx > 0
+            w = (dx < 0) | ((dx > 0) & (2 * dx == self.width))
+            n = dy > 0
+            s = (dy < 0) | ((dy > 0) & (2 * dy == self.height))
+        else:
+            e, w, n, s = dx > 0, dx < 0, dy > 0, dy < 0
+        return (
+            n.astype(np.int64) * (1 << DIR_N)
+            | e.astype(np.int64) * (1 << DIR_E)
+            | s.astype(np.int64) * (1 << DIR_S)
+            | w.astype(np.int64) * (1 << DIR_W)
+        )
+
 
 class ArrayState:
     """The packet and queue arrays of one array-engine run.
@@ -134,45 +179,34 @@ class ArrayState:
             grown[: self.size] = arr[: self.size]
             setattr(self, name, grown)
 
-    def new_slot(self, pid: int, posf: int, destf: int, qkey: int, qseq: int) -> int:
-        """Append one packet slot; returns its dense internal id."""
-        self.ensure_capacity(1)
-        slot = self.size
-        self.size = slot + 1
-        self.pids[slot] = pid
-        self.posf[slot] = posf
-        self.destf[slot] = destf
-        self.qkey[slot] = qkey
-        self.qseq[slot] = qseq
-        self.in_net[slot] = True
+    def new_slots(
+        self,
+        pids: np.ndarray,
+        posf: np.ndarray,
+        destf: np.ndarray,
+        qkey: np.ndarray,
+        qseq: np.ndarray,
+    ) -> np.ndarray:
+        """Append one packet slot per entry; returns their dense ids."""
+        n = len(pids)
+        self.ensure_capacity(n)
+        start = self.size
+        self.size = end = start + n
+        self.pids[start:end] = pids
+        self.posf[start:end] = posf
+        self.destf[start:end] = destf
+        self.qkey[start:end] = qkey
+        self.qseq[start:end] = qseq
+        self.in_net[start:end] = True
         if self.age is not None:
-            self.age[slot] = 0
-        return slot
+            self.age[start:end] = 0
+        return np.arange(start, end, dtype=np.int64)
 
     # -- vectorized displacement geometry -----------------------------------
 
     def displacement(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Signed minimal displacement ``(dx, dy)`` per packet slot.
-
-        Matches :meth:`repro.mesh.topology.Topology.displacement`: on the
-        torus the shorter way around is chosen and an exact
-        half-circumference tie is reported positive.
-        """
-        g = self.geom
-        h = g.height
-        pos = self.posf[slots]
-        dest = self.destf[slots]
-        px, py = pos // h, pos % h
-        dx_, dy_ = dest // h, dest % h
-        if g.wraps:
-            dx = (dx_ - px) % g.width
-            dx -= g.width * (dx > g.width // 2)
-            dy = (dy_ - py) % h
-            dy -= h * (dy > h // 2)
-        else:
-            dx = dx_ - px
-            dy = dy_ - py
-        return dx, dy
+        """Signed minimal displacement ``(dx, dy)`` per packet slot."""
+        return self.geom.displacement(self.posf[slots], self.destf[slots])
 
     def desired_direction(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """The dimension-order (row-first) move per packet.
@@ -189,23 +223,5 @@ class ArrayState:
         )
 
     def profitable_mask(self, slots: np.ndarray) -> np.ndarray:
-        """4-bit profitable-outlink mask per packet (bit ``d`` = profitable).
-
-        Matches :meth:`Topology.profitable_directions`, including the torus
-        tie case where *both* directions of an axis are profitable.
-        """
-        dx, dy = self.displacement(slots)
-        g = self.geom
-        if g.wraps:
-            e = dx > 0
-            w = (dx < 0) | ((dx > 0) & (2 * dx == g.width))
-            n = dy > 0
-            s = (dy < 0) | ((dy > 0) & (2 * dy == g.height))
-        else:
-            e, w, n, s = dx > 0, dx < 0, dy > 0, dy < 0
-        return (
-            n.astype(np.int64) * (1 << DIR_N)
-            | e.astype(np.int64) * (1 << DIR_E)
-            | s.astype(np.int64) * (1 << DIR_S)
-            | w.astype(np.int64) * (1 << DIR_W)
-        )
+        """4-bit profitable-outlink mask per packet slot."""
+        return self.geom.profitable_mask(self.posf[slots], self.destf[slots])

@@ -23,6 +23,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from repro.mesh.directions import Direction
 from repro.mesh.errors import (
     InvalidScheduleError,
@@ -211,6 +213,10 @@ class Simulator:
         self.series: list[StepRecord] = []
         self._pending: list[Packet] = []
         self._in_flight = 0
+        # Same-step admission ledger of offer_packets: offers per
+        # (node, queue key) during step ``_offer_time``.
+        self._offer_time = -1
+        self._offers: dict[tuple[tuple[int, int], Any], int] = {}
         # Precomputed geometry (built once per topology, shared across
         # simulators): per-node outlink targets and outlink direction sets.
         self._neighbors: dict[tuple[int, int], tuple[tuple[int, int] | None, ...]] = (
@@ -997,20 +1003,66 @@ class Simulator:
         self._pending.append(packet)
         self._pending.sort(key=lambda p: (p.injection_time, p.pid))
 
-    def reject_packet(self, packet: Packet) -> None:
-        """Refuse a packet at admission time (open-loop backpressure).
+    def offer_packets(
+        self, first_pid: int, sources: np.ndarray, dests: np.ndarray
+    ) -> np.ndarray:
+        """Offer new packets for admission at the current step; returns the
+        admitted mask.
 
-        The streaming layer offers arrivals to the network and, when the
-        source queue is full, *rejects* them instead of letting them pile
-        up in the pending pool -- the open-loop analogue of a dropped
-        call.  Rejected packets count toward ``total_packets`` and are
-        recorded in :attr:`rejected`, so packet conservation still holds
-        as delivered + queued + pending + dropped + rejected == total,
-        and :attr:`done` treats them as resolved.
+        Offer ``i`` is packet ``first_pid + i`` from flat node
+        ``sources[i]`` to ``dests[i]`` (:meth:`Topology.node_index` ids),
+        injected now.  Admission is purely local: per (source,
+        ``queue_spec.initial_key``) slot, an offer is admitted iff fewer
+        than ``capacity - occupancy`` offers reached that slot earlier this
+        step -- counting every call made during the step, so a burst cannot
+        overbook the queue it lands in.  Admitted packets join the pending
+        pool and enter the network at the next step.
+
+        A rejected offer -- the open-loop analogue of a dropped call --
+        never enters the network but counts toward ``total_packets`` and is
+        recorded in :attr:`rejected`, so packet conservation still holds as
+        delivered + queued + pending + dropped + rejected == total, and
+        :attr:`done` treats it as resolved.  The array engine implements
+        the same rule over arrays.
         """
-        self._check_new_pid(packet)
-        self.total_packets += 1
-        self.rejected[packet.pid] = self.time
+        nodes = tuple(self._neighbors)  # flat id -> node
+        src_l, dst_l = list(map(int, sources)), list(map(int, dests))
+        pending_pids = {p.pid for p in self._pending}
+        for i, (s, d) in enumerate(zip(src_l, dst_l)):
+            pid = first_pid + i
+            if (
+                pid in self._queue_of
+                or pid in self.delivery_times
+                or pid in self.dropped
+                or pid in self.rejected
+                or pid in pending_pids
+            ):
+                raise ValueError(f"duplicate packet id {pid}")
+            if not (0 <= s < len(nodes) and 0 <= d < len(nodes)):
+                raise ValueError(f"packet {pid} endpoints outside topology")
+        time = self.time
+        if self._offer_time != time:
+            self._offer_time = time
+            self._offers = {}
+        offers = self._offers
+        spec = self.spec
+        m = len(src_l)
+        admitted = np.zeros(m, dtype=bool)
+        for i, (s, d) in enumerate(zip(src_l, dst_l)):
+            src, dst = nodes[s], nodes[d]
+            key = spec.initial_key(self._profitable(src, dst))
+            slot = (src, key)
+            earlier = offers.get(slot, 0)
+            offers[slot] = earlier + 1
+            if earlier < spec.capacity - self.queue_occupancy(src, key):
+                self._pending.append(Packet(first_pid + i, src, dst, injection_time=time))
+                admitted[i] = True
+            else:
+                self.rejected[first_pid + i] = time
+        self.total_packets += m
+        if admitted.any():
+            self._pending.sort(key=lambda p: (p.injection_time, p.pid))
+        return admitted
 
     def _check_new_pid(self, packet: Packet) -> None:
         pid = packet.pid

@@ -17,6 +17,7 @@ from repro.streaming.arrivals import (
     UniformDestinations,
     build_process,
     poisson_count,
+    poisson_counts,
 )
 from repro.streaming.run import StreamingReport, offer_packet, run_streaming
 from repro.streaming.serve import StreamingService, serve_forever
@@ -39,6 +40,7 @@ __all__ = [
     "UniformDestinations",
     "build_process",
     "poisson_count",
+    "poisson_counts",
     "StreamingReport",
     "offer_packet",
     "run_streaming",

@@ -15,6 +15,13 @@ shared RNG stream, so
 - saturation sweeps are byte-identical across ``--workers 1`` and
   ``--workers 4``.
 
+Each process answers two queries.  The scalar :meth:`ArrivalProcess.arrivals`
+gives one ``(source, time)`` batch and is the reference; the batched
+:meth:`ArrivalProcess.arrivals_array` gives one step's offers for every
+node as flat-id arrays, computed with :func:`~repro.faults.plan.counter_draw_array`
+over the node grid, and equals the concatenated scalar batches element
+for element.  The purity contract above holds element-wise for both.
+
 Two rate models are provided -- :class:`PoissonArrivals` (memoryless) and
 :class:`OnOffArrivals` (bursty Markov-modulated on/off) -- each paired
 with a destination model: :class:`UniformDestinations` (uniform over all
@@ -28,8 +35,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import lru_cache
 
-from repro.faults.plan import counter_draw
+import numpy as np
+
+from repro.faults.plan import counter_draw, counter_draw_array
 from repro.mesh.topology import Topology
 
 #: Domain tags keep draws for different purposes statistically independent
@@ -62,6 +72,48 @@ def poisson_count(u: float, rate: float) -> int:
     return k
 
 
+@lru_cache(maxsize=64)
+def _poisson_cdf(rate: float) -> np.ndarray:
+    """``cdf[j]`` for ``j < MAX_ARRIVALS_PER_STEP``, accumulated with the
+    exact float operations of :func:`poisson_count`'s loop (read-only:
+    the cache shares it)."""
+    table = np.empty(MAX_ARRIVALS_PER_STEP, dtype=np.float64)
+    p = math.exp(-rate)
+    cdf = p
+    for k in range(MAX_ARRIVALS_PER_STEP):
+        table[k] = cdf
+        p *= rate / (k + 1)
+        cdf += p
+    table.flags.writeable = False
+    return table
+
+
+def poisson_counts(u: np.ndarray, rate: float) -> np.ndarray:
+    """:func:`poisson_count` over an array of uniform draws, exactly.
+
+    The scalar loop stops at the first ``k`` with ``u < cdf[k]`` (or at the
+    cap); the accumulated table is non-decreasing, so that ``k`` is the
+    number of entries ``<= u``.
+    """
+    if rate <= 0.0:
+        return np.zeros(len(u), dtype=np.int64)
+    return np.searchsorted(_poisson_cdf(rate), u, side="right").astype(np.int64)
+
+
+@lru_cache(maxsize=16)
+def _grid(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node coordinates ``(xs, ys)`` in flat-id (column-major) order
+    (read-only: the cache shares them)."""
+    xs = np.repeat(np.arange(width, dtype=np.int64), height)
+    ys = np.tile(np.arange(height, dtype=np.int64), width)
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
+
+
+def _no_offers() -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+
 class DestinationModel:
     """Base destination chooser: a pure function of (source, time, index)."""
 
@@ -92,6 +144,38 @@ class DestinationModel:
             j += 1
         return (j // topology.height, j % topology.height)
 
+    def draw_array(
+        self,
+        topology: Topology,
+        sources: np.ndarray,
+        time: int,
+        index: np.ndarray,
+    ) -> np.ndarray:
+        """Flat destination ids of the arrivals ``(sources[i], time,
+        index[i])``: :meth:`draw` element-wise.
+
+        The default walks the scalar query; models with a closed form
+        override it with the same draws over arrays.
+        """
+        height = topology.height
+        return np.array(
+            [
+                topology.node_index(self.draw(topology, (s // height, s % height), time, i))
+                for s, i in zip(sources.tolist(), index.tolist())
+            ],
+            dtype=np.int64,
+        )
+
+    def _uniform_other_array(
+        self, topology: Topology, sources: np.ndarray, u: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_uniform_other` over arrays of flat sources and draws."""
+        n = topology.num_nodes
+        if n < 2 and len(sources):
+            raise ValueError("destination draw needs at least two nodes")
+        j = np.minimum((u * (n - 1)).astype(np.int64), n - 2)
+        return j + (j >= sources)
+
 
 class UniformDestinations(DestinationModel):
     """Uniform random destinations over every node except the source."""
@@ -108,6 +192,19 @@ class UniformDestinations(DestinationModel):
     ) -> tuple[int, int]:
         u = counter_draw(self.seed, _DOMAIN_DEST, source[0], source[1], time, index)
         return self._uniform_other(topology, source, u)
+
+    def draw_array(
+        self,
+        topology: Topology,
+        sources: np.ndarray,
+        time: int,
+        index: np.ndarray,
+    ) -> np.ndarray:
+        height = topology.height
+        u = counter_draw_array(
+            self.seed, _DOMAIN_DEST, sources // height, sources % height, time, index
+        )
+        return self._uniform_other_array(topology, sources, u)
 
 
 class HotspotDestinations(DestinationModel):
@@ -158,6 +255,26 @@ class HotspotDestinations(DestinationModel):
         u = counter_draw(self.seed, _DOMAIN_DEST, source[0], source[1], time, index)
         return self._uniform_other(topology, source, u)
 
+    def draw_array(
+        self,
+        topology: Topology,
+        sources: np.ndarray,
+        time: int,
+        index: np.ndarray,
+    ) -> np.ndarray:
+        hot = self._hot_node(topology)
+        if not topology.contains(hot):
+            raise ValueError(f"hotspot {hot} lies outside {topology!r}")
+        height = topology.height
+        xs, ys = sources // height, sources % height
+        u = counter_draw_array(self.seed, _DOMAIN_DEST, xs, ys, time, index)
+        dest = self._uniform_other_array(topology, sources, u)
+        if self.fraction > 0.0:
+            hot_flat = topology.node_index(hot)
+            u_hot = counter_draw_array(self.seed, _DOMAIN_HOTSPOT, xs, ys, time, index)
+            dest[(sources != hot_flat) & (u_hot < self.fraction)] = hot_flat
+        return dest
+
 
 class ArrivalProcess:
     """Base open-loop arrival process.
@@ -165,7 +282,8 @@ class ArrivalProcess:
     Subclasses implement :meth:`count` (arrivals offered at a source
     during one step) as a pure function of ``(seed, source, time)``; the
     shared :meth:`arrivals` pairs each arrival with a destination from
-    the process's destination model.
+    the process's destination model.  :meth:`arrivals_array` is the
+    batched form :func:`~repro.streaming.run.run_streaming` calls once per step.
     """
 
     name = "arrivals"
@@ -192,6 +310,37 @@ class ArrivalProcess:
         k = self.count(source, time)
         dest = self.destinations.draw
         return tuple(dest(topology, source, time, i) for i in range(k))
+
+    def arrivals_array(
+        self, topology: Topology, time: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One step's offers at every node: ``(src_flat, dst_flat)``.
+
+        Ordered column-major over sources (flat node id), then by arrival
+        index -- the concatenation of :meth:`arrivals` over
+        ``topology.nodes()``, element for element.  The default walks that
+        scalar query; processes with a closed form override it.
+        """
+        src: list[int] = []
+        dst: list[int] = []
+        for node in topology.nodes():
+            flat = topology.node_index(node)
+            for dest in self.arrivals(topology, node, time):
+                src.append(flat)
+                dst.append(topology.node_index(dest))
+        return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+    def _offers(
+        self, topology: Topology, time: int, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Expand per-node ``counts`` into offers with their destinations."""
+        total = int(counts.sum())
+        if total == 0:
+            return _no_offers()
+        sources = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        first = np.cumsum(counts) - counts
+        index = np.arange(total, dtype=np.int64) - np.repeat(first, counts)
+        return sources, self.destinations.draw_array(topology, sources, time, index)
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -223,6 +372,15 @@ class PoissonArrivals(ArrivalProcess):
             return 0
         u = counter_draw(self.seed, _DOMAIN_COUNT, source[0], source[1], time)
         return poisson_count(u, self.rate)
+
+    def arrivals_array(
+        self, topology: Topology, time: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if self.rate == 0.0:
+            return _no_offers()
+        xs, ys = _grid(topology.width, topology.height)
+        u = counter_draw_array(self.seed, _DOMAIN_COUNT, xs, ys, time)
+        return self._offers(topology, time, poisson_counts(u, self.rate))
 
     def mean_rate(self) -> float:
         return self.rate
@@ -297,6 +455,23 @@ class OnOffArrivals(ArrivalProcess):
             return 0
         u = counter_draw(self.seed, _DOMAIN_COUNT, source[0], source[1], time)
         return poisson_count(u, self.rate)
+
+    def arrivals_array(
+        self, topology: Topology, time: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if self.rate == 0.0:
+            return _no_offers()
+        # The window unfold stays per source; the Poisson draws are batched.
+        on = np.fromiter(
+            (self.is_on(node, time) for node in topology.nodes()),
+            dtype=bool,
+            count=topology.num_nodes,
+        )
+        xs, ys = _grid(topology.width, topology.height)
+        counts = np.zeros(len(on), dtype=np.int64)
+        u = counter_draw_array(self.seed, _DOMAIN_COUNT, xs[on], ys[on], time)
+        counts[on] = poisson_counts(u, self.rate)
+        return self._offers(topology, time, counts)
 
     def mean_rate(self) -> float:
         return self.rate * self.burst_len / (self.burst_len + self.gap_len)

@@ -2,11 +2,14 @@
 
 :func:`run_streaming` drives one simulator under an
 :class:`~repro.streaming.arrivals.ArrivalProcess` instead of a fixed
-instance.  Per step, every node's arrivals are *offered* to the network
-in deterministic (column-major node) order; an arrival is **admitted**
-when its initial queue has space left this step and **rejected**
-otherwise (:meth:`Simulator.reject_packet` -- the open-loop analogue of
-a dropped call, visible to the conservation oracle).  The run is split
+instance.  Per step, the process's
+:meth:`~repro.streaming.arrivals.ArrivalProcess.arrivals_array` gives
+every node's arrivals as arrays, in deterministic (column-major node)
+order, and one :func:`offer_packet` call offers the whole batch to the
+network: an arrival is **admitted** when its initial queue has space
+left this step and **rejected** otherwise (recorded in
+``Simulator.rejected`` -- the open-loop analogue of a dropped call,
+visible to the conservation oracle).  The run is split
 into the standard three windows:
 
 - **warmup** steps fill the network to steady state (excluded from
@@ -29,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.analysis.stats import latency_percentiles, violation_counts
 from repro.mesh.interfaces import RoutingAlgorithm
-from repro.mesh.packet import Packet
 from repro.mesh.simulator import RunResult, Simulator
 from repro.mesh.topology import Topology
 from repro.streaming.arrivals import ArrivalProcess
@@ -148,36 +152,21 @@ class StreamingReport:
 
 
 def offer_packet(
-    sim: Simulator,
-    packet: Packet,
-    space_left: dict[tuple[tuple[int, int], Any], int],
-) -> bool:
-    """Offer one packet for admission; admit or reject, return admitted.
+    sim: Simulator, sources: np.ndarray, dests: np.ndarray, first_pid: int
+) -> np.ndarray:
+    """Offer one batch of packets for admission; returns the admitted mask.
 
-    The admission rule is purely local: the packet is admitted iff the
-    queue it would initially join (``queue_spec.initial_key`` of its
-    profitable directions at the source) still has space *this step*,
-    counting earlier same-step admissions.  ``space_left`` carries that
-    same-step accounting -- callers must pass a fresh dict at every step
-    boundary.  Rejections go through :meth:`Simulator.reject_packet`, so
-    they stay visible to the conservation oracle.
+    Offer ``i`` is packet ``first_pid + i`` from flat node ``sources[i]``
+    to ``dests[i]``, injected at the current step.  The admission rule is
+    purely local: an offer is admitted iff fewer than ``capacity -
+    occupancy`` offers reached the queue it would initially join
+    (``queue_spec.initial_key`` of its profitable directions at the
+    source) earlier in this step.  The engine keeps that same-step
+    accounting (:meth:`Simulator.offer_packets`), so callers may offer a
+    step's traffic in one batch or in several.  Rejected offers consume
+    their pid and stay visible to the conservation oracle.
     """
-    spec = sim.algorithm.queue_spec
-    key = spec.initial_key(
-        sim.topology.profitable_directions(packet.source, packet.dest)
-    )
-    slot = (packet.source, key)
-    space = space_left.get(slot)
-    if space is None:
-        # Engine-portable occupancy read: the array engine answers from its
-        # occupancy array without materializing queue contents.
-        space = spec.capacity - sim.queue_occupancy(packet.source, key)
-    space_left[slot] = space - 1
-    if space <= 0:
-        sim.reject_packet(packet)
-        return False
-    sim.inject_packet(packet)
-    return True
+    return sim.offer_packets(first_pid, sources, dests)
 
 
 def run_streaming(
@@ -229,33 +218,25 @@ def run_streaming(
         mode=oracle_mode,
     )
 
-    nodes = list(topology.nodes())
     horizon = warmup + measure
     next_pid = 0
     injected_at: dict[int, int] = {}
-    offered = admitted = rejected = 0
-    offered_m = admitted_m = rejected_m = 0
+    offered = admitted = 0
+    offered_m = admitted_m = 0
 
     for t in range(horizon):
-        in_measure = t >= warmup
-        # Fresh same-step admission accounting at every step boundary, so
-        # a burst cannot overbook the queue it lands in (see offer_packet).
-        space_left: dict[tuple[tuple[int, int], Any], int] = {}
-        for node in nodes:
-            for dst in process.arrivals(topology, node, t):
-                offered += 1
-                packet = Packet(next_pid, node, dst, injection_time=t)
-                next_pid += 1
-                took = offer_packet(sim, packet, space_left)
-                if took:
-                    injected_at[packet.pid] = t
-                    admitted += 1
-                else:
-                    rejected += 1
-                if in_measure:
-                    offered_m += 1
-                    admitted_m += int(took)
-                    rejected_m += int(not took)
+        sources, dests = process.arrivals_array(topology, t)
+        m = len(sources)
+        if m:
+            took = offer_packet(sim, sources, dests, next_pid)
+            pids = next_pid + np.flatnonzero(took)
+            injected_at.update(dict.fromkeys(pids.tolist(), t))
+            next_pid += m
+            offered += m
+            admitted += len(pids)
+            if t >= warmup:
+                offered_m += m
+                admitted_m += len(pids)
         sim.step()
 
     deadline = horizon + drain
@@ -279,12 +260,12 @@ def run_streaming(
         engine=sim.engine_name,
         offered=offered,
         admitted=admitted,
-        rejected=rejected,
+        rejected=offered - admitted,
         offered_measured=offered_m,
         admitted_measured=admitted_m,
-        rejected_measured=rejected_m,
+        rejected_measured=offered_m - admitted_m,
         delivered_measured=len(latencies),
-        nodes=len(nodes),
+        nodes=topology.num_nodes,
         measure=measure,
         latencies=latencies,
         drained=sim.done,

@@ -8,9 +8,10 @@ in short:
 
 - ``{"cmd": "inject", "source": [x, y], "dest": [x, y], "count": 1}``
   offers packets through the same admission gate as the batch driver
-  (:func:`~repro.streaming.run.offer_packet`): full source queues refuse
-  packets and the response reports ``admitted`` / ``rejected`` counts --
-  backpressure is part of the protocol, not an error.
+  (:func:`~repro.streaming.run.offer_packet`, one call per request): full
+  source queues refuse packets and the response reports ``admitted`` /
+  ``rejected`` counts -- backpressure is part of the protocol, not an
+  error.
 - ``{"cmd": "step", "steps": 8}`` advances simulated time; clients own
   the clock, so every session is exactly replayable from its request log.
 - ``{"cmd": "drain", "max_steps": 1024}`` steps until every packet is
@@ -31,9 +32,10 @@ import asyncio
 import json
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.analysis.stats import latency_percentiles, violation_counts
 from repro.mesh.interfaces import RoutingAlgorithm
-from repro.mesh.packet import Packet
 from repro.mesh.simulator import Simulator
 from repro.mesh.topology import Topology
 from repro.streaming.run import STALL_STEPS, offer_packet
@@ -106,8 +108,6 @@ class StreamingService:
         self.admitted = 0
         self.rejected = 0
         self._next_pid = 0
-        # Same-step admission accounting, reset at every step boundary.
-        self._space_left: dict[tuple[tuple[int, int], Any], int] = {}
 
     def handle(self, request: Any) -> dict[str, Any]:
         """Apply one decoded request, returning the response object."""
@@ -145,19 +145,20 @@ class StreamingService:
         count = _parse_count(
             request.get("count"), "count", 1, MAX_INJECT_PER_REQUEST
         )
-        admitted = 0
-        for _ in range(count):
-            packet = Packet(
-                self._next_pid, source, dest, injection_time=self.sim.time
-            )
-            self._next_pid += 1
-            self.offered += 1
-            if offer_packet(self.sim, packet, self._space_left):
-                self.injected_at[packet.pid] = self.sim.time
-                self.admitted += 1
-                admitted += 1
-            else:
-                self.rejected += 1
+        topology = self.topology
+        took = offer_packet(
+            self.sim,
+            np.full(count, topology.node_index(source), dtype=np.int64),
+            np.full(count, topology.node_index(dest), dtype=np.int64),
+            self._next_pid,
+        )
+        pids = self._next_pid + np.flatnonzero(took)
+        self.injected_at.update(dict.fromkeys(pids.tolist(), self.sim.time))
+        self._next_pid += count
+        admitted = len(pids)
+        self.offered += count
+        self.admitted += admitted
+        self.rejected += count - admitted
         return {
             "ok": True,
             "admitted": admitted,
@@ -170,7 +171,6 @@ class StreamingService:
             request.get("steps"), "steps", 1, MAX_STEPS_PER_REQUEST
         )
         for _ in range(steps):
-            self._space_left = {}
             self.sim.step()
         return {
             "ok": True,
@@ -187,7 +187,6 @@ class StreamingService:
         idle = 0
         while not self.sim.done and used < budget and idle < STALL_STEPS:
             moves_before = self.sim.total_moves
-            self._space_left = {}
             self.sim.step()
             used += 1
             idle = idle + 1 if self.sim.total_moves == moves_before else 0

@@ -571,9 +571,14 @@ class StepBoundOracle(Oracle):
     trivial distance floor.
 
     ``bound_steps`` is the theorem budget the run is held to (None = no
-    proven bound, only the floor is checked).  The floor -- a packet cannot
-    be delivered before ``injection_time + distance(source, dest)`` -- is
-    checked per packet, but only when no interceptor rewrote destinations.
+    proven bound, only the floor is checked).  The floor is checked per
+    packet, but only when no interceptor rewrote destinations: a packet
+    queued at ``pos`` when the oracle attaches (at step ``time``) cannot be
+    delivered before ``time + distance(pos, dest)``, and a pending one not
+    before ``injection_time + distance(source, dest)`` -- at attach time 0
+    both are the source-to-destination distance.  The array engine's floors
+    come from its packet and pending-pool arrays, the reference engine's
+    from its Packet objects.
     """
 
     name = "step-bound"
@@ -582,14 +587,41 @@ class StepBoundOracle(Oracle):
         self.bound_steps = bound_steps
 
     def on_attach(self, checker: InvariantChecker, sim: Simulator) -> None:
-        self._floor = {}
-        if sim.interceptor is None:
-            topo = sim.topology
-            for p in sim.iter_packets():
-                self._floor[p.pid] = p.injection_time + topo.distance(p.source, p.dest)
-            # Pending (dynamic) packets are not in the queues yet.
-            for p in sim._pending:
-                self._floor[p.pid] = p.injection_time + topo.distance(p.source, p.dest)
+        self._floor: dict[int, int] = {}
+        if sim.interceptor is not None:
+            return
+        if isinstance(sim, ArraySimulator):
+            pids, floors = self._floors_from_arrays(sim)
+        else:
+            pids, floors = self._floors_from_objects(sim)
+        self._floor = dict(zip(pids, floors))
+
+    @staticmethod
+    def _floors_from_objects(sim: Simulator) -> tuple[list[int], list[int]]:
+        topo = sim.topology
+        pids: list[int] = []
+        floors: list[int] = []
+        for p in sim.iter_packets():
+            pids.append(p.pid)
+            floors.append(sim.time + topo.distance(p.pos, p.dest))
+        # Pending (dynamic) packets are not in the queues yet.
+        for p in sim._pending:
+            pids.append(p.pid)
+            floors.append(p.injection_time + topo.distance(p.source, p.dest))
+        return pids, floors
+
+    @staticmethod
+    def _floors_from_arrays(sim: ArraySimulator) -> tuple[list[int], list[int]]:
+        st = sim._state
+        act = sim._act
+        g = st.geom
+        queued = sim.time + _grid_distance(
+            st.posf[act], st.destf[act], g.width, g.height, g.wraps
+        )
+        ptime, ppid, psrc, pdst = sim.pending_arrays()
+        pending = ptime + _grid_distance(psrc, pdst, g.width, g.height, g.wraps)
+        pids = np.concatenate([st.pids[act], ppid])
+        return pids.tolist(), np.concatenate([queued, pending]).tolist()
 
     def post_step(
         self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]

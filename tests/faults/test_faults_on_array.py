@@ -19,7 +19,7 @@ from repro.faults import (
     ScheduledOutagePlan,
     run_faulty,
 )
-from repro.faults.plan import link_draw, link_draw_array
+from repro.faults.plan import counter_draw_array, link_draw
 from repro.mesh import Mesh, Simulator, Torus
 from repro.mesh.directions import Direction
 from repro.verify import ARRAY_PORTED, REGISTRY
@@ -91,13 +91,13 @@ class TestFaultedByteIdentity:
 
 
 class TestVectorizedDraws:
-    def test_link_draw_array_matches_scalar_exactly(self):
+    def test_counter_draw_array_matches_link_draw_exactly(self):
         xs = np.array([0, 1, 2, 5, 7, 0, 3], dtype=np.int64)
         ys = np.array([0, 0, 3, 5, 1, 7, 3], dtype=np.int64)
         dirs = np.array([0, 1, 2, 3, 0, 1, 2], dtype=np.int64)
         for seed in (0, 1, 12345):
             for t in (0, 1, 99, 10_000):
-                batched = link_draw_array(seed, xs, ys, dirs, t)
+                batched = counter_draw_array(seed, xs, ys, dirs, t)
                 scalar = [
                     link_draw(seed, (int(x), int(y)), Direction(int(d)), t)
                     for x, y, d in zip(xs, ys, dirs)

@@ -7,10 +7,12 @@ supported set) on everything else, and how the backend refuses features
 it does not model instead of guessing at them.
 """
 
+import numpy as np
 import pytest
 
 from repro.mesh import Mesh, Packet, Simulator, Torus
 from repro.mesh.array_engine import ArraySimulator, ported_router_types
+from repro.mesh.errors import QueueOverflowError
 from repro.mesh.ndtopology import MeshND, SparsePillarMesh, TorusND
 from repro.routing import (
     AlternatingAdaptiveRouter,
@@ -226,3 +228,125 @@ class TestEngineAccessors:
         assert len(moves) > 0 and moves._moves is None
         assert moves[0].target == (moves.target[0] // 6, moves.target[0] % 6)
         assert moves._moves is not None
+
+
+def overflow_on(engine, algorithm, packets):
+    with pytest.raises(QueueOverflowError) as info:
+        Simulator(Mesh(6), algorithm, packets, engine=engine)
+    err = info.value
+    return err.node, err.queue_key, err.occupancy, err.capacity
+
+
+class TestBatchedEntry:
+    """Load and injection place whole batches at once; every figure the
+    one-at-a-time reference placement produces must come out the same."""
+
+    def overloaded(self):
+        # Node (4, 4) appears first and creates its S queue (packets heading
+        # north) before its E queue (heading west); (1, 1), lower in flat
+        # order, is overloaded too but appears later.
+        return [
+            Packet(7, (4, 4), (4, 5)),
+            Packet(3, (1, 1), (1, 4)),
+            Packet(8, (4, 4), (0, 4)),
+            Packet(5, (4, 4), (4, 0)),
+            Packet(2, (4, 4), (1, 4)),
+            Packet(1, (1, 1), (1, 5)),
+            Packet(4, (4, 4), (4, 5)),
+            Packet(6, (1, 1), (1, 2)),
+        ]
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            lambda: BoundedDimensionOrderRouter(1),
+            lambda: GreedyAdaptiveRouter(1, "incoming"),
+            lambda: DimensionOrderRouter(2),
+        ],
+        ids=["bounded-dor", "greedy-incoming", "dor-central"],
+    )
+    def test_load_overflow_reports_the_same_queue(self, algorithm):
+        reference = overflow_on("reference", algorithm(), self.overloaded())
+        array = overflow_on("array", algorithm(), self.overloaded())
+        assert array == reference
+        assert reference[0] == (4, 4)
+
+    def test_load_places_like_the_reference(self):
+        packets = self.overloaded() + [Packet(9, (2, 3), (2, 3), injection_time=2)]
+        sims = {
+            engine: Simulator(
+                Mesh(6), BoundedDimensionOrderRouter(4), [p.copy() for p in packets],
+                engine=engine,
+            )
+            for engine in ("reference", "array")
+        }
+        reference, array = sims["reference"], sims["array"]
+        assert array.configuration() == reference.configuration()
+        assert (array.max_queue_len, array.max_node_load) == (
+            reference.max_queue_len,
+            reference.max_node_load,
+        )
+        for _ in range(4):
+            reference.step()
+            array.step()
+            assert array.configuration() == reference.configuration()
+        assert array.delivery_times == reference.delivery_times
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [lambda: BoundedDimensionOrderRouter(2), lambda: HotPotatoRouter()],
+        ids=["bounded-dor", "hot-potato"],
+    )
+    def test_pending_retries_like_the_reference(self, algorithm):
+        """Due packets whose queue is full stay pending, in order, and
+        retry; late single injections re-sort the pool."""
+        packets = [Packet(i, (0, 0), (5, i % 6), injection_time=1) for i in range(6)]
+        packets += [Packet(6 + i, (0, 0), (0, 5), injection_time=2) for i in range(3)]
+        packets += [Packet(9, (3, 3), (3, 3), injection_time=1)]
+        packets += [Packet(10, (2, 4), (4, 1))]
+        sims = {
+            engine: Simulator(
+                Mesh(6), algorithm(), [p.copy() for p in packets], engine=engine
+            )
+            for engine in ("reference", "array")
+        }
+        for t in range(12):
+            if t == 2:
+                for sim in sims.values():
+                    sim.inject_packet(Packet(30, (1, 1), (4, 4), injection_time=3))
+                    sim.inject_packet(Packet(20, (0, 0), (5, 0), injection_time=2))
+            for sim in sims.values():
+                sim.step()
+            reference, array = sims["reference"], sims["array"]
+            assert array.configuration() == reference.configuration()
+            assert (array.pending_count, array.injected_packets) == (
+                reference.pending_count,
+                reference.injected_packets,
+            )
+            assert array.delivery_times == reference.delivery_times
+        assert sims["array"].injected_packets == 11
+
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    def test_offers_share_one_same_step_ledger(self, engine):
+        sim = Simulator(Mesh(4), BoundedDimensionOrderRouter(2), [], engine=engine)
+        east = np.array([0, 0, 0]), np.array([12, 12, 13])  # all into (0,0)'s W queue
+        assert sim.offer_packets(0, *east).tolist() == [True, True, False]
+        # A second call in the same step sees the earlier offers.
+        assert sim.offer_packets(3, np.array([0]), np.array([8])).tolist() == [False]
+        # Another queue at the same node is unaffected.
+        assert sim.offer_packets(4, np.array([0]), np.array([3])).tolist() == [True]
+        assert sim.rejected == {2: 0, 3: 0}
+        assert (sim.total_packets, sim.pending_count) == (5, 3)
+        sim.step()  # the admitted offers enter, one leaves the W queue
+        assert sim.injected_packets == 3 and sim.in_flight == 3
+        # The ledger starts afresh: one place is free again.
+        assert sim.offer_packets(5, *east).tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    def test_offers_reject_known_pids_and_foreign_nodes(self, engine):
+        sim = Simulator(Mesh(4), BoundedDimensionOrderRouter(2), [], engine=engine)
+        sim.offer_packets(0, np.array([0, 1]), np.array([5, 6]))
+        with pytest.raises(ValueError, match="duplicate packet id 1"):
+            sim.offer_packets(1, np.array([2]), np.array([3]))
+        with pytest.raises(ValueError, match="packet 9 endpoints outside"):
+            sim.offer_packets(8, np.array([1, 16]), np.array([2, 3]))

@@ -118,6 +118,45 @@ class TestFaultPlanEngine:
         assert array.result.delivery_times == reference.result.delivery_times
 
 
+class TestEngineParity:
+    """Without faults too, both engines produce the same run: the batched
+    arrivals, admission and placement match the reference engine's
+    one-packet-at-a-time entry path."""
+
+    @pytest.mark.parametrize("process", ["poisson", "onoff", "hotspot"])
+    @pytest.mark.parametrize(
+        "topology, router, rate",
+        [
+            (Mesh(10), lambda: BoundedDimensionOrderRouter(2), 0.3),
+            (Torus(8), lambda: GreedyAdaptiveRouter(2, "incoming"), 0.2),
+            (Mesh(8), lambda: DimensionOrderRouter(3), 0.1),
+        ],
+        ids=["bounded-dor-mesh10", "greedy-incoming-torus8", "dor-central-mesh8"],
+    )
+    def test_engines_agree_without_faults(self, process, topology, router, rate):
+        reports = {
+            engine: run_streaming(
+                topology,
+                router(),
+                build_process(process, rate, seed=11),
+                warmup=6,
+                measure=24,
+                drain=256,
+                engine=engine,
+            )
+            for engine in ("reference", "array")
+        }
+        reference, array = reports["reference"], reports["array"]
+        assert reference.rejected > 0  # every cell exercises refusals
+        ref_metrics, arr_metrics = reference.to_metrics(), array.to_metrics()
+        assert (ref_metrics.pop("engine"), arr_metrics.pop("engine")) == (
+            "reference",
+            "array",
+        )
+        assert arr_metrics == ref_metrics
+        assert array.result.delivery_times == reference.result.delivery_times
+
+
 class TestValidation:
     def test_bad_windows_rejected(self):
         with pytest.raises(ValueError, match="warmup"):

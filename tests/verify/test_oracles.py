@@ -15,7 +15,7 @@ queues) must report exactly what the array path reports.
 import numpy as np
 import pytest
 
-from repro.mesh import Mesh, Packet, Simulator
+from repro.mesh import Mesh, Packet, Simulator, Torus
 from repro.mesh.directions import Direction
 from repro.mesh.errors import QueueOverflowError
 from repro.routing import BoundedDimensionOrderRouter, GreedyAdaptiveRouter
@@ -281,12 +281,11 @@ class TestConservationOracle:
                         break
         else:
             st = sim._state
-            slot = int(sim._act[0])
-            clone = st.new_slot(
-                int(st.pids[slot]), int(st.posf[slot]), int(st.destf[slot]),
-                int(st.qkey[slot]), int(st.qseq[slot]),
+            slot = sim._act[:1]
+            clone = st.new_slots(
+                st.pids[slot], st.posf[slot], st.destf[slot], st.qkey[slot], st.qseq[slot]
             )
-            sim._packet_of.append(sim._packet_of[slot].copy())
+            sim._packet_of.append(sim._packet_of[int(slot[0])].copy())
             sim._act = np.append(sim._act, clone)
         sim.step()
         assert any("occupies two queues" in v.message for v in checker.violations) or any(
@@ -296,19 +295,19 @@ class TestConservationOracle:
 
     def test_rejected_packets_conserve(self):
         """Regression for the streaming layer: packets refused at admission
-        (reject_packet) count toward the conservation total instead of
+        (offer_packets) count toward the conservation total instead of
         tripping the oracle as lost."""
         mesh = Mesh(6)
         sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), [], validate=False)
         checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "strict")
-        sim.inject_packet(Packet(0, (0, 0), (5, 5), injection_time=0))
-        sim.reject_packet(Packet(1, (0, 0), (5, 5)))
-        sim.reject_packet(Packet(2, (3, 3), (0, 2)))
+        # Four offers into (0, 0)'s central queue of capacity 2.
+        admitted = sim.offer_packets(0, np.zeros(4, dtype=np.int64), np.full(4, 35))
+        assert admitted.tolist() == [True, True, False, False]
         assert sim.run(5_000).completed
         assert checker.ok
         assert objects is None or objects.ok
-        assert sim.total_packets == 3
-        assert len(sim.delivery_times) == 1 and len(sim.rejected) == 2
+        assert sim.total_packets == 4
+        assert len(sim.delivery_times) == 2 and sorted(sim.rejected) == [2, 3]
 
     def test_rejected_packet_in_a_queue_is_flagged(self):
         """A pid that is both rejected and queued is corruption, not
@@ -345,14 +344,19 @@ class TestConservationOracle:
         assert_paths_agree(checker, objects)
 
     def test_duplicate_pid_rejected_across_outcomes(self):
-        """reject_packet and inject_packet share the duplicate-pid guard."""
+        """Rejected offers, admitted offers and injected packets share the
+        duplicate-pid guard."""
         mesh = Mesh(6)
-        sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), [], validate=False)
-        sim.reject_packet(Packet(7, (0, 0), (5, 5)))
-        with pytest.raises(ValueError, match="duplicate packet id"):
-            sim.inject_packet(Packet(7, (0, 0), (5, 5)))
-        with pytest.raises(ValueError, match="duplicate packet id"):
-            sim.reject_packet(Packet(7, (1, 1), (5, 5)))
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(1), [], validate=False)
+        assert sim.offer_packets(6, np.zeros(2, dtype=np.int64), np.full(2, 35)).tolist() == [
+            True,
+            False,
+        ]
+        for pid in (6, 7):
+            with pytest.raises(ValueError, match="duplicate packet id"):
+                sim.inject_packet(Packet(pid, (0, 0), (5, 5)))
+            with pytest.raises(ValueError, match="duplicate packet id"):
+                sim.offer_packets(pid, np.array([6]), np.array([35]))
 
 
 class TestConservationOracleOnArrays(TestConservationOracle):
@@ -399,6 +403,43 @@ class TestStepBoundOracle:
         checker2.oracles = [oracle]
         oracle.on_finish(checker2, sim)
         assert checker2.violations
+
+
+class TestStepBoundFloors:
+    """The array engine's distance floors come from its arrays; they must
+    equal the object path's, packet for packet."""
+
+    @staticmethod
+    def floors(engine, topology, packets, steps_before_attach):
+        sim = Simulator(
+            topology, GreedyAdaptiveRouter(2, "incoming"), [p.copy() for p in packets],
+            engine=engine,
+        )
+        for _ in range(steps_before_attach):
+            sim.step()
+        oracle = StepBoundOracle(None)
+        attach_checker(sim, [oracle], mode="strict")
+        return oracle._floor
+
+    @pytest.mark.parametrize("topology", [Mesh(7), Torus(6)], ids=["mesh", "torus"])
+    @pytest.mark.parametrize("steps_before_attach", [0, 3])
+    def test_array_floors_equal_object_floors(self, topology, steps_before_attach):
+        packets = random_permutation(topology, seed=4)
+        # Some packets wait in the pending pool, some start at their goal.
+        for p in packets[::5]:
+            p.injection_time = 2 + p.pid % 7
+        packets.append(Packet(len(packets), (1, 1), (1, 1), injection_time=5))
+        reference = self.floors("reference", topology, packets, steps_before_attach)
+        array = self.floors("array", topology, packets, steps_before_attach)
+        assert array == reference
+        if steps_before_attach == 0:
+            # At step 0 a queued packet's floor is its source-to-destination
+            # distance; a pending one adds its injection time.
+            assert reference == {
+                p.pid: p.injection_time + topology.distance(p.source, p.dest)
+                for p in packets
+                if p.source != p.dest or p.injection_time > 0
+            }
 
 
 class TestContractMetadata:
