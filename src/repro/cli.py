@@ -10,8 +10,6 @@ Subcommands:
   (oracle battery + metamorphic images + EX-swap probes, see docs/VERIFY.md)
 - ``campaign``    -- run/inspect declarative experiment campaigns
   (``campaign run|status|show``, see docs/HARNESS.md)
-- ``bench``       -- tracked step-throughput benchmark with regression
-  check against BENCH_step_throughput.json (see docs/PERFORMANCE.md)
 - ``analyze``     -- static deadlock, queue-bound & determinism analysis
   (``analyze cdg|bounds|lint|all``, see docs/ANALYSIS.md)
 - ``faults``      -- fault-injection availability sweep with degradation
@@ -92,6 +90,8 @@ def make_workload(name: str, topology, seed: int):
 def cmd_route(args: argparse.Namespace) -> int:
     if args.topology and args.torus:
         raise _usage_error("--topology and --torus are mutually exclusive")
+    if args.max_steps < 0:
+        raise _usage_error(f"--max-steps must be >= 0, got {args.max_steps}")
     if args.topology:
         from repro.harness.specs import ND_ALGORITHMS, ND_TOPOLOGIES
 
@@ -103,16 +103,18 @@ def cmd_route(args: argparse.Namespace) -> int:
         topology = build_topology(args.topology, args.n)
     else:
         topology = Torus(args.n) if args.torus else Mesh(args.n)
-    algorithm = ALGORITHMS[args.algorithm](args)
     packets = make_workload(args.workload, topology, args.seed)
+    # Router capacities, the engine choice and the link plan each validate
+    # their own arguments; any rejection is a usage error.
     try:
+        algorithm = ALGORITHMS[args.algorithm](args)
         sim = Simulator(topology, algorithm, packets, engine=args.engine)
+        if args.availability != 1.0:
+            from repro.faults import BernoulliLinkPlan
+
+            BernoulliLinkPlan(args.availability, seed=args.seed).attach(sim)
     except ValueError as exc:
         raise _usage_error(str(exc))
-    if args.availability < 1.0:
-        from repro.faults import BernoulliLinkPlan
-
-        BernoulliLinkPlan(args.availability, seed=args.seed).attach(sim)
     if args.profile:
         from repro.perf import StepInstrumentation, hotspot_table, profile_run
         from repro.perf.profiling import format_phase_summary
@@ -383,54 +385,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
             first = (result.error or result.status).splitlines()[0]
             print(f"  FAILED #{result.index} [{result.status}] {first}")
     return 0 if run.failed == 0 else 1
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from repro.harness import CampaignSpec, run_campaign
-    from repro.perf.bench import compare_and_merge
-
-    spec_path = args.spec or (
-        "benchmarks/specs/bench_array_smoke.json"
-        if args.engine == "array"
-        else "benchmarks/specs/bench_smoke.json"
-        if args.smoke
-        else "benchmarks/specs/bench_throughput.json"
-    )
-    try:
-        campaign = CampaignSpec.from_file(spec_path)
-    except (OSError, ValueError) as exc:
-        raise _usage_error(f"cannot load bench spec: {exc}")
-    # Timing runs are always fresh (a cached timing is not a measurement)
-    # and single-worker (parallel cells would contend for the machine).
-    run = run_campaign(
-        campaign,
-        workers=1,
-        base_dir=args.campaign_dir,
-        fresh=True,
-        progress=not args.quiet,
-    )
-    report = compare_and_merge(
-        run,
-        pathlib.Path(args.baseline),
-        tolerance=args.tolerance,
-        update=not args.no_update,
-    )
-    print(report.table())
-    if report.failed_trials:
-        print(f"bench: {len(report.failed_trials)} cell(s) failed to run")
-        return 1
-    if report.regressions:
-        slowest = min(report.regressions, key=lambda c: c.change)
-        print(
-            f"bench: REGRESSION -- {len(report.regressions)} cell(s) more than "
-            f"{args.tolerance:.0%} below baseline (worst: {slowest.key} "
-            f"{100.0 * slowest.change:+.1f}%)"
-        )
-        return 1
-    print(f"bench: ok, baseline {'left unchanged' if args.no_update else 'updated'}")
-    return 0
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
@@ -927,44 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("campaign", help="campaign name or spec path")
     pw.add_argument("--campaign-dir", default="campaigns")
     pw.set_defaults(func=cmd_campaign_show)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the tracked step-throughput benchmark",
-    )
-    p.add_argument(
-        "--smoke", action="store_true", help="fast n=16 matrix (the CI job)"
-    )
-    p.add_argument(
-        "--engine",
-        choices=["reference", "array"],
-        default="reference",
-        help="array selects the array-backend matrix "
-        "(benchmarks/specs/bench_array_smoke.json); baseline keys are "
-        "engine-prefixed so the two engines never ratchet each other",
-    )
-    p.add_argument(
-        "--spec", default=None, help="explicit bench campaign spec (overrides --smoke)"
-    )
-    p.add_argument(
-        "--baseline",
-        default="BENCH_step_throughput.json",
-        help="tracked baseline file to compare against and merge into",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="fail when steps/s drops by more than this fraction",
-    )
-    p.add_argument(
-        "--no-update",
-        action="store_true",
-        help="compare only; leave the baseline file unchanged",
-    )
-    p.add_argument("--campaign-dir", default="campaigns")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "faults",

@@ -321,69 +321,6 @@ def _run_bounds(spec: TrialSpec) -> dict[str, Any]:
     return metrics
 
 
-def _run_bench(spec: TrialSpec) -> dict[str, Any]:
-    """One throughput cell of the tracked benchmark (docs/PERFORMANCE.md).
-
-    Routes the same instance a ``route`` trial would, but in benchmark
-    configuration: validation off, series recording off, and a
-    :class:`repro.perf.StepInstrumentation` probe attached.  The returned
-    metrics keep the two regimes apart: the top-level fields are
-    deterministic functions of the spec, while everything under
-    ``"timing"`` is wall-clock and machine-dependent.  Because of that
-    ``timing`` block, bench trials must be run with ``fresh=True`` (the
-    ``repro bench`` command always does) -- a cached timing is not a
-    measurement.
-
-    Repetition policy: best-of-3 at every size (the former single-run
-    policy at n >= 128 made large-cell baselines noisier than small ones).
-    """
-    from repro.perf import StepInstrumentation
-
-    topology = build_trial_topology(spec)
-    repeats = 3
-    best_result = None
-    best_name = ""
-    for _ in range(repeats):
-        algorithm = build_router(spec)
-        packets = build_workload(spec.workload, topology, spec.seed)
-        sim = Simulator(topology, algorithm, packets, validate=False, engine=spec.engine)
-        sim.instrument = StepInstrumentation()
-        result = sim.run(max_steps=spec.max_steps)
-        if (
-            best_result is None
-            or result.counters["wall_s"] < best_result.counters["wall_s"]
-        ):
-            best_result = result
-            best_name = algorithm.name
-    counters = best_result.counters
-    deterministic_keys = (
-        "scheduled_moves",
-        "accepted_moves",
-        "refused_moves",
-        "injected_packets",
-    )
-    return {
-        "algorithm_name": best_name,
-        "engine": sim.engine_name,
-        "completed": best_result.completed,
-        "steps": best_result.steps,
-        "delivered": best_result.delivered,
-        "total_packets": best_result.total_packets,
-        "total_moves": best_result.total_moves,
-        "max_queue_len": best_result.max_queue_len,
-        "max_node_load": best_result.max_node_load,
-        "scheduled_moves": counters["scheduled_moves"],
-        "refused_moves": counters["refused_moves"],
-        "injected_packets": counters["injected_packets"],
-        "repeats": repeats,
-        "timing": {
-            key: value
-            for key, value in counters.items()
-            if key not in deterministic_keys
-        },
-    }
-
-
 def _run_faults(spec: TrialSpec) -> dict[str, Any]:
     """One fault-injection cell (see repro.faults and docs/FAULTS.md).
 
@@ -468,7 +405,6 @@ _RUNNERS = {
     "verify": _run_verify,
     "analyze": _run_analyze,
     "bounds": _run_bounds,
-    "bench": _run_bench,
     "faults": _run_faults,
     "streaming": _run_streaming,
 }

@@ -27,7 +27,6 @@ TRIAL_KINDS = (
     "verify",
     "analyze",
     "bounds",
-    "bench",
     "faults",
     "streaming",
 )
@@ -49,7 +48,7 @@ ROUTE_ALGORITHMS = (
     "credit-adaptive",
 )
 
-#: Named analysis topologies a ``route``/``bench`` trial may select
+#: Named analysis topologies a ``route`` trial may select
 #: (mirrors ``repro.mesh.ndtopology.TOPOLOGY_NAMES``; duplicated literally
 #: so the spec layer stays import-light -- a test asserts the two agree).
 TOPOLOGY_CHOICES = ("mesh", "torus", "mesh3d", "torus3d", "pillar")
@@ -96,7 +95,7 @@ ENGINES = ("reference", "array")
 
 #: Trial kinds whose simulator honours ``engine``; every other kind runs
 #: its own machinery and rejects ``engine="array"``.
-ENGINE_KINDS = ("route", "bench", "faults", "streaming")
+ENGINE_KINDS = ("route", "faults", "streaming")
 
 #: Registry names of the routers the array backend has kernels for, in
 #: registry order.  Extending the backend means appending here *and*
@@ -135,7 +134,7 @@ class TrialSpec:
     delta: int = 1
     h: int = 2
     torus: bool = False
-    #: ``route``/``bench`` trials: a named analysis topology
+    #: ``route`` trials only: a named analysis topology
     #: (TOPOLOGY_CHOICES).  Empty keeps the historical behaviour where
     #: ``torus`` alone picks between the two 2D topologies; setting both
     #: ``topology`` and ``torus`` is rejected as contradictory.
@@ -165,8 +164,8 @@ class TrialSpec:
     drain: int = 512
     #: Step engine: "reference" (the per-packet-object simulator) or
     #: "array" (the vectorized backend, for ARRAY_PORTED routers on 2D
-    #: topologies).  Honoured by ``route``, ``bench``, ``faults`` and
-    #: ``streaming`` trials (ENGINE_KINDS).
+    #: topologies).  Honoured by ``route``, ``faults`` and ``streaming``
+    #: trials (ENGINE_KINDS).
     engine: str = "reference"
     label: str = ""
 
@@ -175,9 +174,9 @@ class TrialSpec:
             raise ValueError(f"unknown trial kind {self.kind!r}; expected one of {TRIAL_KINDS}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.kind in ("route", "bench") and self.algorithm not in ROUTE_ALGORITHMS:
+        if self.kind == "route" and self.algorithm not in ROUTE_ALGORITHMS:
             raise ValueError(
-                f"unknown {self.kind} algorithm {self.algorithm!r}; "
+                f"unknown route algorithm {self.algorithm!r}; "
                 f"expected one of {ROUTE_ALGORITHMS}"
             )
         if self.topology:
@@ -186,9 +185,9 @@ class TrialSpec:
                     f"unknown topology {self.topology!r}; "
                     f"expected one of {TOPOLOGY_CHOICES}"
                 )
-            if self.kind not in ("route", "bench"):
+            if self.kind != "route":
                 raise ValueError(
-                    f"the topology field applies to route/bench trials only, "
+                    f"the topology field applies to route trials only, "
                     f"got kind {self.kind!r}"
                 )
             if self.torus:
@@ -214,7 +213,7 @@ class TrialSpec:
                     f"expected one of {allowed}"
                 )
         if (
-            self.kind in ("route", "section6", "sort_route", "bench")
+            self.kind in ("route", "section6", "sort_route")
             and self.workload not in WORKLOADS
         ):
             raise ValueError(f"unknown workload {self.workload!r}; expected one of {WORKLOADS}")

@@ -95,8 +95,8 @@ class RunResult:
     #: the deterministic scheduling counters (``scheduled_moves``,
     #: ``accepted_moves``, ``refused_moves``, ``injected_packets``); when a
     #: :class:`repro.perf.StepInstrumentation` was attached it additionally
-    #: carries wall-clock fields (``wall_s``, ``steps_per_s``, per-phase
-    #: ``phase_*_s`` and ``hooks_s``), which are *not* deterministic.
+    #: carries wall-clock fields (``wall_s``, per-phase ``phase_*_s`` and
+    #: ``hooks_s``), which are *not* deterministic.
     counters: dict[str, Any] = field(repr=False, default_factory=dict)
 
 

@@ -59,16 +59,13 @@ class StepInstrumentation:
         self.wall_s += perf_counter() - self._t0
 
     def snapshot(self) -> dict[str, float]:
-        """Wall-clock counters: total, throughput, and per-phase seconds.
+        """Wall-clock counters: total and per-phase seconds.
 
-        Keys: ``wall_s``, ``steps_per_s``, ``hooks_s``, and ``phase_X_s``
+        Keys: ``wall_s``, ``hooks_s``, and ``phase_X_s``
         for X in a..e.  All values are nondeterministic (machine- and
         load-dependent); deterministic counters live on the simulator.
         """
-        out: dict[str, float] = {
-            "wall_s": self.wall_s,
-            "steps_per_s": self.steps / self.wall_s if self.wall_s > 0 else 0.0,
-        }
+        out: dict[str, float] = {"wall_s": self.wall_s}
         for phase, seconds in self.phase_s.items():
             key = "hooks_s" if phase == "hooks" else f"phase_{phase}_s"
             out[key] = seconds

@@ -74,6 +74,6 @@ def format_phase_summary(counters: dict[str, Any]) -> str:
     ]
     lines.insert(
         0,
-        f"wall {wall:.3f}s, {counters.get('steps_per_s', 0.0):.1f} steps/s",
+        f"wall {wall:.3f}s, {counters['accepted_moves'] / wall:,.0f} moves/s",
     )
     return "\n".join(lines)

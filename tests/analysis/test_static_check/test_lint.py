@@ -492,7 +492,7 @@ class TestScoping:
         assert rules_for_path("src/repro/routing/dor.py") == DETERMINISM_RULES
 
     def test_infrastructure_packages_get_docstring_rule(self):
-        assert rules_for_path("src/repro/perf/bench.py") == ("SC003", "SC005")
+        assert rules_for_path("src/repro/perf/instrumentation.py") == ("SC003", "SC005")
         assert rules_for_path("src/repro/harness/specs.py") == ("SC003", "SC005")
 
     def test_other_packages_get_assert_rule_only(self):

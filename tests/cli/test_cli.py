@@ -120,6 +120,23 @@ class TestCommands:
         assert "Theorem 13 certified" in out
         assert "972n" in out
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--k", "0"], "queue capacity must be >= 1"),
+            (["--availability", "0"], "availability must be in (0, 1]"),
+            (["--availability", "1.5"], "availability must be in (0, 1]"),
+            (["--max-steps", "-1"], "--max-steps must be >= 0"),
+        ],
+        ids=["k0", "availability0", "availability1.5", "max-steps-1"],
+    )
+    def test_route_out_of_range_argument_is_usage_error(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["route", "--n", "8", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and message in err
+
     def test_route_with_flaky_links(self, capsys):
         rc = main(
             ["route", "--algorithm", "greedy-adaptive", "--queues", "incoming",
@@ -281,50 +298,6 @@ class TestStreamCommand:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for command in ("route", "lower-bound", "section6", "bounds", "verify",
-                        "campaign", "bench", "faults", "stream", "serve",
+                        "campaign", "faults", "stream", "serve",
                         "analyze"):
             assert command in out
-
-
-class TestBenchCommand:
-    def test_regression_exits_nonzero_and_baseline_byte_identical(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """End-to-end ratchet guard: `repro bench` on a slowed cell must
-
-        fail *and* leave the slowed cell's baseline entry untouched.
-        """
-        from types import SimpleNamespace
-
-        import repro.harness
-        from repro.harness.runner import TrialResult
-        from repro.harness.specs import TrialSpec
-
-        spec = TrialSpec(kind="bench", n=16, k=2, algorithm="bounded-dor", seed=0)
-
-        def fake_trial(steps_per_s):
-            return TrialResult(
-                index=0, key="x", spec=spec, status="ok",
-                metrics={
-                    "steps": 40, "completed": True, "total_moves": 1000,
-                    "scheduled_moves": 1100, "refused_moves": 100, "repeats": 3,
-                    "timing": {"steps_per_s": steps_per_s, "wall_s": 1.0},
-                },
-                error=None, wall_s=0.0, cached=False,
-            )
-
-        speeds = iter([100.0, 50.0])
-        monkeypatch.setattr(
-            repro.harness,
-            "run_campaign",
-            lambda *a, **kw: SimpleNamespace(results=[fake_trial(next(speeds))]),
-        )
-        baseline = tmp_path / "bench.json"
-        rc = main(["bench", "--smoke", "--quiet", "--baseline", str(baseline)])
-        assert rc == 0
-        before = baseline.read_bytes()
-
-        rc = main(["bench", "--smoke", "--quiet", "--baseline", str(baseline)])
-        assert rc == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        assert baseline.read_bytes() == before

@@ -48,7 +48,7 @@ class TestDocsLinked:
 class TestCliListMatches:
     def test_cli_registers_expected_commands(self):
         # Regex sanity: the extraction found the real subparser list.
-        assert "route" in CLI_SUBCOMMANDS and "bench" in CLI_SUBCOMMANDS
+        assert "route" in CLI_SUBCOMMANDS and "faults" in CLI_SUBCOMMANDS
         assert len(CLI_SUBCOMMANDS) == len(set(CLI_SUBCOMMANDS))
 
     def test_every_cli_subcommand_is_in_readme(self):

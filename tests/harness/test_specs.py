@@ -48,7 +48,7 @@ class TestEngineField:
         assert spec.engine == "reference"
 
     def test_array_engine_accepted(self):
-        spec = TrialSpec(kind="bench", n=8, algorithm="bounded-dor", engine="array")
+        spec = TrialSpec(kind="route", n=8, algorithm="bounded-dor", engine="array")
         spec.validate()
 
     def test_unknown_engine_rejected(self):
@@ -80,7 +80,7 @@ class TestEngineField:
                 "2D",
             ),
             (
-                dict(kind="bench", algorithm="credit-adaptive", topology="pillar"),
+                dict(kind="route", algorithm="credit-adaptive", topology="pillar"),
                 "2D",
             ),
             (
@@ -106,8 +106,8 @@ class TestEngineField:
         ).validate()
 
     def test_engine_affects_cache_key(self):
-        reference = TrialSpec(kind="bench", n=8, algorithm="bounded-dor")
-        array = TrialSpec(kind="bench", n=8, algorithm="bounded-dor", engine="array")
+        reference = TrialSpec(kind="route", n=8, algorithm="bounded-dor")
+        array = TrialSpec(kind="route", n=8, algorithm="bounded-dor", engine="array")
         assert trial_key(reference, "v") != trial_key(array, "v")
 
 

@@ -3,6 +3,7 @@
 from repro.mesh import Mesh, Simulator
 from repro.perf import StepInstrumentation
 from repro.perf.instrumentation import PHASES
+from repro.perf.profiling import format_phase_summary
 from repro.routing import BoundedDimensionOrderRouter
 from repro.workloads import random_permutation
 
@@ -41,13 +42,17 @@ class TestProbe:
 
     def test_snapshot_keys(self):
         probe = StepInstrumentation()
-        expected = {"wall_s", "steps_per_s", "hooks_s"} | {
+        expected = {"wall_s", "hooks_s"} | {
             f"phase_{p}_s" for p in "abcde"
         }
         assert set(probe.snapshot()) == expected
 
     def test_snapshot_throughput_zero_before_any_step(self):
-        assert StepInstrumentation().snapshot()["steps_per_s"] == 0.0
+        # No wall time yet, so the phase summary prints no moves/s headline
+        # rather than dividing by zero.
+        snapshot = StepInstrumentation().snapshot()
+        assert snapshot["wall_s"] == 0.0
+        assert format_phase_summary({"accepted_moves": 0, **snapshot}) == ""
 
 
 class TestSimulatorIntegration:
@@ -69,6 +74,12 @@ class TestSimulatorIntegration:
             assert key in result.counters
         assert result.counters["wall_s"] == probe.wall_s
         assert result.counters["accepted_moves"] == result.total_moves
+
+    def test_phase_summary_headline_is_moves_per_s(self):
+        result, probe = run_instrumented()
+        headline = format_phase_summary(result.counters).splitlines()[0]
+        moves_per_s = result.total_moves / probe.wall_s
+        assert headline == f"wall {probe.wall_s:.3f}s, {moves_per_s:,.0f} moves/s"
 
     def test_detached_run_has_only_deterministic_counters(self):
         mesh = Mesh(8)

@@ -18,6 +18,8 @@ from repro.core.dor_adversary import DorLowerBoundConstruction
 from repro.mesh import Mesh, Simulator
 from repro.routing import (
     BoundedDimensionOrderRouter,
+    CreditAdaptiveRouter,
+    DimensionOrderRouter,
     FarthestFirstRouter,
     GreedyAdaptiveRouter,
     HotPotatoRouter,
@@ -200,6 +202,62 @@ GOLDEN_N64 = {
     ("bit-reversal", "credit-adaptive"): (1000, True, 104, 4096, 159744, 1),
 }
 
+#: Pinned seed-0 random-permutation outcomes per ported router, as (step
+#: budget, steps, completed, total_moves, scheduled_moves, refused_moves).
+#: Routers run in the configurations of _RANDOM_ROUTERS.  Central dimension
+#: order exchange-deadlocks from n=64 on, so its cells run a capped
+#: 500-step window; the n=256 greedy-adaptive cell is capped at 24 steps to
+#: keep the largest size affordable.  The scheduled/refused counters pin
+#: every arbitration decision, not just the outcome.  The credit-adaptive
+#: n=16/32 rows were measured on this code; every other row is the value
+#: the retired step-throughput baseline stored for the same cell.
+GOLDEN_RANDOM = {
+    ("bounded-dor", 16): (1_000_000, 28, True, 2666, 2668, 2),
+    ("bounded-dor", 32): (1_000_000, 58, True, 21696, 21717, 21),
+    ("bounded-dor", 64): (1_000_000, 114, True, 175500, 175627, 127),
+    ("bounded-dor", 128): (1_000_000, 243, True, 1397704, 1398529, 825),
+    ("dor", 16): (500, 28, True, 2666, 2759, 93),
+    ("dor", 32): (500, 58, True, 21696, 22598, 902),
+    ("dor", 64): (500, 500, False, 164101, 263550, 99449),
+    ("dor", 128): (500, 500, False, 1088193, 2165900, 1077707),
+    ("farthest-first", 16): (1_000_000, 28, True, 2666, 2667, 1),
+    ("farthest-first", 32): (1_000_000, 58, True, 21696, 21715, 19),
+    ("farthest-first", 64): (1_000_000, 114, True, 175500, 175653, 153),
+    ("farthest-first", 128): (1_000_000, 243, True, 1397704, 1398500, 796),
+    ("greedy-adaptive", 16): (1_000_000, 28, True, 2666, 2669, 3),
+    ("greedy-adaptive", 32): (1_000_000, 58, True, 21696, 21760, 64),
+    ("greedy-adaptive", 64): (1_000_000, 114, True, 175500, 176163, 663),
+    ("greedy-adaptive", 128): (1_000_000, 243, True, 1397704, 1402276, 4572),
+    ("greedy-adaptive", 256): (24, 24, False, 1546659, 1548856, 2197),
+    ("hot-potato", 16): (1_000_000, 28, True, 2748, 2748, 0),
+    ("hot-potato", 32): (1_000_000, 58, True, 22188, 22188, 0),
+    ("hot-potato", 64): (1_000_000, 114, True, 177722, 177722, 0),
+    ("hot-potato", 128): (1_000_000, 243, True, 1407290, 1407290, 0),
+    ("credit-adaptive", 16): (1_000_000, 28, True, 2666, 2668, 2),
+    ("credit-adaptive", 32): (1_000_000, 58, True, 21696, 21718, 22),
+    ("credit-adaptive", 64): (1_000_000, 114, True, 175500, 175627, 127),
+    ("credit-adaptive", 128): (1_000_000, 243, True, 1397704, 1398535, 831),
+}
+
+_RANDOM_ROUTERS = {
+    "bounded-dor": lambda: BoundedDimensionOrderRouter(2),
+    "dor": lambda: DimensionOrderRouter(4),
+    "farthest-first": lambda: FarthestFirstRouter(2, "incoming"),
+    "greedy-adaptive": lambda: GreedyAdaptiveRouter(2, "incoming"),
+    "hot-potato": lambda: HotPotatoRouter(),
+    "credit-adaptive": lambda: CreditAdaptiveRouter(2),
+}
+
+#: Which engines reproduce each size: the reference engine where it is
+#: cheap, the array engine from n=32 up (both at n=32).
+_RANDOM_ENGINES = {
+    16: ("reference",),
+    32: ("reference", "array"),
+    64: ("array",),
+    128: ("array",),
+    256: ("array",),
+}
+
 #: Pinned open-loop streaming trace per ported router: Mesh(8), poisson
 #: arrivals at rate 0.05 seed 0, warmup 16 / measure 64 / drain 256,
 #: k=2 registry capacities.  Streaming exercises the engine paths the
@@ -249,6 +307,7 @@ class TestGoldenArrayEngineTables:
     def test_tables_cover_exactly_the_ported_routers(self):
         assert {r for _, r in GOLDEN_N64} == set(ARRAY_PORTED)
         assert set(GOLDEN_STREAMING) == set(ARRAY_PORTED)
+        assert {r for r, _ in GOLDEN_RANDOM} == set(ARRAY_PORTED)
 
     @pytest.mark.parametrize("engine", ["reference", "array"])
     @pytest.mark.parametrize(
@@ -288,3 +347,33 @@ class TestGoldenArrayEngineTables:
         metrics = report.to_metrics()
         pinned = GOLDEN_STREAMING[router]
         assert {key: metrics[key] for key in pinned} == pinned
+
+
+class TestGoldenRandomPermutation:
+    @pytest.mark.parametrize(
+        "router,n,engine",
+        [
+            (router, n, engine)
+            for router, n in sorted(GOLDEN_RANDOM)
+            for engine in _RANDOM_ENGINES[n]
+        ],
+        ids=lambda v: str(v),
+    )
+    def test_random_pinned(self, router, n, engine):
+        budget, *pinned = GOLDEN_RANDOM[(router, n)]
+        mesh = Mesh(n)
+        sim = Simulator(
+            mesh,
+            _RANDOM_ROUTERS[router](),
+            random_permutation(mesh, seed=0),
+            engine=engine,
+        )
+        result = sim.run(budget)
+        actual = (
+            result.steps,
+            result.completed,
+            result.total_moves,
+            result.counters["scheduled_moves"],
+            result.counters["refused_moves"],
+        )
+        assert actual == tuple(pinned)
