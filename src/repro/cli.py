@@ -62,7 +62,7 @@ from repro.routing import (
 ALGORITHMS: dict[str, Callable[[argparse.Namespace], object]] = {
     "dor": lambda a: DimensionOrderRouter(a.k),
     "bounded-dor": lambda a: BoundedDimensionOrderRouter(a.k),
-    "farthest-first": lambda a: FarthestFirstRouter(a.k),
+    "farthest-first": lambda a: FarthestFirstRouter(a.k, a.queues),
     "greedy-adaptive": lambda a: GreedyAdaptiveRouter(a.k, a.queues),
     "alternating-adaptive": lambda a: AlternatingAdaptiveRouter(a.k, a.queues),
     "hot-potato": lambda a: HotPotatoRouter(),
@@ -142,7 +142,8 @@ def cmd_route(args: argparse.Namespace) -> int:
     return 0 if result.completed else 1
 
 
-def cmd_lower_bound(args: argparse.Namespace) -> int:
+def _lower_bound_construction(args: argparse.Namespace):
+    """``(router factory, construction, topology)`` for ``repro lower-bound``."""
     if args.construction == "adaptive":
         factory = lambda: GreedyAdaptiveRouter(args.k)
         con = AdaptiveLowerBoundConstruction(
@@ -175,7 +176,16 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
         topology = None
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown construction {args.construction!r}")
+    return factory, con, topology
 
+
+def cmd_lower_bound(args: argparse.Namespace) -> int:
+    # The constructions probe the router factory and check n, k and h
+    # against their constants; any rejection is a usage error.
+    try:
+        factory, con, topology = _lower_bound_construction(args)
+    except ValueError as exc:
+        raise _usage_error(str(exc))
     result = con.run()
     print(
         f"{args.construction} construction on n={args.n}, k={args.k}: "
@@ -202,9 +212,13 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
 def cmd_section6(args: argparse.Namespace) -> int:
     from repro.tiling import Section6Router
 
-    mesh = Mesh(args.n)
+    try:
+        mesh = Mesh(args.n)
+        router = Section6Router(args.n, improved=args.improved)
+    except ValueError as exc:
+        raise _usage_error(str(exc))
     packets = make_workload(args.workload, mesh, args.seed)
-    result = Section6Router(args.n, improved=args.improved).route(packets)
+    result = router.route(packets)
     factor = 564 if args.improved else 972
     print(
         f"Section 6 on n={args.n} / {args.workload}: delivered "
@@ -218,18 +232,21 @@ def cmd_section6(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
-    rows = [
-        ("diameter (2n-2)", bounds_mod.diameter_bound(n)),
-        ("Theorem 13 certified", bounds_mod.adaptive_lower_bound(n, k)),
-        ("Theorem 14 closed form", bounds_mod.theorem14_closed_form(n, k)),
-        ("dim-order lower (S5)", bounds_mod.dimension_order_lower_bound(n, k)),
-        ("dim-order closed form", bounds_mod.dimension_order_closed_form(n, k)),
-        ("farthest-first lower (S5)", bounds_mod.farthest_first_lower_bound(n, k)),
-        ("Theorem 15 upper budget", bounds_mod.theorem15_upper_bound(n, k)),
-        ("Section 6 time (972n)", bounds_mod.section6_time_bound(n)),
-        ("Section 6 improved (564n)", bounds_mod.section6_improved_time_bound(n)),
-        ("Section 6 queue bound", bounds_mod.section6_queue_bound()),
-    ]
+    try:  # n or k outside a construction's range is a usage error
+        rows = [
+            ("diameter (2n-2)", bounds_mod.diameter_bound(n)),
+            ("Theorem 13 certified", bounds_mod.adaptive_lower_bound(n, k)),
+            ("Theorem 14 closed form", bounds_mod.theorem14_closed_form(n, k)),
+            ("dim-order lower (S5)", bounds_mod.dimension_order_lower_bound(n, k)),
+            ("dim-order closed form", bounds_mod.dimension_order_closed_form(n, k)),
+            ("farthest-first lower (S5)", bounds_mod.farthest_first_lower_bound(n, k)),
+            ("Theorem 15 upper budget", bounds_mod.theorem15_upper_bound(n, k)),
+            ("Section 6 time (972n)", bounds_mod.section6_time_bound(n)),
+            ("Section 6 improved (564n)", bounds_mod.section6_improved_time_bound(n)),
+            ("Section 6 queue bound", bounds_mod.section6_queue_bound()),
+        ]
+    except ValueError as exc:
+        raise _usage_error(str(exc))
     width = max(len(r[0]) for r in rows)
     for name, value in rows:
         print(f"{name.ljust(width)}  {value}")
@@ -738,7 +755,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="bounded-dor")
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--queues", choices=["central", "incoming"], default="central")
+    p.add_argument(
+        "--queues",
+        choices=["central", "incoming"],
+        default="central",
+        help="queue regime of the routers that offer both, as in a route trial",
+    )
     p.add_argument("--delta", type=int, default=1)
     p.add_argument(
         "--availability",

@@ -89,13 +89,17 @@ class RouterKernel:
     engine owns everything else -- injection, transmit, counters, maxima.
 
     ``num_keys`` (1 central / 4 incoming) and ``track_age`` (packet state
-    is an integer age) declare the queue regime.  The engine reads both
-    off the *constructed* kernel, so routers that support either queue
-    kind set ``num_keys`` per instance in ``__init__``.
+    is an integer age) declare the queue regime, and ``reads_key_order``
+    declares that ``schedule`` reads ``ArrayState.key_rank`` (the
+    queue-creation order); the engine keeps that state only for kernels
+    that declare it.  The engine reads all three off the *constructed*
+    kernel, so routers that support either queue kind set them per
+    instance in ``__init__``.
     """
 
     num_keys = 1
     track_age = False
+    reads_key_order = False
 
     def __init__(self, engine: "ArraySimulator") -> None:
         self.engine = engine
@@ -131,15 +135,17 @@ class BoundedDorKernel(RouterKernel):
     """
 
     num_keys = 4
+    reads_key_order = True
 
     def schedule(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        st = self.engine._state
+        engine = self.engine
+        st = engine._state
         dx, dy = st.displacement(act)
         desired = st.desired_direction(dx, dy)
         # Packed slot (node << 4 | queue key << 2 | desired direction); the
         # FIFO-first packet per slot is the only candidate per slot.
         slot = (st.posf[act] << 4) | (st.qkey[act] << 2) | desired
-        order = np.lexsort((st.qseq[act], slot))
+        order = engine._fifo_order(act, (slot, st.geom.node_bits + 4))
         slot_s = slot[order]
         first = np.empty(len(slot_s), dtype=bool)
         first[0] = True
@@ -152,10 +158,12 @@ class BoundedDorKernel(RouterKernel):
         # Straight candidates (key is the opposite inlink of the outlink)
         # outrank every fallback; fallbacks tie-break by queue-creation
         # order, exactly the reference outqueue's dict-order scan.
+        # (node, direction, priority) keys are unique: one candidate per
+        # queue key, and key ranks are distinct within a node.
         straight = ckey == OPP[cdir]
-        prio = np.where(straight, -1, st.key_rank[cnode, ckey])
+        prio = np.where(straight, 0, st.key_rank[cnode, ckey] + 1)
         nd = (cnode << 2) | cdir
-        order2 = np.lexsort((prio, nd))
+        order2 = np.argsort((nd << 3) | prio)  # noqa: SC007 -- unique keys
         nd_s = nd[order2]
         first2 = np.empty(len(nd_s), dtype=bool)
         first2[0] = True
@@ -175,11 +183,12 @@ class CentralDorKernel(RouterKernel):
     num_keys = 1
 
     def schedule(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        st = self.engine._state
+        engine = self.engine
+        st = engine._state
         dx, dy = st.displacement(act)
         desired = st.desired_direction(dx, dy)
         slot = (st.posf[act] << 2) | desired
-        order = np.lexsort((st.qseq[act], slot))
+        order = engine._fifo_order(act, (slot, st.geom.node_bits + 2))
         slot_s = slot[order]
         first = np.empty(len(slot_s), dtype=bool)
         first[0] = True
@@ -302,10 +311,13 @@ class GreedyAdaptiveKernel(RouterKernel):
         engine = self.engine
         st = engine._state
         node = st.posf[act]
+        nbits = st.geom.node_bits
         if self.num_keys == 1:
-            order = np.lexsort((st.qseq[act], node))
+            order = engine._fifo_order(act, (node, nbits))
         else:
-            order = np.lexsort((st.qseq[act], _REPR_RANK[st.qkey[act]], node))
+            order = engine._fifo_order(
+                act, (node, nbits), (_REPR_RANK[st.qkey[act]], 2)
+            )
         slots = act[order]
         snode = node[order]
         newg = np.empty(len(snode), dtype=bool)
@@ -360,21 +372,34 @@ class FarthestFirstKernel(RouterKernel):
     def __init__(self, engine: "ArraySimulator") -> None:
         super().__init__(engine)
         self.num_keys = 1 if engine._central else 4
+        self.reads_key_order = not engine._central
 
     def schedule(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        st = self.engine._state
+        engine = self.engine
+        st = engine._state
+        geom = st.geom
         node = st.posf[act]
         dx, dy = st.displacement(act)
         desired = st.desired_direction(dx, dy)
         # E/W are the odd direction values, so parity selects the axis.
         dist = np.where((desired & 1) == 1, np.abs(dx), np.abs(dy))
         group = (node << 2) | desired
+        # Farthest first: the complement of the distance sorts ascending.
+        closeness = ((1 << geom.dist_bits) - 1) - dist
         if self.num_keys == 1:
-            order = np.lexsort((st.qseq[act], -dist, group))
+            order = engine._fifo_order(
+                act, (group, geom.node_bits + 2), (closeness, geom.dist_bits)
+            )
         else:
             krank = st.key_rank[node, st.qkey[act]]
             notstraight = (st.qkey[act] != OPP[desired]).astype(np.int64)
-            order = np.lexsort((st.qseq[act], krank, -dist, notstraight, group))
+            order = engine._fifo_order(
+                act,
+                (group, geom.node_bits + 2),
+                (notstraight, 1),
+                (closeness, geom.dist_bits),
+                (krank, 2),
+            )
         group_s = group[order]
         first = np.empty(len(group_s), dtype=bool)
         first[0] = True
@@ -435,7 +460,7 @@ class CreditAdaptiveKernel(RouterKernel):
         st = engine._state
         node = st.posf[act]
         qkey = st.qkey[act]
-        order = np.lexsort((st.qseq[act], qkey, node))
+        order = engine._fifo_order(act, (node, st.geom.node_bits), (qkey, 2))
         slots = act[order]
         snode = node[order]
         skey = qkey[order]
@@ -668,7 +693,10 @@ class ArraySimulator(Simulator):
         # kernels pick ``num_keys`` per instance.
         self._kernel = kernel_cls(self)
         self._state = ArrayState(
-            GridGeometry(topology), self._kernel.num_keys, self._kernel.track_age
+            GridGeometry(topology),
+            self._kernel.num_keys,
+            self._kernel.track_age,
+            self._kernel.reads_key_order,
         )
         # Injection queue index per 4-bit profitable mask (made on first use).
         self._initial_kidx: np.ndarray | None = None
@@ -677,6 +705,10 @@ class ArraySimulator(Simulator):
         self._offer_time = -1
         self._offers = _EMPTY
         self._nodes: tuple[tuple[int, int], ...] | None = None
+        # Counting-sort buffers of _transmit, one entry per (node, inlink)
+        # (made on first use).
+        self._arrival_mark: np.ndarray | None = None
+        self._arrival_pos = _EMPTY
         if algorithm.uses_credit:
             algorithm.attach_credit_probe(self._downstream_occupancy)
         self._packet_of: list[Packet] = []  # slot -> Packet
@@ -735,6 +767,8 @@ class ArraySimulator(Simulator):
         # pid-ascending, matching the reference append order.
         self._place(originating, pid, src, dst, qseq=pid)
         self._seq = int(pid.max()) + 1
+        if int(pid.min()) < 0:
+            self._renumber_qseq()  # packed sort keys need qseq >= 0
 
     def _packet_arrays(
         self, packets: list[Packet]
@@ -832,16 +866,16 @@ class ArraySimulator(Simulator):
         self.max_node_load = max(self.max_node_load, int(st.load.max()))
         capacity = self.spec.capacity
         if self.validate and qmax > capacity:
-            hit = (st.occ > capacity).any(axis=1)[src]
-            if bool(hit.any()):
+            over = st.occ.ravel()[slot] > capacity
+            if bool(over.any()):
                 # Report what the reference engine reports: the first node
                 # in placement order with an over-capacity queue, and its
-                # first such queue in creation order.
-                flat = int(src[np.argmax(hit)])
-                keys = np.flatnonzero(st.occ[flat] > capacity)
-                if st.key_rank is not None:
-                    keys = keys[np.argsort(st.key_rank[flat, keys], kind="stable")]
-                k = int(keys[0])
+                # first such queue in creation order.  Only a load overflows
+                # (injection admits up to the free space), and a load starts
+                # from an empty state with each node's packets contiguous,
+                # so both are those of the first over-capacity entry.
+                i = int(np.argmax(over))
+                flat, k = int(src[i]), int(kidx[i])
                 raise QueueOverflowError(
                     self.algorithm.name,
                     self._node_tuple(flat),
@@ -873,7 +907,9 @@ class ArraySimulator(Simulator):
         out: dict[tuple[int, int], dict[Any, list[Packet]]] = {}
         if act.size == 0:
             return out
-        order = np.lexsort((st.qseq[act], st.qkey[act], st.posf[act]))
+        order = self._fifo_order(
+            act, (st.posf[act], st.geom.node_bits), (st.qkey[act], 2)
+        )
         slots = act[order]
         height = self._height
         central = self._central
@@ -897,6 +933,44 @@ class ArraySimulator(Simulator):
             else:
                 q.append(p)
         return out
+
+    def _fifo_order(
+        self, act: np.ndarray, *fields: tuple[np.ndarray, int]
+    ) -> np.ndarray:
+        """The permutation sorting slots ``act`` by ``fields``, then FIFO.
+
+        Each field is ``(values, bits)``: non-negative values below
+        ``2**bits``, most significant field first.  The fields and ``qseq``
+        pack into one int64 key per slot, which is unique (``qseq`` is), so
+        one unstable argsort gives the order of the equivalent multi-key
+        ``lexsort`` at a fraction of its cost.  When ``qseq`` would not fit
+        the bits the fields leave, the in-network sequence numbers are
+        renumbered densely first (their order, hence every queue's order,
+        is unchanged).
+        """
+        st = self._state
+        key, used = fields[0]
+        for values, bits in fields[1:]:
+            key = (key << bits) | values
+            used += bits
+        qbits = 63 - used
+        if self._seq > 1 << qbits:  # every in-network qseq is below _seq
+            self._renumber_qseq()
+            if self._seq > 1 << qbits:
+                # More packets in flight than the field can number: sort by
+                # FIFO order, then stably by the fields.
+                order = np.argsort(st.qseq[act], kind="stable")
+                return order[np.argsort(key[order], kind="stable")]
+        return np.argsort((key << qbits) | st.qseq[act])  # noqa: SC007 -- unique keys
+
+    def _renumber_qseq(self) -> None:
+        """Renumber the in-network FIFO sequence numbers 0, 1, ... in their
+        current order, and continue the counter after them."""
+        st = self._state
+        act = self._act
+        order = np.argsort(st.qseq[act], kind="stable")
+        st.qseq[act[order]] = np.arange(len(act), dtype=np.int64)
+        self._seq = len(act)
 
     def queue_occupancy(self, node: tuple[int, int], key: Any) -> int:
         kidx = 0 if self._central else int(key)
@@ -1175,14 +1249,28 @@ class ArraySimulator(Simulator):
         # Arrival order is (target, inlink direction): targets ascending,
         # multi-offer groups by came_from -- the reference accepted_moves
         # order, which fixes FIFO sequence numbers and key creation order.
-        order = np.lexsort((acame, atgt))
+        # Each (target, inlink) receives at most one move per step, so a
+        # counting sort over one mark per (node, inlink) orders them.
+        mark = self._arrival_mark
+        if mark is None:
+            size = 4 * st.geom.num_nodes
+            self._arrival_mark = mark = np.zeros(size, dtype=bool)
+            self._arrival_pos = np.empty(size, dtype=np.int64)
+        cell = (atgt << 2) | acame
+        mark[cell] = True
+        self._arrival_pos[cell] = np.arange(n_acc, dtype=np.int64)
+        cell = np.flatnonzero(mark)
+        mark[cell] = False
+        order = self._arrival_pos[cell]
         apkt = apkt[order]
         asrc = asrc[order]
         adir = adir[order]
         atgt = atgt[order]
         acame = acame[order]
         # Departures first.
-        np.subtract.at(st.occ, (asrc, st.qkey[apkt]), 1)
+        num_keys = st.num_keys
+        occ = st.occ.ravel()
+        np.subtract.at(occ, asrc * num_keys + st.qkey[apkt], 1)
         np.subtract.at(st.load, asrc, 1)
         # Arrivals: split deliveries from survivors.
         delivered = atgt == st.destf[apkt]
@@ -1196,9 +1284,10 @@ class ArraySimulator(Simulator):
             st.qkey[spkt] = skey
             st.qseq[spkt] = self._seq + np.arange(n_surv, dtype=np.int64)
             self._seq += n_surv
-            np.add.at(st.occ, (stgt, skey), 1)
+            scell = stgt * num_keys + skey
+            np.add.at(occ, scell, 1)
             np.add.at(st.load, stgt, 1)
-            qlen = st.occ[stgt, skey]
+            qlen = occ[scell]
             max_q = int(qlen.max())
             if max_q > self.max_queue_len:
                 self.max_queue_len = max_q
@@ -1233,8 +1322,7 @@ class ArraySimulator(Simulator):
         # resets its queue-key creation order (the reference engine deletes
         # the node dict, losing key insertion order).
         if st.key_rank is not None:
-            sent = np.unique(asrc)
-            emptied = sent[st.load[sent] == 0]
+            emptied = asrc[st.load[asrc] == 0]  # repeats: the reset is idempotent
             if len(emptied):
                 st.key_rank[emptied] = -1
                 st.key_count[emptied] = 0

@@ -8,14 +8,17 @@ arrays so each simulator phase becomes a handful of batched operations:
 - **Packet arrays**, indexed by a dense internal slot id: position
   (coordinates and flat node id), destination, queue key, FIFO sequence
   number, and per-packet age (hot-potato state).  Slots are append-only;
-  delivered packets simply leave the active-index set.
+  delivered packets simply leave the active-index set.  Only the order
+  of the FIFO sequence numbers matters, so the engine may renumber them.
 - **Queue arrays**, indexed by flat node id: per-(node, key) occupancy,
-  per-node load, and -- for the incoming-queue regime -- the queue-key
+  per-node load, and -- only when the kernel reads it (bounded
+  dimension-order and incoming farthest-first) -- the queue-key
   *creation-order* bookkeeping that mirrors the reference engine's dict
-  insertion order (``key_rank`` / ``key_count``), on which the bounded
-  dimension-order fallback scan depends.
+  insertion order (``key_rank`` / ``key_count``), on which their
+  fallback scans depend.
 - **Geometry tables** derived from the topology once: flat neighbor ids
-  per direction and an outlink bitmask per node.
+  per direction, an outlink bitmask per node, and the bit widths of the
+  node and distance fields of packed sort keys.
 
 Everything here is layout and geometry; the per-router scheduling kernels
 live in :mod:`repro.mesh.array_engine`.  Flat node ids follow
@@ -79,6 +82,10 @@ class GridGeometry:
         self.out_mask = (
             (nbr >= 0).astype(np.int64) << np.arange(4, dtype=np.int64)
         ).sum(axis=1)
+        # Bit widths of packed sort-key fields: a flat node id, and a
+        # distance along one axis (below max(width, height)).
+        self.node_bits = max(self.num_nodes - 1, 1).bit_length()
+        self.dist_bits = max(width, height).bit_length()
 
     def displacement(
         self, pos: np.ndarray, dest: np.ndarray
@@ -138,9 +145,14 @@ class ArrayState:
     increasing sequence numbers in exactly the order the reference engine
     appends packets to queue lists, so ascending ``qseq`` within one
     (node, key) queue *is* the reference queue order.
+
+    ``key_order`` allocates ``key_rank`` / ``key_count`` (else both are
+    None): the kernel's declaration that it reads queue-creation order.
     """
 
-    def __init__(self, geometry: GridGeometry, num_keys: int, track_age: bool) -> None:
+    def __init__(
+        self, geometry: GridGeometry, num_keys: int, track_age: bool, key_order: bool
+    ) -> None:
         self.geom = geometry
         self.num_keys = num_keys
         self.track_age = track_age
@@ -156,7 +168,7 @@ class ArrayState:
         n = geometry.num_nodes
         self.occ = np.zeros((n, num_keys), dtype=np.int64)
         self.load = np.zeros(n, dtype=np.int64)
-        if num_keys > 1:
+        if key_order:
             self.key_rank = np.full((n, num_keys), -1, dtype=np.int64)
             self.key_count = np.zeros(n, dtype=np.int64)
         else:

@@ -6,6 +6,8 @@ import pathlib
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness.execute import execute_trial
+from repro.harness.specs import TrialSpec
 
 SPECS_DIR = pathlib.Path(__file__).parents[2] / "benchmarks" / "specs"
 
@@ -136,6 +138,46 @@ class TestCommands:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["lower-bound", "--k", "0", "--n", "60"], "queue capacity must be >= 1"),
+            (["section6", "--n", "10"], "n must be a power of 3"),
+            (["bounds", "--n", "1"], "need n >= 6"),
+        ],
+        ids=["lower-bound-k0", "section6-n10", "bounds-n1"],
+    )
+    def test_out_of_range_construction_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and message in err
+
+    @pytest.mark.parametrize("queues", ["central", "incoming"])
+    def test_route_farthest_first_honours_queues(self, queues, capsys):
+        # Central farthest-first wedges on this permutation, so a capped
+        # run tells the two queue regimes apart.
+        trial = execute_trial(
+            TrialSpec(
+                kind="route", algorithm="farthest-first", n=16, k=2,
+                queues=queues, workload="random", max_steps=60,
+            )
+        )
+        rc = main(
+            ["route", "--algorithm", "farthest-first", "--queues", queues,
+             "--n", "16", "--k", "2", "--workload", "random", "--max-steps", "60"]
+        )
+        assert rc == (0 if trial["completed"] else 1)
+        assert trial["completed"] == (queues == "incoming")
+        out = capsys.readouterr().out
+        assert (
+            f"{trial['delivered']}/{trial['total_packets']} in {trial['steps']} "
+            f"steps (diameter {trial['diameter']}), max queue "
+            f"{trial['max_queue_len']}, max node load {trial['max_node_load']}, "
+            f"{trial['total_moves']} moves"
+        ) in out
 
     def test_route_with_flaky_links(self, capsys):
         rc = main(

@@ -13,6 +13,7 @@ import pytest
 from repro.mesh import Mesh, Packet, Simulator, Torus
 from repro.mesh.array_engine import ArraySimulator, ported_router_types
 from repro.mesh.errors import QueueOverflowError
+from repro.verify.engine_equivalence import LockstepReport, lockstep
 from repro.mesh.ndtopology import MeshND, SparsePillarMesh, TorusND
 from repro.routing import (
     AlternatingAdaptiveRouter,
@@ -256,20 +257,44 @@ class TestBatchedEntry:
             Packet(6, (1, 1), (1, 2)),
         ]
 
+    def created_against_key_order(self):
+        # Node (4, 4) creates its S queue (pids 1 and 2 head north) before
+        # its E queue (pids 3 and 4 head west): creation order is not key
+        # order (E=1 < S=2), and both queues overflow at k=1.
+        return [
+            Packet(4, (4, 4), (0, 4)),
+            Packet(3, (4, 4), (1, 4)),
+            Packet(2, (4, 4), (4, 5)),
+            Packet(1, (4, 4), (4, 5)),
+        ]
+
     @pytest.mark.parametrize(
-        "algorithm",
+        "algorithm,reads_key_order",
         [
-            lambda: BoundedDimensionOrderRouter(1),
-            lambda: GreedyAdaptiveRouter(1, "incoming"),
-            lambda: DimensionOrderRouter(2),
+            (lambda: BoundedDimensionOrderRouter(1), True),
+            (lambda: GreedyAdaptiveRouter(1, "incoming"), False),
+            (lambda: DimensionOrderRouter(2), False),
+            (lambda: CreditAdaptiveRouter(1), False),
+            (lambda: FarthestFirstRouter(1), True),
         ],
-        ids=["bounded-dor", "greedy-incoming", "dor-central"],
+        ids=[
+            "bounded-dor",
+            "greedy-incoming",
+            "dor-central",
+            "credit-adaptive",
+            "farthest-first-incoming",
+        ],
     )
-    def test_load_overflow_reports_the_same_queue(self, algorithm):
-        reference = overflow_on("reference", algorithm(), self.overloaded())
-        array = overflow_on("array", algorithm(), self.overloaded())
-        assert array == reference
-        assert reference[0] == (4, 4)
+    def test_load_overflow_reports_the_same_queue(self, algorithm, reads_key_order):
+        for packets in (self.overloaded, self.created_against_key_order):
+            reference = overflow_on("reference", algorithm(), packets())
+            array = overflow_on("array", algorithm(), packets())
+            assert array == reference
+            assert reference[0] == (4, 4)
+        # Queue-creation order is kept only for kernels that read it.
+        sim = Simulator(Mesh(6), algorithm(), [], engine="array")
+        assert (sim._state.key_rank is None) == (not reads_key_order)
+        assert (sim._state.key_count is None) == (not reads_key_order)
 
     def test_load_places_like_the_reference(self):
         packets = self.overloaded() + [Packet(9, (2, 3), (2, 3), injection_time=2)]
@@ -350,3 +375,54 @@ class TestBatchedEntry:
             sim.offer_packets(1, np.array([2]), np.array([3]))
         with pytest.raises(ValueError, match="packet 9 endpoints outside"):
             sim.offer_packets(8, np.array([1, 16]), np.array([2, 3]))
+
+
+class TestPackedSortKeys:
+    """Phase (a) sorts one packed ``(fields, qseq)`` int64 key per packet;
+    sequence numbers too large for the bits the fields leave are
+    renumbered densely, in order, instead of overflowing."""
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            lambda: GreedyAdaptiveRouter(2, "incoming"),
+            lambda: BoundedDimensionOrderRouter(2),
+        ],
+        ids=["greedy-incoming", "bounded-dor"],
+    )
+    @pytest.mark.parametrize("pids", ["huge", "negative"])
+    def test_user_pids_run_in_lockstep(self, algorithm, pids):
+        mesh = Mesh(12)
+        # Two packets per source, so load-time FIFO order decides which
+        # leaves first.
+        base = random_permutation(mesh, seed=3) + random_permutation(mesh, seed=4)
+        count = len(base)
+        # Distinct pids in an order unrelated to the load order.  Load-time
+        # sequence numbers are the pids: the huge ones (at least 2**50)
+        # need more bits than any packed key leaves for them, and negative
+        # ones cannot be packed at all.
+        scrambled = [(i * 37) % count for i in range(count)]
+        if pids == "huge":
+            labels = [(j + 1) << 50 for j in scrambled]
+        else:
+            labels = [-j - 1 for j in scrambled]
+        packets = [Packet(pid, p.source, p.dest) for pid, p in zip(labels, base)]
+        reference = Simulator(mesh, algorithm(), [p.copy() for p in packets])
+        array = Simulator(
+            mesh, algorithm(), [p.copy() for p in packets], engine="array"
+        )
+        report = LockstepReport(f"{pids}-pids", "permutation", 12, 2, 3)
+        lockstep(reference, array, 2000, report)
+        assert report.ok, report.findings
+        assert reference.done and report.steps > 0
+        assert 0 <= array._seq <= count + array.total_moves  # renumbered
+
+    @pytest.mark.parametrize("bits", [8, 40, 61], ids=["wide", "medium", "no-room"])
+    def test_fifo_order_matches_lexsort(self, bits):
+        sim = make(algorithm=GreedyAdaptiveRouter(2, "incoming"))
+        sim.step()
+        act = sim._act
+        st = sim._state
+        major = st.posf[act] % 5  # ties, so the FIFO tiebreak decides
+        expected = np.lexsort((st.qseq[act], major))
+        assert np.array_equal(sim._fifo_order(act, (major, bits)), expected)
