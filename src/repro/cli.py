@@ -16,8 +16,11 @@ Subcommands:
   metrics and overflow detection (see docs/FAULTS.md)
 - ``stream``      -- open-loop saturation sweep: injection-rate ladder per
   router with knee detection (see docs/STREAMING.md)
-- ``serve``       -- live injection service over newline-delimited JSON on
-  TCP (see docs/STREAMING.md for the wire format)
+
+``route``, ``lower-bound`` and ``section6`` map their flags onto a
+:class:`~repro.harness.specs.TrialSpec` and run it through the harness's
+build and run steps (docs/HARNESS.md), so a command line and the campaign
+trial with the same fields print and store the same numbers.
 
 Exit codes are uniform across subcommands: 0 success, 1 the command ran but
 found failures (stalled routing, verification findings, new lint
@@ -40,36 +43,19 @@ import sys
 from typing import Callable, Sequence
 
 from repro.core import bounds as bounds_mod
-from repro.core import (
-    AdaptiveLowerBoundConstruction,
-    DorLowerBoundConstruction,
-    FfLowerBoundConstruction,
-    replay_constructed_permutation,
+from repro.harness.execute import (
+    BuiltTrial,
+    build_lower_bound,
+    build_route,
+    build_section6,
 )
-from repro.core.extensions import HhLowerBoundConstruction, TorusLowerBoundConstruction
-from repro.mesh import TOPOLOGY_NAMES, Mesh, Simulator, Torus, build_topology
-from repro.routing import (
-    AlternatingAdaptiveRouter,
-    BoundedDimensionOrderRouter,
-    BoundedExcursionRouter,
-    CreditAdaptiveRouter,
-    DimensionOrderRouter,
-    FarthestFirstRouter,
-    GreedyAdaptiveRouter,
-    HotPotatoRouter,
-    RandomizedAdaptiveRouter,
+from repro.harness.specs import (
+    CONSTRUCTIONS,
+    ROUTE_ALGORITHMS,
+    TOPOLOGY_CHOICES,
+    WORKLOADS,
+    TrialSpec,
 )
-ALGORITHMS: dict[str, Callable[[argparse.Namespace], object]] = {
-    "dor": lambda a: DimensionOrderRouter(a.k),
-    "bounded-dor": lambda a: BoundedDimensionOrderRouter(a.k),
-    "farthest-first": lambda a: FarthestFirstRouter(a.k, a.queues),
-    "greedy-adaptive": lambda a: GreedyAdaptiveRouter(a.k, a.queues),
-    "alternating-adaptive": lambda a: AlternatingAdaptiveRouter(a.k, a.queues),
-    "hot-potato": lambda a: HotPotatoRouter(),
-    "randomized-adaptive": lambda a: RandomizedAdaptiveRouter(a.k, a.seed, a.queues),
-    "bounded-excursion": lambda a: BoundedExcursionRouter(a.k, a.delta, a.queues),
-    "credit-adaptive": lambda a: CreditAdaptiveRouter(a.k),
-}
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -78,156 +64,101 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
-def make_workload(name: str, topology, seed: int):
-    from repro.harness.execute import build_workload
-
+def _build(builder: Callable[..., BuiltTrial], spec: TrialSpec, **options) -> BuiltTrial:
+    """Run a harness build step; any argument it rejects is a usage error."""
     try:
-        return build_workload(name, topology, seed)
+        return builder(spec, **options)
     except ValueError as exc:
         raise _usage_error(str(exc))
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    if args.topology and args.torus:
-        raise _usage_error("--topology and --torus are mutually exclusive")
-    if args.max_steps < 0:
-        raise _usage_error(f"--max-steps must be >= 0, got {args.max_steps}")
-    if args.topology:
-        from repro.harness.specs import ND_ALGORITHMS, ND_TOPOLOGIES
-
-        if args.topology in ND_TOPOLOGIES and args.algorithm not in ND_ALGORITHMS:
-            raise _usage_error(
-                f"--topology {args.topology} requires a d-dimensional router "
-                f"({', '.join(ND_ALGORITHMS)}); {args.algorithm} routes 2D only"
-            )
-        topology = build_topology(args.topology, args.n)
-    else:
-        topology = Torus(args.n) if args.torus else Mesh(args.n)
-    packets = make_workload(args.workload, topology, args.seed)
-    # Router capacities, the engine choice and the link plan each validate
-    # their own arguments; any rejection is a usage error.
-    try:
-        algorithm = ALGORITHMS[args.algorithm](args)
-        sim = Simulator(topology, algorithm, packets, engine=args.engine)
-        if args.availability != 1.0:
-            from repro.faults import BernoulliLinkPlan
-
-            BernoulliLinkPlan(args.availability, seed=args.seed).attach(sim)
-    except ValueError as exc:
-        raise _usage_error(str(exc))
+    spec = TrialSpec(
+        kind="route",
+        algorithm=args.algorithm,
+        n=args.n,
+        k=args.k,
+        queues=args.queues,
+        delta=args.delta,
+        availability=args.availability,
+        workload=args.workload,
+        seed=args.seed,
+        torus=args.torus,
+        topology=args.topology,
+        max_steps=args.max_steps,
+        engine=args.engine,
+    )
+    trial = _build(build_route, spec)
+    sim = trial.simulator
     if args.profile:
         from repro.perf import StepInstrumentation, hotspot_table, profile_run
         from repro.perf.profiling import format_phase_summary
 
         sim.instrument = StepInstrumentation()
-        result, profiler = profile_run(lambda: sim.run(max_steps=args.max_steps))
+        m, profiler = profile_run(trial.run)
     else:
-        result = sim.run(max_steps=args.max_steps)
-    status = "delivered" if result.completed else "STALLED"
-    engine_tag = (
-        f" [{sim.engine_name} engine]" if args.engine != "reference" else ""
-    )
+        m = trial.run()
+    status = "delivered" if m["completed"] else "STALLED"
+    engine_tag = f" [{m['engine']} engine]" if args.engine != "reference" else ""
     print(
-        f"{algorithm.name} on {topology!r} / {args.workload}: {status} "
-        f"{result.delivered}/{result.total_packets} in {result.steps} steps "
-        f"(diameter {topology.diameter}), max queue {result.max_queue_len}, "
-        f"max node load {result.max_node_load}, {result.total_moves} moves"
+        f"{m['algorithm_name']} on {sim.topology!r} / {args.workload}: {status} "
+        f"{m['delivered']}/{m['total_packets']} in {m['steps']} steps "
+        f"(diameter {m['diameter']}), max queue {m['max_queue_len']}, "
+        f"max node load {m['max_node_load']}, {m['total_moves']} moves"
         f"{engine_tag}"
     )
     if args.profile:
         print()
-        print(format_phase_summary(result.counters))
+        print(format_phase_summary(sim.counter_snapshot()))
         print()
         print(hotspot_table(profiler, limit=args.profile_limit))
-    return 0 if result.completed else 1
-
-
-def _lower_bound_construction(args: argparse.Namespace):
-    """``(router factory, construction, topology)`` for ``repro lower-bound``."""
-    if args.construction == "adaptive":
-        factory = lambda: GreedyAdaptiveRouter(args.k)
-        con = AdaptiveLowerBoundConstruction(
-            args.n, factory, check_invariants=args.check_invariants
-        )
-        topology = None
-    elif args.construction == "torus":
-        factory = lambda: GreedyAdaptiveRouter(args.k)
-        con = TorusLowerBoundConstruction(
-            args.n, factory, check_invariants=args.check_invariants
-        )
-        topology = con.topology
-    elif args.construction == "dor":
-        factory = lambda: BoundedDimensionOrderRouter(args.k)
-        con = DorLowerBoundConstruction(
-            args.n, factory, check_invariants=args.check_invariants
-        )
-        topology = None
-    elif args.construction == "ff":
-        factory = lambda: FarthestFirstRouter(args.k)
-        con = FfLowerBoundConstruction(
-            args.n, factory, check_invariants=args.check_invariants
-        )
-        topology = None
-    elif args.construction == "hh":
-        factory = lambda: GreedyAdaptiveRouter(max(args.k, args.h))
-        con = HhLowerBoundConstruction(
-            args.n, args.h, factory, check_invariants=args.check_invariants
-        )
-        topology = None
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown construction {args.construction!r}")
-    return factory, con, topology
+    return 0 if m["completed"] else 1
 
 
 def cmd_lower_bound(args: argparse.Namespace) -> int:
-    # The constructions probe the router factory and check n, k and h
-    # against their constants; any rejection is a usage error.
-    try:
-        factory, con, topology = _lower_bound_construction(args)
-    except ValueError as exc:
-        raise _usage_error(str(exc))
-    result = con.run()
-    print(
-        f"{args.construction} construction on n={args.n}, k={args.k}: "
-        f"certified bound {result.bound_steps} steps, "
-        f"{result.exchange_count} exchanges, "
-        f"{result.undelivered_at_bound} packets undelivered at the horizon"
-    )
-    report = replay_constructed_permutation(
-        result,
-        factory,
-        topology=topology,
+    spec = TrialSpec(
+        kind="lower_bound",
+        construction=args.construction,
+        n=args.n,
+        k=args.k,
+        h=args.h,
         run_to_completion=not args.no_completion,
         max_steps=args.max_steps,
     )
+    trial = _build(build_lower_bound, spec, check_invariants=args.check_invariants)
+    m = trial.run()
     print(
-        f"replay: configuration match = {report.configuration_matches}, "
-        f"deliveries match = {report.delivery_times_match}"
+        f"{args.construction} construction on n={args.n}, k={args.k}: "
+        f"certified bound {m['bound_steps']} steps, "
+        f"{m['exchange_count']} exchanges, "
+        f"{m['undelivered_at_bound']} packets undelivered at the horizon"
     )
-    if report.completed is not None:
-        print(f"full routing time: {report.total_steps} steps")
-    return 0 if report.configuration_matches else 1
+    print(
+        f"replay: configuration match = {m['configuration_matches']}, "
+        f"deliveries match = {m['delivery_times_match']}"
+    )
+    if m["completed"] is not None:
+        print(f"full routing time: {m['measured_steps']} steps")
+    return 0 if m["configuration_matches"] else 1
 
 
 def cmd_section6(args: argparse.Namespace) -> int:
-    from repro.tiling import Section6Router
-
-    try:
-        mesh = Mesh(args.n)
-        router = Section6Router(args.n, improved=args.improved)
-    except ValueError as exc:
-        raise _usage_error(str(exc))
-    packets = make_workload(args.workload, mesh, args.seed)
-    result = router.route(packets)
-    factor = 564 if args.improved else 972
+    spec = TrialSpec(
+        kind="section6",
+        n=args.n,
+        workload=args.workload,
+        seed=args.seed,
+        improved=args.improved,
+    )
+    m = _build(build_section6, spec).run()
     print(
         f"Section 6 on n={args.n} / {args.workload}: delivered "
-        f"{result.delivered}/{result.total_packets}; actual "
-        f"{result.actual_steps} steps, scheduled {result.scheduled_steps} "
-        f"(bound {factor * args.n}), max node load {result.max_node_load} "
-        f"(bound 834)"
+        f"{m['delivered']}/{m['total_packets']}; actual "
+        f"{m['actual_steps']} steps, scheduled {m['scheduled_steps']} "
+        f"(bound {m['paper_time_bound']}), max node load {m['max_node_load']} "
+        f"(bound {m['paper_queue_bound']})"
     )
-    return 0 if result.completed else 1
+    return 0 if m["completed"] else 1
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -552,25 +483,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
     return 0 if verdict == "PASS" else 1
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the live injection service until a client sends ``shutdown``."""
-    import asyncio
-
-    from repro.streaming import StreamingService, serve_forever
-
-    topology = Torus(args.n) if args.torus else Mesh(args.n)
-    algorithm = ALGORITHMS[args.algorithm](args)
-    service = StreamingService(topology, algorithm)
-
-    def on_ready(host: str, port: int) -> None:
-        # Scripted clients parse this line to find an ephemeral --port 0.
-        print(f"repro serve listening on {host}:{port}", flush=True)
-
-    asyncio.run(serve_forever(service, args.host, args.port, on_ready=on_ready))
-    print("repro serve: shutdown")
-    return 0
-
-
 def cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.analysis.campaigns import summarize_manifest
 
@@ -752,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("route", help="route one workload")
-    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="bounded-dor")
+    p.add_argument("--algorithm", choices=ROUTE_ALGORITHMS, default="bounded-dor")
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--k", type=int, default=2)
     p.add_argument(
@@ -768,12 +680,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="per-link per-step up probability (< 1.0 simulates asynchrony)",
     )
-    p.add_argument("--workload", default="random")
+    p.add_argument(
+        "--workload",
+        default="random",
+        help=f"one of {', '.join(WORKLOADS)} (checked with the other arguments)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--torus", action="store_true")
     p.add_argument(
         "--topology",
-        choices=list(TOPOLOGY_NAMES),
+        choices=TOPOLOGY_CHOICES,
         default="",
         help="route on a named topology (mesh3d/torus3d/pillar need a "
         "d-dimensional router); mutually exclusive with --torus",
@@ -801,11 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_route)
 
     p = sub.add_parser("lower-bound", help="run an adversarial construction")
-    p.add_argument(
-        "--construction",
-        choices=["adaptive", "dor", "ff", "torus", "hh"],
-        default="adaptive",
-    )
+    p.add_argument("--construction", choices=CONSTRUCTIONS, default="adaptive")
     p.add_argument("--n", type=int, default=120)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--h", type=int, default=2)
@@ -816,7 +728,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("section6", help="run the O(n) minimal adaptive algorithm")
     p.add_argument("--n", type=int, default=81)
-    p.add_argument("--workload", default="random")
+    p.add_argument(
+        "--workload",
+        default="random",
+        help=f"one of {', '.join(WORKLOADS)} (checked with the other arguments)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--improved", action="store_true")
     p.set_defaults(func=cmd_section6)
@@ -941,23 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser(
-        "serve",
-        help="live NDJSON-over-TCP injection service",
-    )
-    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="bounded-dor")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--queues", choices=["central", "incoming"], default="central")
-    p.add_argument("--delta", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--torus", action="store_true")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port", type=int, default=0, help="TCP port (0 binds an ephemeral port)"
-    )
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
         "analyze",
         help="static deadlock (CDG), queue-bound (bounds) & lint analysis",
     )
@@ -975,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--topologies",
         nargs="+",
-        choices=list(TOPOLOGY_NAMES),
+        choices=TOPOLOGY_CHOICES,
         help="topology subset",
     )
     p.add_argument("--routers", nargs="+", help="subset of registered routers")

@@ -5,7 +5,7 @@ Three layers (see ``docs/FAULTS.md``):
 - :mod:`repro.faults.plan` -- deterministic fault plans.  Link and node
   up/down state is a pure counter-based hash of ``(seed, entity, time)``,
   so runs are bit-reproducible across query order, worker counts, and
-  simulator fast paths.
+  step engines.
 - :mod:`repro.faults.resilience` -- end-to-end recovery: the
   conservative accept-if-space router and the retransmission manager.
 - :mod:`repro.faults.reroute` -- the delta-bounded fault-aware routing

@@ -9,14 +9,13 @@ function of (seed, entity, time)**.
 That purity is the whole design.  The previous asynchrony stub drew link
 states from one shared sequential RNG, so a link's availability depended
 on how many *other* moves had been evaluated first: querying the same
-link twice in a step could disagree, and the fast-outqueue and
-NodeContext simulator paths could in principle observe different
-networks.  Here every draw is a counter-based hash of
+link twice in a step could disagree, and the reference and array
+engines could in principle observe different networks.  Here every draw is a counter-based hash of
 ``(seed, src, direction, time)`` (splitmix64 finalizer), so:
 
 - the same link queried twice in a step always agrees;
 - query *order* is irrelevant -- runs are bit-identical across worker
-  counts and across simulator fast paths;
+  counts and across step engines;
 - any (link, step) state can be recomputed in isolation (replay, tests).
 
 Three plan families are provided:

@@ -8,6 +8,7 @@ equal specs produce byte-identical stored rows regardless of which worker
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core import (
@@ -111,7 +112,24 @@ def _victim_factory(spec: TrialSpec) -> Callable[[], RoutingAlgorithm]:
     raise ValueError(f"unknown victim algorithm {victim!r}")
 
 
-def _run_route(spec: TrialSpec) -> dict[str, Any]:
+@dataclass(frozen=True)
+class BuiltTrial:
+    """A trial whose arguments are checked and whose objects are built.
+
+    The build step (``build_route``, ``build_lower_bound``,
+    ``build_section6``) raises ``ValueError`` on every bad argument;
+    ``run()`` then does the work and returns the trial's metrics.
+    ``simulator`` is a route trial's :class:`Simulator` (None otherwise),
+    handed back so a caller can attach instrumentation before ``run()``.
+    """
+
+    run: Callable[[], dict[str, Any]]
+    simulator: Simulator | None = None
+
+
+def build_route(spec: TrialSpec) -> BuiltTrial:
+    """Build a ``route`` trial: topology, router, workload, simulator, links."""
+    spec.validate()
     topology = build_trial_topology(spec)
     algorithm = build_router(spec)
     packets = build_workload(spec.workload, topology, spec.seed)
@@ -120,79 +138,97 @@ def _run_route(spec: TrialSpec) -> dict[str, Any]:
         from repro.faults import BernoulliLinkPlan
 
         BernoulliLinkPlan(spec.availability, seed=spec.seed).attach(sim)
-    result = sim.run(max_steps=spec.max_steps)
-    return {
-        "algorithm_name": algorithm.name,
-        "engine": sim.engine_name,
-        "completed": result.completed,
-        "steps": result.steps,
-        "delivered": result.delivered,
-        "total_packets": result.total_packets,
-        "max_queue_len": result.max_queue_len,
-        "max_node_load": result.max_node_load,
-        "total_moves": result.total_moves,
-        "diameter": topology.diameter,
-    }
+
+    def run() -> dict[str, Any]:
+        result = sim.run(max_steps=spec.max_steps)
+        return {
+            "algorithm_name": algorithm.name,
+            "engine": sim.engine_name,
+            "completed": result.completed,
+            "steps": result.steps,
+            "delivered": result.delivered,
+            "total_packets": result.total_packets,
+            "max_queue_len": result.max_queue_len,
+            "max_node_load": result.max_node_load,
+            "total_moves": result.total_moves,
+            "diameter": topology.diameter,
+        }
+
+    return BuiltTrial(run, sim)
 
 
-def _run_lower_bound(spec: TrialSpec) -> dict[str, Any]:
+def build_lower_bound(spec: TrialSpec, *, check_invariants: bool = False) -> BuiltTrial:
+    """Build a ``lower_bound`` trial: the construction against its victim.
+
+    ``check_invariants`` asks the construction to re-check its invariants
+    every step (a debugging aid, so not part of the spec's identity).
+    """
+    spec.validate()
     factory = _victim_factory(spec)
-    topology = None
-    if spec.construction == "adaptive":
-        con = AdaptiveLowerBoundConstruction(spec.n, factory)
-    elif spec.construction == "torus":
-        con = TorusLowerBoundConstruction(spec.n, factory)
-        topology = con.topology
-    elif spec.construction == "dor":
-        con = DorLowerBoundConstruction(spec.n, factory)
-    elif spec.construction == "ff":
-        con = FfLowerBoundConstruction(spec.n, factory)
-    elif spec.construction == "hh":
-        con = HhLowerBoundConstruction(spec.n, spec.h, factory)
-    else:
-        raise ValueError(f"unknown construction {spec.construction!r}")
-
-    result = con.run()
-    report = replay_constructed_permutation(
-        result,
-        factory,
-        topology=topology,
-        run_to_completion=spec.run_to_completion,
-        max_steps=spec.max_steps,
-    )
-    return {
-        "victim": spec.algorithm or DEFAULT_VICTIMS[spec.construction],
-        "bound_steps": result.bound_steps,
-        "exchange_count": result.exchange_count,
-        "undelivered_at_bound": report.undelivered_at_bound,
-        "configuration_matches": report.configuration_matches,
-        "delivery_times_match": report.delivery_times_match,
-        "completed": report.completed,
-        "measured_steps": report.total_steps if report.completed else None,
-        "max_queue_len": report.max_queue_len,
-        "k_node": con.k,
-        "diameter": diameter_bound(spec.n),
+    constructions = {
+        "adaptive": AdaptiveLowerBoundConstruction,
+        "torus": TorusLowerBoundConstruction,
+        "dor": DorLowerBoundConstruction,
+        "ff": FfLowerBoundConstruction,
     }
+    if spec.construction == "hh":
+        con = HhLowerBoundConstruction(
+            spec.n, spec.h, factory, check_invariants=check_invariants
+        )
+    else:
+        con = constructions[spec.construction](
+            spec.n, factory, check_invariants=check_invariants
+        )
+    topology = con.topology if spec.construction == "torus" else None
+
+    def run() -> dict[str, Any]:
+        result = con.run()
+        report = replay_constructed_permutation(
+            result,
+            factory,
+            topology=topology,
+            run_to_completion=spec.run_to_completion,
+            max_steps=spec.max_steps,
+        )
+        return {
+            "victim": spec.algorithm or DEFAULT_VICTIMS[spec.construction],
+            "bound_steps": result.bound_steps,
+            "exchange_count": result.exchange_count,
+            "undelivered_at_bound": report.undelivered_at_bound,
+            "configuration_matches": report.configuration_matches,
+            "delivery_times_match": report.delivery_times_match,
+            "completed": report.completed,
+            "measured_steps": report.total_steps if report.completed else None,
+            "max_queue_len": report.max_queue_len,
+            "k_node": con.k,
+            "diameter": diameter_bound(spec.n),
+        }
+
+    return BuiltTrial(run)
 
 
-def _run_section6(spec: TrialSpec) -> dict[str, Any]:
+def build_section6(spec: TrialSpec) -> BuiltTrial:
+    """Build a ``section6`` trial: the Section 6 router and its workload."""
     from repro.tiling import Section6Router
 
-    mesh = Mesh(spec.n)
-    packets = build_workload(spec.workload, mesh, spec.seed)
-    result = Section6Router(spec.n, improved=spec.improved, record_phases=False).route(
-        packets
-    )
-    return {
-        "completed": result.completed,
-        "delivered": result.delivered,
-        "total_packets": result.total_packets,
-        "actual_steps": result.actual_steps,
-        "scheduled_steps": result.scheduled_steps,
-        "paper_time_bound": result.paper_time_bound,
-        "max_node_load": result.max_node_load,
-        "paper_queue_bound": result.paper_queue_bound,
-    }
+    spec.validate()
+    router = Section6Router(spec.n, improved=spec.improved, record_phases=False)
+    packets = build_workload(spec.workload, Mesh(spec.n), spec.seed)
+
+    def run() -> dict[str, Any]:
+        result = router.route(packets)
+        return {
+            "completed": result.completed,
+            "delivered": result.delivered,
+            "total_packets": result.total_packets,
+            "actual_steps": result.actual_steps,
+            "scheduled_steps": result.scheduled_steps,
+            "paper_time_bound": result.paper_time_bound,
+            "max_node_load": result.max_node_load,
+            "paper_queue_bound": result.paper_queue_bound,
+        }
+
+    return BuiltTrial(run)
 
 
 def _run_sort_route(spec: TrialSpec) -> dict[str, Any]:
@@ -397,10 +433,14 @@ def _run_streaming(spec: TrialSpec) -> dict[str, Any]:
     return {"algorithm_name": algorithm.name, **report.to_metrics()}
 
 
+#: Kinds split into a build step and a run step (the CLI calls both).
+_BUILDERS: dict[str, Callable[[TrialSpec], BuiltTrial]] = {
+    "route": build_route,
+    "lower_bound": build_lower_bound,
+    "section6": build_section6,
+}
+
 _RUNNERS = {
-    "route": _run_route,
-    "lower_bound": _run_lower_bound,
-    "section6": _run_section6,
     "sort_route": _run_sort_route,
     "verify": _run_verify,
     "analyze": _run_analyze,
@@ -412,5 +452,8 @@ _RUNNERS = {
 
 def execute_trial(spec: TrialSpec) -> dict[str, Any]:
     """Run one trial to completion and return its deterministic metrics."""
+    builder = _BUILDERS.get(spec.kind)
+    if builder is not None:
+        return builder(spec).run()
     spec.validate()
     return _RUNNERS[spec.kind](spec)

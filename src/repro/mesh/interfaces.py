@@ -300,13 +300,6 @@ class RoutingAlgorithm(abc.ABC):
 
     # -- the per-step policies -------------------------------------------------
 
-    #: Declares that :meth:`outqueue_from_views` is implemented and returns
-    #: exactly what :meth:`outqueue` would for the same node contents.
-    #: Purely an optimization contract (like ``accepts_all_into_empty``):
-    #: when True, the simulator may call the views-based variant directly
-    #: and skip building a :class:`NodeContext` for the scheduling phase.
-    fast_outqueue: ClassVar[bool] = False
-
     @abc.abstractmethod
     def outqueue(self, ctx: NodeContext) -> Mapping[Direction, PacketView]:
         """Choose at most one packet per outlink to attempt to transmit.
@@ -314,28 +307,6 @@ class RoutingAlgorithm(abc.ABC):
         Returns a mapping from outlink direction to the view of the packet
         scheduled on it.  A packet may be scheduled on at most one outlink.
         """
-
-    def outqueue_from_views(
-        self,
-        node: tuple[int, int],
-        state: Any,
-        out_directions: tuple[Direction, ...],
-        time: int,
-        views_by_key: Mapping[Any, Sequence[PacketView]],
-    ) -> Mapping[Direction, PacketView]:
-        """Context-free variant of :meth:`outqueue` (opt-in fast path).
-
-        ``views_by_key`` maps each nonempty queue key to its views in
-        arrival (FIFO) order, in the same key order ``ctx.queue_keys``
-        would yield.  Everything passed here is information a
-        :class:`NodeContext` already exposes, so the visibility discipline
-        is unchanged.  Implementations must be observationally equivalent
-        to :meth:`outqueue` and set ``fast_outqueue = True``; the simulator
-        may then invoke either entry point.
-        """
-        raise NotImplementedError(
-            f"{self.name}: fast_outqueue declared without outqueue_from_views"
-        )
 
     @abc.abstractmethod
     def inqueue(self, ctx: NodeContext, offers: Sequence[Offer]) -> Iterable[Offer]:

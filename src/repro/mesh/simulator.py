@@ -524,14 +524,6 @@ class Simulator:
             raise InvalidScheduleError(
                 "occupied-node index out of sync with queues (internal error)"
             )
-        # Policies declaring ``fast_outqueue`` take the views directly and
-        # need no NodeContext at all for this phase (phase (c) builds its
-        # own contexts on demand; phase (e) always does).
-        fast_out = (
-            self.algorithm.outqueue_from_views
-            if self.algorithm.fast_outqueue
-            else None
-        )
         for node in self._sorted_nodes:
             node_queues = queues[node]
             factory = factories.get(node)
@@ -546,27 +538,18 @@ class Simulator:
                 if q:
                     keys.append(key)
                     views_map[key] = factory(q)
-            if fast_out is not None:
-                chosen = fast_out(
-                    node,
-                    node_state(node) if node_states else None,
-                    out_dirs[node],
-                    now,
-                    views_map,
-                )
-            else:
-                ctx = NodeContext(
-                    node,
-                    node_state(node) if node_states else None,
-                    out_dirs[node],
-                    now,
-                    node_queues,
-                    factory,
-                )
-                ctx._views = views_map
-                ctx._keys = keys
-                contexts[node] = ctx
-                chosen = outqueue(ctx)
+            ctx = NodeContext(
+                node,
+                node_state(node) if node_states else None,
+                out_dirs[node],
+                now,
+                node_queues,
+                factory,
+            )
+            ctx._views = views_map
+            ctx._keys = keys
+            contexts[node] = ctx
+            chosen = outqueue(ctx)
             if not chosen:
                 continue
             if validate:

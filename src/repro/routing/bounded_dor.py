@@ -87,28 +87,8 @@ class BoundedDimensionOrderRouter(RoutingAlgorithm):
             drain_keys=frozenset({Direction.N, Direction.S}),
         )
 
-    # The scheduling policy needs nothing from the context beyond the per-
-    # queue views and the outlink set, so it is implemented context-free
-    # (the simulator then skips the NodeContext build for phase (a)).
-    fast_outqueue = True
-
     def outqueue(self, ctx: NodeContext) -> Mapping[Direction, PacketView]:
-        return self.outqueue_from_views(
-            ctx.node,
-            ctx.state,
-            ctx.out_directions,
-            ctx.time,
-            {key: ctx.queue(key) for key in ctx.queue_keys},
-        )
-
-    def outqueue_from_views(
-        self,
-        node: tuple[int, int],
-        state: object,
-        out_directions: tuple[Direction, ...],
-        time: int,
-        views_by_key: Mapping[object, Sequence[PacketView]],
-    ) -> Mapping[Direction, PacketView]:
+        views_by_key = {key: ctx.queue(key) for key in ctx.queue_keys}
         # For each outlink, straight-moving packets (those sitting in the
         # queue of the opposite inlink) have priority; FIFO within a class.
         # A packet's desired direction is a function of the view alone, so
@@ -139,7 +119,7 @@ class BoundedDimensionOrderRouter(RoutingAlgorithm):
                 if slot not in firsts:
                     firsts[slot] = view
         get = firsts.get
-        for direction in out_directions:
+        for direction in ctx.out_directions:
             pick = get(_STRAIGHT_SLOT[direction])
             if pick is None:
                 straight_key = OPPOSITE[direction]

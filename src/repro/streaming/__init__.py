@@ -1,9 +1,8 @@
-"""Open-loop streaming injection: arrival processes, saturation sweeps,
-and the live ``repro serve`` service.
+"""Open-loop streaming injection: arrival processes and saturation sweeps.
 
 The closed-loop harness answers "how fast does this instance finish?";
 this package answers "what offered load can this router sustain?".  See
-docs/STREAMING.md for the experiment protocol and the serve wire format.
+docs/STREAMING.md for the experiment protocol.
 """
 
 from repro.streaming.arrivals import (
@@ -20,7 +19,6 @@ from repro.streaming.arrivals import (
     poisson_counts,
 )
 from repro.streaming.run import StreamingReport, offer_packet, run_streaming
-from repro.streaming.serve import StreamingService, serve_forever
 from repro.streaming.sweep import (
     DEFAULT_RATES,
     SweepPoint,
@@ -44,8 +42,6 @@ __all__ = [
     "StreamingReport",
     "offer_packet",
     "run_streaming",
-    "StreamingService",
-    "serve_forever",
     "DEFAULT_RATES",
     "SweepPoint",
     "SweepResult",

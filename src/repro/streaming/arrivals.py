@@ -11,7 +11,7 @@ shared RNG stream, so
 - the arrivals at ``(source, t)`` are identical no matter how many other
   queries happened first, in what order, or on which worker;
 - any ``(source, step)`` batch can be recomputed in isolation (replay,
-  property tests, the serve service's deterministic fill traffic);
+  property tests);
 - saturation sweeps are byte-identical across ``--workers 1`` and
   ``--workers 4``.
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.core.bounds import section6_improved_time_bound, section6_time_bound
 from repro.mesh.packet import Packet
 from repro.tiling.axes import Axes
 from repro.tiling.base_case import BASE_CASE_BOUND, run_base_case
@@ -78,7 +79,7 @@ class Section6Result:
     completed: bool
     actual_steps: int
     scheduled_steps: int
-    paper_time_bound: int  # 972 n (Theorem 34)
+    paper_time_bound: int  # 972 n (Theorem 34); 564 n when improved
     max_node_load: int
     paper_queue_bound: int  # 834 (Lemma 28)
     base_case_steps: dict[str, int] = field(default_factory=dict)
@@ -135,7 +136,11 @@ class Section6Router:
             completed=False,
             actual_steps=0,
             scheduled_steps=0,
-            paper_time_bound=972 * self.n,
+            paper_time_bound=(
+                section6_improved_time_bound(self.n)
+                if self.improved
+                else section6_time_bound(self.n)
+            ),
             max_node_load=occupancy.max_load,
             paper_queue_bound=2 * Q_REFUSAL + 18,
         )

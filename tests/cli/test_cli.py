@@ -7,9 +7,95 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.harness.execute import execute_trial
-from repro.harness.specs import TrialSpec
+from repro.harness.specs import CONSTRUCTIONS, ROUTE_ALGORITHMS, TrialSpec
 
 SPECS_DIR = pathlib.Path(__file__).parents[2] / "benchmarks" / "specs"
+
+
+def _route_cell(algorithm, queues, torus):
+    argv = ["route", "--algorithm", algorithm, "--queues", queues, "--n", "8",
+            "--k", "2", "--max-steps", "300"] + (["--torus"] if torus else [])
+    spec = TrialSpec(kind="route", algorithm=algorithm, n=8, k=2, queues=queues,
+                     torus=torus, max_steps=300)
+    topology = "torus" if torus else "mesh"
+    return pytest.param(argv, spec, None, id=f"route-{algorithm}-{queues}-{topology}")
+
+
+def _lower_bound_cell(construction):
+    n = 120 if construction == "torus" else 60
+    argv = ["lower-bound", "--construction", construction, "--n", str(n),
+            "--no-completion"]
+    spec = TrialSpec(kind="lower_bound", construction=construction, n=n,
+                     run_to_completion=False, max_steps=2_000_000)
+    return pytest.param(argv, spec, None, id=f"lower-bound-{construction}")
+
+
+#: ``(argv, spec, completes)``: a command line next to the trial it must
+#: print.  ``completes`` pins the outcome of a cell chosen for it (central
+#: farthest-first wedges on this permutation, so a capped run tells the
+#: two queue regimes apart); None accepts either outcome.
+CLI_TRIAL_CELLS = [
+    *(
+        pytest.param(
+            ["route", "--algorithm", "farthest-first", "--queues", queues,
+             "--n", "16", "--k", "2", "--workload", "random", "--max-steps", "60"],
+            TrialSpec(kind="route", algorithm="farthest-first", n=16, k=2,
+                      queues=queues, workload="random", max_steps=60),
+            queues == "incoming",
+            id=queues,
+        )
+        for queues in ("central", "incoming")
+    ),
+    *(
+        _route_cell(algorithm, queues, torus)
+        for algorithm in ROUTE_ALGORITHMS
+        for queues in ("central", "incoming")
+        for torus in (False, True)
+    ),
+    pytest.param(
+        ["route", "--algorithm", "credit-adaptive", "--topology", "mesh3d",
+         "--n", "4", "--k", "2"],
+        TrialSpec(kind="route", algorithm="credit-adaptive", topology="mesh3d",
+                  n=4, k=2),
+        None,
+        id="route-credit-adaptive-mesh3d",
+    ),
+    *(_lower_bound_cell(construction) for construction in CONSTRUCTIONS),
+    *(
+        pytest.param(
+            ["section6", "--n", "27"] + (["--improved"] if improved else []),
+            TrialSpec(kind="section6", n=27, improved=improved),
+            None,
+            id="section6-improved" if improved else "section6",
+        )
+        for improved in (False, True)
+    ),
+]
+
+
+def _result_lines(kind, m):
+    """What the CLI prints for a trial with metrics ``m``, line by line."""
+    if kind == "route":
+        return [
+            f"{m['algorithm_name']} on ",
+            f"{m['delivered']}/{m['total_packets']} in {m['steps']} steps "
+            f"(diameter {m['diameter']}), max queue {m['max_queue_len']}, "
+            f"max node load {m['max_node_load']}, {m['total_moves']} moves\n",
+        ]
+    if kind == "lower_bound":
+        return [
+            f"certified bound {m['bound_steps']} steps, "
+            f"{m['exchange_count']} exchanges, "
+            f"{m['undelivered_at_bound']} packets undelivered at the horizon\n",
+            f"replay: configuration match = {m['configuration_matches']}, "
+            f"deliveries match = {m['delivery_times_match']}\n",
+        ]
+    return [
+        f"delivered {m['delivered']}/{m['total_packets']}; actual "
+        f"{m['actual_steps']} steps, scheduled {m['scheduled_steps']} "
+        f"(bound {m['paper_time_bound']}), max node load {m['max_node_load']} "
+        f"(bound {m['paper_queue_bound']})\n",
+    ]
 
 
 class TestParser:
@@ -63,7 +149,7 @@ class TestCommands:
                  "--k", "2", "--queues", "incoming", "--engine", "array"]
             )
         assert exc.value.code == 2
-        assert "BoundedDimensionOrderRouter" in capsys.readouterr().err
+        assert "is not ported to the array engine" in capsys.readouterr().err
 
     def test_route_array_engine_degraded_links(self, capsys):
         rc = main(["route", "--n", "8", "--engine", "array",
@@ -128,9 +214,16 @@ class TestCommands:
             (["--k", "0"], "queue capacity must be >= 1"),
             (["--availability", "0"], "availability must be in (0, 1]"),
             (["--availability", "1.5"], "availability must be in (0, 1]"),
-            (["--max-steps", "-1"], "--max-steps must be >= 0"),
+            (["--max-steps", "-1"], "max_steps must be >= 1"),
+            (["--n", "1"], "n must be >= 2"),
+            (["--max-steps", "0"], "max_steps must be >= 1"),
+            (["--topology", "torus", "--torus"], "set either 'topology' or 'torus'"),
+            (["--topology", "mesh3d"], "'bounded-dor' is 2D-only"),
+            (["--workload", "nope"], "unknown workload 'nope'"),
         ],
-        ids=["k0", "availability0", "availability1.5", "max-steps-1"],
+        ids=["k0", "availability0", "availability1.5", "max-steps-1", "n1",
+             "max-steps0", "topology-and-torus", "mesh3d-2d-router",
+             "workload-nope"],
     )
     def test_route_out_of_range_argument_is_usage_error(self, flags, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -155,29 +248,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and message in err
 
-    @pytest.mark.parametrize("queues", ["central", "incoming"])
-    def test_route_farthest_first_honours_queues(self, queues, capsys):
-        # Central farthest-first wedges on this permutation, so a capped
-        # run tells the two queue regimes apart.
-        trial = execute_trial(
-            TrialSpec(
-                kind="route", algorithm="farthest-first", n=16, k=2,
-                queues=queues, workload="random", max_steps=60,
-            )
-        )
-        rc = main(
-            ["route", "--algorithm", "farthest-first", "--queues", queues,
-             "--n", "16", "--k", "2", "--workload", "random", "--max-steps", "60"]
-        )
-        assert rc == (0 if trial["completed"] else 1)
-        assert trial["completed"] == (queues == "incoming")
+    @pytest.mark.parametrize("argv,spec,completes", CLI_TRIAL_CELLS)
+    def test_route_farthest_first_honours_queues(self, argv, spec, completes, capsys):
+        # The command line is a thin shell over the trial: same numbers
+        # printed, same exit code as the trial's outcome.
+        trial = execute_trial(spec)
+        rc = main(argv)
+        ok = trial["configuration_matches" if spec.kind == "lower_bound" else "completed"]
+        assert rc == (0 if ok else 1)
+        if completes is not None:
+            assert trial["completed"] == completes
         out = capsys.readouterr().out
-        assert (
-            f"{trial['delivered']}/{trial['total_packets']} in {trial['steps']} "
-            f"steps (diameter {trial['diameter']}), max queue "
-            f"{trial['max_queue_len']}, max node load {trial['max_node_load']}, "
-            f"{trial['total_moves']} moves"
-        ) in out
+        for line in _result_lines(spec.kind, trial):
+            assert line in out
 
     def test_route_with_flaky_links(self, capsys):
         rc = main(
@@ -329,17 +412,11 @@ class TestStreamCommand:
         assert exc.value.code == 2
         assert "cannot load streaming spec" in capsys.readouterr().err
 
-    def test_serve_bad_algorithm_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["serve", "--algorithm", "psychic"])
-        assert exc.value.code == 2
-
     def test_help_lists_all_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for command in ("route", "lower-bound", "section6", "bounds", "verify",
-                        "campaign", "faults", "stream", "serve",
-                        "analyze"):
+                        "campaign", "faults", "stream", "analyze"):
             assert command in out

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.harness.execute import execute_trial
+from repro.harness.specs import TrialSpec
 from repro.mesh import Mesh
 from repro.tiling import Section6Router
 from repro.tiling.state import Section6Violation
@@ -76,6 +78,12 @@ class TestTheorem34Bounds:
             random_permutation(mesh, seed=0)
         )
         assert result.scheduled_steps <= 564 * 81
+
+    @pytest.mark.parametrize("improved,factor", [(False, 972), (True, 564)])
+    def test_trial_records_its_schedule_bound(self, improved, factor):
+        # A stored section6 row carries the bound of the schedule it ran.
+        metrics = execute_trial(TrialSpec(kind="section6", n=27, improved=improved))
+        assert metrics["paper_time_bound"] == factor * 27
 
     @pytest.mark.parametrize("n", [27, 81])
     def test_queue_bound_834(self, n):
