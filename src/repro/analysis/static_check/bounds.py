@@ -55,8 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.mesh.directions import Direction
-from repro.mesh.ndtopology import Port
+from repro.mesh.directions import Direction, Port
 from repro.mesh.queues import CENTRAL, KIND_CENTRAL, KIND_INCOMING
 from repro.mesh.topology import Topology
 from repro.mesh.transitions import DRAIN_ALL, DRAIN_ONE, TransitionModel

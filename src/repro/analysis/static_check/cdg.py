@@ -32,8 +32,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.mesh.directions import Direction
-from repro.mesh.ndtopology import TOPOLOGY_NAMES, Port, build_topology
+from repro.mesh.directions import Direction, Port
+from repro.mesh.ndtopology import TOPOLOGY_NAMES, build_topology
 from repro.mesh.queues import CENTRAL, KIND_CENTRAL, KIND_INCOMING
 from repro.mesh.topology import Topology
 from repro.mesh.transitions import TransitionModel

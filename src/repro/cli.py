@@ -25,7 +25,7 @@ trial with the same fields print and store the same numbers.
 Exit codes are uniform across subcommands: 0 success, 1 the command ran but
 found failures (stalled routing, verification findings, new lint
 violations, CDG disagreements), 2 bad arguments (argparse errors and
-semantic argument validation alike).
+semantic argument validation alike, both reported as ``repro: error: ...``).
 
 Example::
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from repro.core import bounds as bounds_mod
 from repro.harness.execute import (
@@ -59,9 +59,17 @@ from repro.harness.specs import (
 
 
 def _usage_error(message: str) -> SystemExit:
-    """Bad arguments: message on stderr, exit code 2 (matches argparse)."""
+    """Bad arguments: message on stderr, exit code 2."""
     print(f"repro: error: {message}", file=sys.stderr)
     return SystemExit(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections (a bad choice, a malformed
+    number, a missing argument) report like every other usage error."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _usage_error(message)
 
 
 def _build(builder: Callable[..., BuiltTrial], spec: TrialSpec, **options) -> BuiltTrial:
@@ -657,7 +665,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Chinn-Leighton-Tompa (SPAA 1994) reproduction toolkit",
     )

@@ -19,17 +19,14 @@ packet's mutable state, source address, and profitable outlinks -- never its
 destination.
 """
 
-from repro.mesh.directions import Direction, DIRECTIONS
+from repro.mesh.directions import Direction, DIRECTIONS, Port, ports
 from repro.mesh.topology import Mesh, Torus, Topology
 from repro.mesh.ndtopology import (
     MeshND,
-    NdTopology,
-    Port,
     SparsePillarMesh,
     TorusND,
     TOPOLOGY_NAMES,
     build_topology,
-    ports,
 )
 from repro.mesh.packet import Packet
 from repro.mesh.queues import QueueSpec, CENTRAL
@@ -64,7 +61,6 @@ __all__ = [
     "Torus",
     "Topology",
     "MeshND",
-    "NdTopology",
     "Port",
     "SparsePillarMesh",
     "TorusND",

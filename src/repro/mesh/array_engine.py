@@ -13,8 +13,9 @@ and the hypothesis lockstep suite enforce.
 Only the *ported* routers run here -- bounded dimension-order,
 central-queue dimension-order, hot-potato, greedy-adaptive,
 farthest-first, and credit-adaptive, each as a :class:`RouterKernel` --
-and only on plain ``Mesh``/``Torus`` topologies without interceptors or
-link-load recording.  ``Simulator(engine="array")`` always constructs
+and only on regular 2D grids with both axes wrapped or neither (``Mesh``,
+``Torus``, ``MeshND((w, h))``, ...) without interceptors or link-load
+recording.  ``Simulator(engine="array")`` always constructs
 :class:`ArraySimulator`, whose constructor raises ``ValueError`` naming
 the supported set for anything else.  Fault plans
 (:mod:`repro.faults.plan`) attach through
@@ -34,6 +35,7 @@ equivalence-gate protocol.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -53,7 +55,7 @@ from repro.mesh.errors import QueueOverflowError
 from repro.mesh.packet import Packet
 from repro.mesh.queues import CENTRAL
 from repro.mesh.simulator import ScheduledMove, Simulator, StepRecord
-from repro.mesh.topology import Mesh, Torus, Topology
+from repro.mesh.topology import Topology
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -602,8 +604,9 @@ class ArraySimulator(Simulator):
 
     Construct through ``Simulator(..., engine="array")``.  This
     constructor is the one place that decides support: an unported router
-    (subclasses of ported routers included), a topology other than
-    ``Mesh``/``Torus``, an interceptor, or link-load recording raises
+    (subclasses of ported routers included), a topology other than a
+    regular 2D grid with both axes wrapped or neither, an interceptor, or
+    link-load recording raises
     ``ValueError`` naming the supported set.  Capabilities used after
     construction fail fast too: arbitrary ``link_filter`` assignment
     raises at assignment time (fault plans attach through
@@ -641,7 +644,9 @@ class ArraySimulator(Simulator):
             raise ValueError(
                 f"array engine does not support link-load recording; {_supported()}"
             )
-        if type(topology) not in (Mesh, Torus):
+        if not (
+            topology.dims == 2 and topology.regular and len(set(topology.wrap)) == 1
+        ):
             raise ValueError(
                 f"array engine does not support topology {topology!r}; {_supported()}"
             )
@@ -731,16 +736,14 @@ class ArraySimulator(Simulator):
         return CENTRAL if self._central else DIRECTIONS[kidx]
 
     def _load_packets(self, packets: Iterable[Packet]) -> None:
-        topology = self.topology
+        packets = list(packets)
         seen: set[int] = set()
         originating: list[Packet] = []
-        for p in packets:
+        keep: list[int] = []  # index in ``packets`` of each originating packet
+        for i, p in enumerate(packets):
             if p.pid in seen:
                 raise ValueError(f"duplicate packet id {p.pid}")
             seen.add(p.pid)
-            if not topology.contains(p.source) or not topology.contains(p.dest):
-                raise ValueError(f"packet {p.pid} endpoints outside topology")
-            self.total_packets += 1
             if p.injection_time > 0:
                 self._pending.append(p)
                 continue
@@ -749,11 +752,16 @@ class ArraySimulator(Simulator):
                 self.delivery_times[p.pid] = 0
                 continue
             originating.append(p)
+            keep.append(i)
+        # Checks every endpoint, pending and delivered-at-source ones too.
+        pid, src, dst = self._packet_arrays(packets)
+        self.total_packets += len(packets)
         self._known_pids = seen
         self._pending_dirty = bool(self._pending)
         if not originating:
             return
-        pid, src, dst = self._packet_arrays(originating)
+        if len(keep) < len(packets):
+            pid, src, dst = pid[keep], src[keep], dst[keep]
         # The reference engine loads node by node, in order of each node's
         # first appearance, pid-ascending within a node.
         first = _rank_within(src) == 0
@@ -773,17 +781,29 @@ class ArraySimulator(Simulator):
     def _packet_arrays(
         self, packets: list[Packet]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(pid, source flat, dest flat)`` arrays of ``packets``."""
-        h = self._height
+        """``(pid, source flat, dest flat)`` arrays of ``packets``.
+
+        Raises ``ValueError`` naming the first packet with an endpoint
+        outside the grid: one range check over the coordinate arrays,
+        instead of a ``Topology.contains`` call per endpoint.
+        """
         n = len(packets)
         pid = np.fromiter((p.pid for p in packets), dtype=np.int64, count=n)
-        src = np.fromiter(
-            (x * h + y for x, y in (p.source for p in packets)), dtype=np.int64, count=n
-        )
-        dst = np.fromiter(
-            (x * h + y for x, y in (p.dest for p in packets)), dtype=np.int64, count=n
-        )
-        return pid, src, dst
+        ends = np.fromiter(
+            itertools.chain.from_iterable(
+                (sx, sy, dx, dy)
+                for (sx, sy), (dx, dy) in ((p.source, p.dest) for p in packets)
+            ),
+            dtype=np.int64,
+            count=4 * n,
+        ).reshape(n, 2, 2)  # [packet, source/dest, x/y]
+        outside = ((ends < 0) | (ends >= self.topology.shape)).any(axis=(1, 2))
+        if bool(outside.any()):
+            raise ValueError(
+                f"packet {pid[int(np.argmax(outside))]} endpoints outside topology"
+            )
+        flat = ends[:, :, 0] * self._height + ends[:, :, 1]
+        return pid, flat[:, 0], flat[:, 1]
 
     def _injection_slots(
         self, src: np.ndarray, dst: np.ndarray
@@ -1419,6 +1439,7 @@ def _supported() -> str:
     """The supported set, for the constructor's rejection messages."""
     routers = ", ".join(cls.__name__ for cls in _KERNELS)
     return (
-        f"it runs exact instances of {routers} on Mesh or Torus, without "
-        "interceptors or link-load recording; use engine='reference' otherwise"
+        f"it runs exact instances of {routers} on Mesh or Torus (a regular "
+        "2D grid with both axes wrapped or neither), without interceptors or "
+        "link-load recording; use engine='reference' otherwise"
     )

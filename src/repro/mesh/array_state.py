@@ -16,9 +16,11 @@ arrays so each simulator phase becomes a handful of batched operations:
   *creation-order* bookkeeping that mirrors the reference engine's dict
   insertion order (``key_rank`` / ``key_count``), on which their
   fallback scans depend.
-- **Geometry tables** derived from the topology once: flat neighbor ids
-  per direction, an outlink bitmask per node, and the bit widths of the
-  node and distance fields of packed sort keys.
+- **Geometry tables** derived from the topology once: the flat neighbor
+  ids of :meth:`repro.mesh.topology.Topology.link_array` (the table the
+  reference engine's ``neighbor_table`` comes from too), an outlink
+  bitmask per node, and the bit widths of the node and distance fields of
+  packed sort keys.
 
 Everything here is layout and geometry; the per-router scheduling kernels
 live in :mod:`repro.mesh.array_engine`.  Flat node ids follow
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mesh.directions import DIRECTIONS
 from repro.mesh.topology import Topology
 
 #: Direction values (N=0, E=1, S=2, W=3) as an indexable array.
@@ -50,35 +51,29 @@ LOWBIT_DIR[8] = DIR_W
 
 
 class GridGeometry:
-    """Vectorized per-node geometry tables for one mesh or torus.
+    """Vectorized per-node geometry tables for one 2D mesh or torus.
+
+    The kernels' 4-bit direction masks are the compass ``N, E, S, W``, so
+    the topology is a regular 2D grid with both axes wrapped or neither
+    (the array engine's constructor checks this).
 
     Attributes:
         width / height / num_nodes: Grid dimensions.
         wraps: True for the torus.
         nbr_flat: ``(num_nodes, 4)`` flat neighbor ids, -1 where the
-            outlink does not exist (mesh boundary).
+            outlink does not exist (mesh boundary): the topology's
+            :meth:`~repro.mesh.topology.Topology.link_array`.
         out_mask: ``(num_nodes,)`` bitmask of existing outlinks
             (bit ``d`` set when direction ``d`` has a link).
     """
 
     def __init__(self, topology: Topology) -> None:
-        width, height = topology.width, topology.height
+        width, height = topology.shape
         self.width = width
         self.height = height
-        self.num_nodes = width * height
+        self.num_nodes = topology.num_nodes
         self.wraps = topology.wraps
-        xs = np.repeat(np.arange(width, dtype=np.int64), height)
-        ys = np.tile(np.arange(height, dtype=np.int64), width)
-        nbr = np.full((self.num_nodes, 4), -1, dtype=np.int64)
-        for d in DIRECTIONS:
-            nx = xs + d.dx
-            ny = ys + d.dy
-            if self.wraps:
-                nbr[:, d] = (nx % width) * height + (ny % height)
-            else:
-                valid = (nx >= 0) & (nx < width) & (ny >= 0) & (ny < height)
-                nbr[valid, d] = nx[valid] * height + ny[valid]
-        self.nbr_flat = nbr
+        self.nbr_flat = nbr = topology.link_array()
         self.out_mask = (
             (nbr >= 0).astype(np.int64) << np.arange(4, dtype=np.int64)
         ).sum(axis=1)
@@ -109,6 +104,12 @@ class GridGeometry:
             dx = dx_ - px
             dy = dy_ - py
         return dx, dy
+
+    def distance(self, pos: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        """:meth:`repro.mesh.topology.Topology.distance` between flat node
+        ids: ``|dx| + |dy|`` of :meth:`displacement`."""
+        dx, dy = self.displacement(pos, dest)
+        return np.abs(dx) + np.abs(dy)
 
     def profitable_mask(self, pos: np.ndarray, dest: np.ndarray) -> np.ndarray:
         """4-bit profitable-outlink mask from ``pos`` toward ``dest`` (bit

@@ -1,14 +1,24 @@
-"""Compass directions on the mesh.
+"""Link directions: the compass directions of the 2D mesh and the ports
+of a d-dimensional grid.
 
 The paper numbers columns 1..n from west to east and rows 1..n from south to
 north (Section 2, "Definitions").  We use 0-indexed coordinates ``(x, y)``
 where ``x`` grows eastward and ``y`` grows northward, so moving North adds
 ``(0, +1)`` and moving East adds ``(+1, 0)``.
+
+A :class:`Port` is the d-dimensional generalisation of :class:`Direction`:
+an ``int`` whose value doubles as the positional index into per-node link
+tables.  Ports ``0 .. d-1`` move positively along axis ``d-1-p`` (port 0 is
+the positive highest axis) and ports ``d .. 2d-1`` are their negatives
+(``opposite = (p + d) % 2d``).  At ``d = 2`` that encoding *is* the compass
+``N, E, S, W``, so :func:`ports` returns :data:`DIRECTIONS` there: a 2D
+grid has one direction vocabulary, whatever class built it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 
 
 class Direction(enum.IntEnum):
@@ -50,8 +60,8 @@ class Direction(enum.IntEnum):
     def axis(self) -> int:
         """Coordinate axis this direction moves along (x = 0, y = 1).
 
-        Shared with :class:`repro.mesh.ndtopology.Port` so d-dimensional
-        code can treat the four 2D directions as ports of a 2-axis grid.
+        Shared with :class:`Port`: the four directions are the ports of a
+        2-axis grid.
         """
         return _AXIS[self]
 
@@ -104,3 +114,58 @@ HORIZONTAL: tuple[Direction, ...] = (Direction.E, Direction.W)
 
 #: The two vertical directions.
 VERTICAL: tuple[Direction, ...] = (Direction.N, Direction.S)
+
+
+_AXIS_LETTERS = "xyzw"
+
+
+def _axis_letter(axis: int) -> str:
+    return _AXIS_LETTERS[axis] if axis < len(_AXIS_LETTERS) else f"a{axis}"
+
+
+class Port(int):
+    """One link direction of a d-dimensional grid (d != 2).
+
+    An ``int`` subclass (like :class:`Direction`) so ports sort
+    deterministically and index link tables positionally.  Carries the
+    geometric metadata routers and analyzers need: ``axis``, ``sign``,
+    ``opposite``, and a stable ``name`` (``+x``, ``-z``, ..) for reports
+    and witnesses.
+    """
+
+    axis: int
+    sign: int
+    name: str
+    opposite: "Port"
+
+    def __repr__(self) -> str:
+        return f"Port({self.name})"
+
+    def __str__(self) -> str:
+        return self.name
+
+
+@functools.lru_cache(maxsize=None)
+def ports(dims: int) -> tuple[Port, ...] | tuple[Direction, ...]:
+    """The interned link-direction tuple of a ``dims``-dimensional grid.
+
+    :data:`DIRECTIONS` at ``dims == 2``; :class:`Port` objects otherwise.
+    Interned per ``dims`` so every topology of one dimension shares one
+    tuple.
+    """
+    if dims < 1:
+        raise ValueError(f"dims must be >= 1, got {dims}")
+    if dims == 2:
+        return DIRECTIONS
+    out: list[Port] = []
+    for value in range(2 * dims):
+        negative = value >= dims
+        axis = dims - 1 - (value - dims if negative else value)
+        port = Port(value)
+        port.axis = axis
+        port.sign = -1 if negative else 1
+        port.name = ("-" if negative else "+") + _axis_letter(axis)
+        out.append(port)
+    for value, port in enumerate(out):
+        port.opposite = out[(value + dims) % (2 * dims)]
+    return tuple(out)

@@ -1,236 +1,34 @@
-"""Data-driven d-dimensional grid topologies (ROADMAP item: topology as data).
+"""The d-dimensional and irregular grids, and the topology registry.
 
-The 2D :class:`~repro.mesh.topology.Mesh`/:class:`~repro.mesh.topology.Torus`
-classes hard-code the compass vocabulary of the paper.  This module makes a
-topology a *data object*: a shape vector, per-axis wrap flags, and a port
-table — so meshes and tori of any dimension (and irregular variants) share
-one implementation of links, distance, and profitable-outlink queries.
+Every grid is a :class:`~repro.mesh.topology.Topology`: a shape vector and
+per-axis wrap flags, whose links are the :func:`~repro.mesh.directions.ports`
+of its dimension.  This module names the families beyond the paper's 2D
+:class:`~repro.mesh.topology.Mesh`/:class:`~repro.mesh.topology.Torus`:
+:class:`MeshND` and :class:`TorusND` are the regular grids of any dimension,
+and :class:`SparsePillarMesh` is the irregular variant: a 3D mesh whose
+vertical (z) links exist only on a sparse sub-grid of "pillar" columns, the
+express/elevator pattern of hierarchical networks-on-chip.
 
-Ports
------
-A :class:`Port` is the d-dimensional generalisation of
-:class:`~repro.mesh.directions.Direction`: an ``int`` subclass whose value
-doubles as the positional index into per-node link tables.  The encoding is
-chosen so that at ``d = 2`` the four ports coincide *numerically and
-semantically* with ``N, E, S, W``:
-
-- ports ``0 .. d-1`` move positively along axis ``d-1-p`` (port 0 is the
-  positive highest axis — ``N`` at d=2);
-- ports ``d .. 2d-1`` are their negatives (``opposite = (p + d) % 2d``).
-
-Axis 0 is the first coordinate (``x``), matching the 2D convention that
-``(x, y)`` has ``x`` grow eastward (axis 0) and ``y`` northward (axis 1).
-The highest axis is the conventional *escape axis* for dimension-ordered
-drains (N/S in Theorem 15's four-queue organisation).
-
-Concrete topologies
--------------------
-:class:`MeshND` and :class:`TorusND` are the regular grids.
-:class:`SparsePillarMesh` is the irregular variant: a 3D mesh whose
-vertical (z) links exist only on a sparse sub-grid of "pillar" columns,
-the express/elevator pattern of hierarchical networks-on-chip.
+:data:`TOPOLOGY_BUILDERS` maps the registered topology names to builders.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.mesh.topology import Mesh, Topology, Torus
+import numpy as np
 
-Node = tuple[int, ...]
-
-_AXIS_LETTERS = "xyzw"
+from repro.mesh.topology import Mesh, Node, Topology, Torus
 
 
-def _axis_letter(axis: int) -> str:
-    return _AXIS_LETTERS[axis] if axis < len(_AXIS_LETTERS) else f"a{axis}"
-
-
-class Port(int):
-    """One link direction of a d-dimensional grid.
-
-    An ``int`` subclass (like :class:`Direction`) so ports sort
-    deterministically and index link tables positionally.  Carries the
-    geometric metadata routers and analyzers need: ``axis``, ``sign``,
-    ``opposite``, and a stable ``name`` for reports and witnesses.
-    """
-
-    axis: int
-    sign: int
-    dims: int
-    name: str
-    opposite: "Port"
-
-    def __repr__(self) -> str:
-        return f"Port({self.name})"
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@functools.lru_cache(maxsize=None)
-def ports(dims: int) -> tuple[Port, ...]:
-    """The interned port tuple for a ``dims``-dimensional grid.
-
-    Interned per ``dims`` so identity checks and caches shared across
-    topology instances stay cheap, mirroring the module-level
-    ``DIRECTIONS`` tuple of the 2D layer.
-    """
-    if dims < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
-    out: list[Port] = []
-    for value in range(2 * dims):
-        negative = value >= dims
-        axis = dims - 1 - (value - dims if negative else value)
-        sign = -1 if negative else 1
-        port = Port(value)
-        port.axis = axis
-        port.sign = sign
-        port.dims = dims
-        port.name = ("-" if negative else "+") + _axis_letter(axis)
-        out.append(port)
-    for value, port in enumerate(out):
-        port.opposite = out[(value + dims) % (2 * dims)]
-    return tuple(out)
-
-
-class NdTopology(Topology):
-    """A d-dimensional grid with per-axis wrap flags.
-
-    Nodes are coordinate tuples ``(c_0, .., c_{d-1})`` with
-    ``0 <= c_i < shape[i]``; axis ``i`` wraps iff ``wrap[i]``.  All link,
-    distance, and profitability queries derive from this data — subclasses
-    only restrict the link set (see :class:`SparsePillarMesh`).
-    """
-
-    def __init__(self, shape: Sequence[int], wrap: Sequence[bool] | None = None) -> None:
-        shape = tuple(int(s) for s in shape)
-        if not shape or any(s < 1 for s in shape):
-            raise ValueError(f"shape must be a nonempty tuple of sides >= 1, got {shape}")
-        dims = len(shape)
-        wrap = tuple(bool(w) for w in (wrap if wrap is not None else (False,) * dims))
-        if len(wrap) != dims:
-            raise ValueError(f"wrap must have one flag per axis, got {wrap} for shape {shape}")
-        # The 2D base initialiser provides the hot-path caches and the
-        # width/height aliases consumers of 2D instances rely on.
-        super().__init__(shape[0], shape[1] if dims >= 2 else 1)
-        self._shape = shape
-        self._wrap = wrap
-        self.dims = dims
-        self.directions = ports(dims)
-        self.opposites = tuple(p.opposite for p in self.directions)
-        self.wraps = any(wrap)
-        self._pos = {p.axis: p for p in self.directions if p.sign > 0}
-        self._neg = {p.axis: p for p in self.directions if p.sign < 0}
-
-    # -- data-model queries --------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._shape
-
-    @property
-    def wrap(self) -> tuple[bool, ...]:
-        """Per-axis wrap flags (all False = mesh, all True = torus)."""
-        return self._wrap
-
-    @property
-    def num_nodes(self) -> int:
-        count = 1
-        for side in self._shape:
-            count *= side
-        return count
-
-    def nodes(self) -> Iterator[Node]:
-        """All nodes with the first axis outermost (2D column-major order)."""
-        return itertools.product(*(range(side) for side in self._shape))
-
-    def contains(self, node: Node) -> bool:
-        return len(node) == self.dims and all(
-            0 <= c < side for c, side in zip(node, self._shape)
-        )
-
-    def node_index(self, node: Node) -> int:
-        """Flat id in :meth:`nodes` order (mixed radix, last axis fastest)."""
-        index = 0
-        for coord, side in zip(node, self._shape):
-            index = index * side + coord
-        return index
-
-    # -- links ---------------------------------------------------------------
-
-    def _neighbor_uncached(self, node: Node, direction: Port) -> Node | None:
-        axis = direction.axis
-        side = self._shape[axis]
-        coord = node[axis] + direction.sign
-        if self._wrap[axis]:
-            coord %= side
-        elif not 0 <= coord < side:
-            return None
-        return node[:axis] + (coord,) + node[axis + 1 :]
-
-    # -- distance and profitability ------------------------------------------
-
-    def _axis_delta(self, axis: int, src: int, dst: int) -> int:
-        if not self._wrap[axis]:
-            return dst - src
-        side = self._shape[axis]
-        delta = (dst - src) % side
-        if delta > side // 2:
-            delta -= side
-        return delta
-
-    def displacement(self, node: Node, dest: Node) -> Node:
-        """Per-axis signed minimal displacement (wrap ties reported positive)."""
-        return tuple(
-            self._axis_delta(axis, node[axis], dest[axis]) for axis in range(self.dims)
-        )
-
-    def distance(self, a: Node, b: Node) -> int:
-        return sum(abs(delta) for delta in self.displacement(a, b))
-
-    def _profitable_uncached(self, node: Node, dest: Node) -> frozenset[Port]:
-        dirs: list[Port] = []
-        for axis in range(self.dims):
-            src, dst = node[axis], dest[axis]
-            if src == dst:
-                continue
-            if self._wrap[axis]:
-                side = self._shape[axis]
-                forward = (dst - src) % side
-                backward = side - forward
-                if forward < backward:
-                    dirs.append(self._pos[axis])
-                elif forward > backward:
-                    dirs.append(self._neg[axis])
-                else:  # exact half-circumference tie: both ways are shortest
-                    dirs.append(self._pos[axis])
-                    dirs.append(self._neg[axis])
-            else:
-                dirs.append(self._pos[axis] if dst > src else self._neg[axis])
-        return frozenset(dirs)
-
-    @property
-    def diameter(self) -> int:
-        return sum(
-            side // 2 if wrapped else side - 1
-            for side, wrapped in zip(self._shape, self._wrap)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"{type(self).__name__}({'x'.join(map(str, self._shape))})"
-
-
-class MeshND(NdTopology):
+class MeshND(Topology):
     """The d-dimensional mesh: grid links clipped at every boundary."""
 
     def __init__(self, shape: Sequence[int]) -> None:
         super().__init__(shape, wrap=None)
 
 
-class TorusND(NdTopology):
+class TorusND(Topology):
     """The d-dimensional torus: every axis wraps around."""
 
     def __init__(self, shape: Sequence[int]) -> None:
@@ -238,7 +36,7 @@ class TorusND(NdTopology):
         super().__init__(shape, wrap=(True,) * len(shape))
 
 
-class SparsePillarMesh(NdTopology):
+class SparsePillarMesh(Topology):
     """An irregular 3D mesh: z-links only on a sparse grid of pillars.
 
     Horizontal (x/y) links are the full ``n x n`` mesh in every layer;
@@ -263,10 +61,20 @@ class SparsePillarMesh(NdTopology):
         stride = self.pillar_stride
         return node[0] % stride == 0 and node[1] % stride == 0
 
-    def _neighbor_uncached(self, node: Node, direction: Port) -> Node | None:
+    def neighbor(self, node: Node, direction: Any) -> Node | None:
         if direction.axis == 2 and not self.is_pillar(node):
             return None
-        return super()._neighbor_uncached(node, direction)
+        return super().neighbor(node, direction)
+
+    def link_array(self) -> np.ndarray:
+        links = super().link_array()
+        ids = np.arange(self.num_nodes, dtype=np.int64)
+        x, y = ids // self._strides[0], ids // self._strides[1] % self.shape[1]
+        off_pillar = (x % self.pillar_stride != 0) | (y % self.pillar_stride != 0)
+        for port in self.directions:
+            if port.axis == 2:
+                links[off_pillar, port] = -1
+        return links
 
     def _pillar_axis_cost(self, a: int, b: int) -> int:
         """Min walk ``|a - p| + |p - b|`` over pillar coordinates ``p``."""
@@ -277,7 +85,7 @@ class SparsePillarMesh(NdTopology):
         below = lo // stride * stride
         cost = a + b - 2 * below
         above = below + stride
-        if above < self._shape[0]:
+        if above < self.shape[0]:
             cost = min(cost, 2 * above - a - b)
         return cost
 
@@ -290,7 +98,7 @@ class SparsePillarMesh(NdTopology):
         # inequality), so the per-axis pillar costs are exact.
         return self._pillar_axis_cost(a[0], b[0]) + self._pillar_axis_cost(a[1], b[1]) + dz
 
-    def _profitable_uncached(self, node: Node, dest: Node) -> frozenset[Port]:
+    def _profitable_uncached(self, node: Node, dest: Node) -> frozenset[Any]:
         here = self.distance(node, dest)
         return frozenset(
             port
@@ -300,7 +108,7 @@ class SparsePillarMesh(NdTopology):
 
     @property
     def diameter(self) -> int:
-        n, nz = self._shape[0], self._shape[2]
+        n, nz = self.shape[0], self.shape[2]
         worst_walk = max(
             self._pillar_axis_cost(a, b) for a in range(n) for b in range(n)
         )
@@ -336,10 +144,6 @@ def build_topology(name: str, n: int) -> Topology:
 
 
 __all__ = [
-    "Node",
-    "Port",
-    "ports",
-    "NdTopology",
     "MeshND",
     "TorusND",
     "SparsePillarMesh",

@@ -34,7 +34,7 @@ def default_incoming_initial_key(profitable: frozenset[Direction]) -> Direction:
     originates there).
 
     The rule is dimension-agnostic (works for :class:`Direction` and for
-    d-dimensional :class:`~repro.mesh.ndtopology.Port` keys alike): take the
+    d-dimensional :class:`~repro.mesh.directions.Port` keys alike): take the
     profitable direction on the lowest axis, positive side first, and use
     its opposite as the inlink — which reduces to the historical
     E->W, W->E, N->S, S->N table in 2D.
@@ -73,9 +73,9 @@ class QueueSpec:
         self._initial_key = initial_key or default_incoming_initial_key
         # Hot-path tables: arrival_key / initial_key are called once per
         # transmitted packet per step, so precompute the per-direction
-        # arrival map and memoize initial keys per profitable set (the
-        # profitable frozensets are interned by the topology layer, so this
-        # cache stays tiny).
+        # arrival map and memoize initial keys per profitable set (at most
+        # one direction, or a torus tie's two, per axis: few distinct sets,
+        # so this cache stays tiny).
         self._central = self.kind == KIND_CENTRAL
         self._directions: tuple[Any, ...] = DIRECTIONS
         self._arrival_map: dict[Any, Any] = {

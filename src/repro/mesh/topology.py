@@ -1,157 +1,174 @@
-"""Mesh and torus topologies (Section 2 and the torus extension of Section 5).
+"""Grid topologies: the mesh of Section 2, the torus of Section 5, and their
+d-dimensional generalisations, as one data model.
 
-A topology answers purely geometric questions: which nodes exist, which
-links exist, what is the minimal distance between two nodes, and -- the
-quantity the whole paper revolves around -- which outlinks of a node are
-*profitable* for a packet, i.e. bring it strictly closer to its destination.
+A topology is a data object: a shape (side length per axis), one wrap flag
+per axis, and the link table those two determine.  It answers purely
+geometric questions: which nodes exist, which links exist, what is the
+minimal distance between two nodes, and -- the quantity the whole paper
+revolves around -- which outlinks of a node are *profitable* for a packet,
+i.e. bring it strictly closer to its destination.  :class:`Mesh` and
+:class:`Torus` build the paper's 2D instances, whose link directions are
+the compass ``N, E, S, W``; :mod:`repro.mesh.ndtopology` builds the
+d-dimensional and irregular ones (docs/TOPOLOGY.md).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import itertools
+import math
+import operator
+from typing import Any, Iterator, Sequence
 
-from repro.mesh.directions import DIRECTIONS, OPPOSITE, Direction
+import numpy as np
 
-#: Canonical instances of every profitable-outlink set.  At most one
-#: direction per axis can ever be profitable, so few distinct sets exist
-#: per topology family (nine on the 2D mesh, plus the torus's exact-halfway
-#: ties); interning them lets every (node, dest) cache entry share one
-#: frozenset object and keeps downstream dict lookups cheap.  The table is
-#: keyed by ``dims`` as well: d-dimensional ``Port`` keys are value-equal
-#: (and hence hash-equal) to the 2D compass ``Direction`` keys, but a
-#: port's axis/sign meaning depends on the dimension count, so sets from
-#: different dimensionalities must never share a canonical instance.
-_INTERNED_DIRSETS: dict[
-    tuple[int, frozenset[Direction]], frozenset[Direction]
-] = {}
+from repro.mesh.directions import Direction, ports
 
-
-def _intern_dirset(dirs: frozenset[Direction], dims: int = 2) -> frozenset[Direction]:
-    key = (dims, dirs)
-    canon = _INTERNED_DIRSETS.get(key)
-    if canon is None:
-        canon = _INTERNED_DIRSETS.setdefault(key, dirs)
-    return canon
+Node = tuple[int, ...]
 
 
 class Topology:
-    """Base class for rectangular grid topologies.
+    """A d-dimensional grid with per-axis wrap flags.
 
-    Subclasses define edge behaviour (:class:`Mesh` clips at the boundary,
-    :class:`Torus` wraps around).  Coordinates are ``(x, y)`` with
-    ``0 <= x < width`` (west to east) and ``0 <= y < height`` (south to
-    north).
+    Nodes are coordinate tuples ``(c_0, .., c_{d-1})`` with
+    ``0 <= c_i < shape[i]``; axis ``i`` wraps iff ``wrap[i]``.  In 2D the
+    coordinates are ``(x, y)``, ``x`` growing eastward (axis 0) and ``y``
+    northward (axis 1).  Links, distance, displacement and profitable sets
+    all derive from this data; subclasses only restrict the link set (see
+    :class:`~repro.mesh.ndtopology.SparsePillarMesh`) or answer a query
+    faster (:class:`Mesh`).
+
+    Attributes:
+        shape / wrap / dims: Side length and wrap flag per axis, and the
+            axis count.
+        width / height: ``shape[0]`` and ``shape[1]`` (1 when ``dims == 1``).
+        wraps: True when any axis wraps.
+        directions: The link directions (:func:`~repro.mesh.directions.ports`);
+            ``directions[i]`` has integer value ``i``, so link tables are
+            indexed positionally.
+        opposites: ``opposites[d]`` reverses direction ``d``.
     """
 
-    #: Set by subclasses: True when links wrap around the boundary.
-    wraps: bool = False
-
-    #: Topology data contract (see docs/TOPOLOGY.md).  A topology is a data
-    #: object: a node set, a per-node link table indexed by its ``directions``
-    #: tuple, and dimension metadata.  The 2D classes keep the historical
-    #: compass vocabulary; d-dimensional grids override these with ports.
-    dims: int = 2
-    #: All link directions in deterministic order; ``directions[i]`` has
-    #: integer value ``i`` so link tables can be indexed positionally.
-    directions: tuple[Direction, ...] = DIRECTIONS
-    #: ``opposites[d]`` reverses direction ``d`` (hot-path table form).
-    opposites: tuple[Direction, ...] = OPPOSITE
     #: False for irregular variants whose link set is node-dependent beyond
     #: plain boundary clipping (e.g. the sparse-pillar mesh).  Regularity is
     #: what routers rely on for axis-based escape-channel arguments.
     regular: bool = True
 
-    def __init__(self, width: int, height: int | None = None) -> None:
-        if height is None:
-            height = width
-        if width < 1 or height < 1:
-            raise ValueError(f"topology must be at least 1x1, got {width}x{height}")
-        self.width = width
-        self.height = height
-        # Hot-path caches (see docs/PERFORMANCE.md).  Geometry is immutable,
-        # so these are pure memoizations: the profitable-direction cache maps
-        # (node, dest) to an interned frozenset, and the neighbor/outlink
-        # tables are precomputed per node (flat ids via :meth:`node_index`).
-        self._profitable_cache: dict[
-            tuple[tuple[int, int], tuple[int, int]], frozenset[Direction]
-        ] = {}
-        self._neighbor_flat: list[tuple[tuple[int, int] | None, ...]] | None = None
-        self._out_dirs_flat: list[tuple[Direction, ...]] | None = None
+    def __init__(self, shape: Sequence[int], wrap: Sequence[bool] | None = None) -> None:
+        shape = tuple(int(s) for s in shape)
+        if not shape or any(s < 1 for s in shape):
+            raise ValueError(f"shape must be a nonempty tuple of sides >= 1, got {shape}")
+        dims = len(shape)
+        wrap = tuple(bool(w) for w in (wrap if wrap is not None else (False,) * dims))
+        if len(wrap) != dims:
+            raise ValueError(f"wrap must have one flag per axis, got {wrap} for shape {shape}")
+        self.shape = shape
+        self.wrap = wrap
+        self.dims = dims
+        self.width = shape[0]
+        self.height = shape[1] if dims >= 2 else 1
+        self.wraps = any(wrap)
+        self.num_nodes = math.prod(shape)
+        self.directions: tuple[Any, ...] = ports(dims)
+        self.opposites: tuple[Any, ...] = tuple(d.opposite for d in self.directions)
+        self._pos = {d.axis: d for d in self.directions if d.sign > 0}
+        self._neg = {d.axis: d for d in self.directions if d.sign < 0}
+        # Flat-id step of one hop along each axis (last axis fastest).
+        self._strides = tuple(math.prod(shape[axis + 1 :]) for axis in range(dims))
+        # Hot-path memos (docs/PERFORMANCE.md).  Geometry is immutable, so
+        # these are pure: profitable sets per (node, dest), and the
+        # per-node link tables of the reference engine (built on first use).
+        self._profitable_cache: dict[tuple[Node, Node], frozenset[Any]] = {}
+        self._neighbor_flat: list[tuple[Node | None, ...]] | None = None
+        self._out_dirs_flat: list[tuple[Any, ...]] | None = None
 
-    # -- precomputed tables -------------------------------------------------
+    # -- nodes ---------------------------------------------------------------
 
-    def node_index(self, node: tuple[int, int]) -> int:
-        """Flat id of ``node`` in column-major (:meth:`nodes`) order."""
-        return node[0] * self.height + node[1]
+    def nodes(self) -> Iterator[Node]:
+        """All nodes with the first axis outermost (2D: column-major,
+        west-to-east, south-to-north)."""
+        return itertools.product(*(range(side) for side in self.shape))
+
+    def contains(self, node: Node) -> bool:
+        if len(node) != self.dims:
+            return False
+        for coord, side in zip(node, self.shape):
+            if not 0 <= coord < side:
+                return False
+        return True
+
+    def node_index(self, node: Node) -> int:
+        """Flat id in :meth:`nodes` order (2D: ``x * height + y``)."""
+        return sum(map(operator.mul, node, self._strides))
+
+    # -- links ---------------------------------------------------------------
+
+    def link_array(self) -> np.ndarray:
+        """``(num_nodes, 2 * dims)`` flat neighbour ids, -1 where no link.
+
+        Row ``i`` is the node with :meth:`node_index` ``i``; column ``d``
+        is direction ``d``.  Both engines derive their link tables from
+        this array, so a subclass that restricts links restricts them here
+        and in :meth:`neighbor`.
+        """
+        ids = np.arange(self.num_nodes, dtype=np.int64)
+        links = np.empty((self.num_nodes, 2 * self.dims), dtype=np.int64)
+        for d in self.directions:
+            side, stride = self.shape[d.axis], self._strides[d.axis]
+            step = d.sign * stride
+            at_edge = ids // stride % side == (side - 1 if d.sign > 0 else 0)
+            across = ids - (side - 1) * step if self.wrap[d.axis] else -1
+            links[:, d] = np.where(at_edge, across, ids + step)
+        return links
+
+    def neighbor(self, node: Node, direction: Any) -> Node | None:
+        """The node at the far end of ``node``'s outlink ``direction``.
+
+        Returns None when the outlink does not exist (mesh boundary).
+        """
+        axis = direction.axis
+        coord = node[axis] + direction.sign
+        if self.wrap[axis]:
+            coord %= self.shape[axis]
+        elif not 0 <= coord < self.shape[axis]:
+            return None
+        return node[:axis] + (coord,) + node[axis + 1 :]
 
     def _build_tables(self) -> None:
-        nbr: list[tuple[tuple[int, int] | None, ...]] = []
-        outs: list[tuple[Direction, ...]] = []
-        for node in self.nodes():
-            row = tuple(self._neighbor_uncached(node, d) for d in self.directions)
-            nbr.append(row)
-            outs.append(tuple(d for d in self.directions if row[d] is not None))
-        self._neighbor_flat = nbr
-        self._out_dirs_flat = outs
+        links = self.link_array()
+        lookup: list[Node | None] = list(self.nodes())
+        lookup.append(None)  # link id -1 reads the last entry
+        columns = [list(map(lookup.__getitem__, col)) for col in links.T.tolist()]
+        self._neighbor_flat = list(zip(*columns))
+        masks = ((links >= 0) << np.arange(links.shape[1])).sum(axis=1).tolist()
+        by_mask = {
+            mask: tuple(d for d in self.directions if mask >> d & 1)
+            for mask in sorted(set(masks))
+        }
+        self._out_dirs_flat = [by_mask[mask] for mask in masks]
 
-    def neighbor_table(self) -> list[tuple[tuple[int, int] | None, ...]]:
+    def neighbor_table(self) -> list[tuple[Node | None, ...]]:
         """Per-node outlink targets, indexed ``[node_index][direction]``.
 
         Entry ``None`` means the outlink does not exist (mesh boundary).
-        Built once on first use; the simulator's transmit phase reads this
-        instead of recomputing :meth:`neighbor` arithmetic per move.
+        Built once from :meth:`link_array` on first use; the reference
+        engine's transmit phase reads this instead of calling
+        :meth:`neighbor` per move.
         """
         if self._neighbor_flat is None:
             self._build_tables()
         return self._neighbor_flat  # type: ignore[return-value]
 
-    def out_directions_table(self) -> list[tuple[Direction, ...]]:
-        """Per-node outlink directions in (N, E, S, W) order, by flat id."""
+    def out_directions_table(self) -> list[tuple[Any, ...]]:
+        """Per-node outlink directions in ``directions`` order, by flat id."""
         if self._out_dirs_flat is None:
             self._build_tables()
         return self._out_dirs_flat  # type: ignore[return-value]
 
-    # -- basic geometry ----------------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        return self.width * self.height
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Side length per coordinate axis (``(width, height)`` in 2D)."""
-        return (self.width, self.height)
-
-    def nodes(self) -> Iterator[tuple[int, int]]:
-        """All nodes in column-major (west-to-east, south-to-north) order."""
-        for x in range(self.width):
-            for y in range(self.height):
-                yield (x, y)
-
-    def contains(self, node: tuple[int, int]) -> bool:
-        x, y = node
-        return 0 <= x < self.width and 0 <= y < self.height
-
-    # -- links -------------------------------------------------------------
-
-    def neighbor(self, node: tuple[int, int], direction: Direction) -> tuple[int, int] | None:
-        """The node at the far end of ``node``'s outlink ``direction``.
-
-        Returns None when the outlink does not exist (mesh boundary).
-        """
-        return self._neighbor_uncached(node, direction)
-
-    def _neighbor_uncached(
-        self, node: tuple[int, int], direction: Direction
-    ) -> tuple[int, int] | None:
-        """Subclass geometry behind :meth:`neighbor` and the tables."""
-        raise NotImplementedError
-
-    def out_directions(self, node: tuple[int, int]) -> tuple[Direction, ...]:
-        """The directions in which ``node`` has outlinks, in (N, E, S, W) order."""
+    def out_directions(self, node: Node) -> tuple[Any, ...]:
+        """The directions in which ``node`` has outlinks, in ``directions`` order."""
         return self.out_directions_table()[self.node_index(node)]
 
-    def neighbors(self, node: tuple[int, int]) -> list[tuple[int, int]]:
+    def neighbors(self, node: Node) -> list[Node]:
         out = []
         for d in self.directions:
             nb = self.neighbor(node, d)
@@ -159,65 +176,79 @@ class Topology:
                 out.append(nb)
         return out
 
-    # -- distance and profitability -----------------------------------------
+    # -- distance and profitability -------------------------------------------
 
-    def distance(self, a: tuple[int, int], b: tuple[int, int]) -> int:
+    def displacement(self, node: Node, dest: Node) -> Node:
+        """Signed minimal displacement per axis from ``node`` to ``dest``.
+
+        ``dx > 0`` means the destination lies to the east along a shortest
+        path, etc.  On a wrapping axis the shorter way around is chosen; an
+        exact half-circumference tie is reported as positive.
+        """
+        out = []
+        for a, b, side, wrapped in zip(node, dest, self.shape, self.wrap):
+            delta = b - a
+            if wrapped:
+                delta %= side
+                if delta > side // 2:
+                    delta -= side
+            out.append(delta)
+        return tuple(out)
+
+    def distance(self, a: Node, b: Node) -> int:
         """Length of a shortest path from ``a`` to ``b``."""
-        raise NotImplementedError
+        return sum(map(abs, self.displacement(a, b)))
 
-    def profitable_directions(
-        self, node: tuple[int, int], dest: tuple[int, int]
-    ) -> frozenset[Direction]:
+    def profitable_directions(self, node: Node, dest: Node) -> frozenset[Any]:
         """Outlinks of ``node`` that move a packet strictly closer to ``dest``.
 
         This is the only destination-derived information a
         destination-exchangeable algorithm may use (Section 2).  Results are
-        memoized per (node, dest) with interned frozensets: this is the
-        single most-called geometric query in the simulator's step loop.
+        memoized per (node, dest) on this topology: this is the single
+        most-called geometric query in the simulator's step loop.
         """
         key = (node, dest)
         cached = self._profitable_cache.get(key)
         if cached is None:
-            cached = _intern_dirset(self._profitable_uncached(node, dest), self.dims)
-            self._profitable_cache[key] = cached
+            cached = self._profitable_cache[key] = self._profitable_uncached(node, dest)
         return cached
 
-    def _profitable_uncached(
-        self, node: tuple[int, int], dest: tuple[int, int]
-    ) -> frozenset[Direction]:
-        """Subclass geometry behind :meth:`profitable_directions`."""
-        raise NotImplementedError
-
-    def displacement(
-        self, node: tuple[int, int], dest: tuple[int, int]
-    ) -> tuple[int, int]:
-        """Signed minimal displacement ``(dx, dy)`` from ``node`` to ``dest``.
-
-        ``dx > 0`` means the destination lies to the east along a shortest
-        path, etc.  On the torus the shorter way around is chosen; an exact
-        half-circumference tie is reported as positive.
-        """
-        raise NotImplementedError
+    def _profitable_uncached(self, node: Node, dest: Node) -> frozenset[Any]:
+        dirs = []
+        for axis, (src, dst) in enumerate(zip(node, dest)):
+            if src == dst:
+                continue
+            if self.wrap[axis]:
+                side = self.shape[axis]
+                forward = (dst - src) % side
+                backward = side - forward
+                if forward <= backward:
+                    dirs.append(self._pos[axis])
+                if forward >= backward:  # both on an exact half-circumference tie
+                    dirs.append(self._neg[axis])
+            else:
+                dirs.append(self._pos[axis] if dst > src else self._neg[axis])
+        return frozenset(dirs)
 
     @property
     def diameter(self) -> int:
-        raise NotImplementedError
+        return sum(
+            side // 2 if wrapped else side - 1 for side, wrapped in zip(self.shape, self.wrap)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"{type(self).__name__}({self.width}x{self.height})"
+        return f"{type(self).__name__}({'x'.join(map(str, self.shape))})"
 
 
 #: Mesh profitable-direction sets, indexed ``[sign(dx) + 1][sign(dy) + 1]``
 #: where ``(dx, dy)`` is the displacement from node to destination.  On the
 #: mesh the profitable set depends on nothing but those two signs, so the
-#: whole query collapses to one table lookup (shared interned instances).
+#: whole query collapses to one table lookup.
 _MESH_PROFITABLE: tuple[tuple[frozenset[Direction], ...], ...] = tuple(
     tuple(
-        _intern_dirset(
-            frozenset(
-                ([Direction.N] if sy > 0 else [Direction.S] if sy < 0 else [])
-                + ([Direction.E] if sx > 0 else [Direction.W] if sx < 0 else [])
-            )
+        frozenset(
+            ([Direction.N] if sy > 0 else [Direction.S] if sy < 0 else [])
+            + ([Direction.E] if sx > 0 else [Direction.W] if sx < 0 else [])
         )
         for sy in (-1, 0, 1)
     )
@@ -228,107 +259,18 @@ _MESH_PROFITABLE: tuple[tuple[frozenset[Direction], ...], ...] = tuple(
 class Mesh(Topology):
     """The ``width x height`` mesh: bidirectional links between grid neighbours."""
 
-    wraps = False
+    def __init__(self, width: int, height: int | None = None) -> None:
+        super().__init__((width, width if height is None else height))
 
-    def profitable_directions(
-        self, node: tuple[int, int], dest: tuple[int, int]
-    ) -> frozenset[Direction]:
-        # Overrides the base memo: the sign table needs no per-pair cache.
+    def profitable_directions(self, node: Node, dest: Node) -> frozenset[Any]:
+        # The sign table needs no per-pair memo.
         dx = dest[0] - node[0]
         dy = dest[1] - node[1]
         return _MESH_PROFITABLE[(dx > 0) - (dx < 0) + 1][(dy > 0) - (dy < 0) + 1]
-
-    def _neighbor_uncached(self, node: tuple[int, int], direction: Direction) -> tuple[int, int] | None:
-        x, y = node
-        nx, ny = x + direction.dx, y + direction.dy
-        if 0 <= nx < self.width and 0 <= ny < self.height:
-            return (nx, ny)
-        return None
-
-    def distance(self, a: tuple[int, int], b: tuple[int, int]) -> int:
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-    def displacement(self, node: tuple[int, int], dest: tuple[int, int]) -> tuple[int, int]:
-        return (dest[0] - node[0], dest[1] - node[1])
-
-    def _profitable_uncached(
-        self, node: tuple[int, int], dest: tuple[int, int]
-    ) -> frozenset[Direction]:
-        dirs = []
-        dx = dest[0] - node[0]
-        dy = dest[1] - node[1]
-        if dy > 0:
-            dirs.append(Direction.N)
-        elif dy < 0:
-            dirs.append(Direction.S)
-        if dx > 0:
-            dirs.append(Direction.E)
-        elif dx < 0:
-            dirs.append(Direction.W)
-        return frozenset(dirs)
-
-    @property
-    def diameter(self) -> int:
-        return (self.width - 1) + (self.height - 1)
 
 
 class Torus(Topology):
     """The ``width x height`` torus: the mesh with wraparound links."""
 
-    wraps = True
-
-    def _neighbor_uncached(self, node: tuple[int, int], direction: Direction) -> tuple[int, int] | None:
-        x, y = node
-        return ((x + direction.dx) % self.width, (y + direction.dy) % self.height)
-
-    @staticmethod
-    def _axis_delta(src: int, dst: int, size: int) -> int:
-        """Signed shortest displacement along one wrapping axis.
-
-        A tie (``|delta| == size/2`` for even ``size``) is reported as
-        positive so results stay deterministic.
-        """
-        delta = (dst - src) % size
-        if delta > size // 2:
-            delta -= size
-        return delta
-
-    def displacement(self, node: tuple[int, int], dest: tuple[int, int]) -> tuple[int, int]:
-        return (
-            self._axis_delta(node[0], dest[0], self.width),
-            self._axis_delta(node[1], dest[1], self.height),
-        )
-
-    def distance(self, a: tuple[int, int], b: tuple[int, int]) -> int:
-        dx, dy = self.displacement(a, b)
-        return abs(dx) + abs(dy)
-
-    def _profitable_uncached(
-        self, node: tuple[int, int], dest: tuple[int, int]
-    ) -> frozenset[Direction]:
-        dirs: list[Direction] = []
-        dxr = (dest[0] - node[0]) % self.width
-        dyr = (dest[1] - node[1]) % self.height
-        if dyr != 0:
-            # Moving north reduces distance iff the northward way is at most
-            # as long as the southward way.
-            if dyr < self.height - dyr:
-                dirs.append(Direction.N)
-            elif dyr > self.height - dyr:
-                dirs.append(Direction.S)
-            else:  # exact tie: both ways are shortest
-                dirs.append(Direction.N)
-                dirs.append(Direction.S)
-        if dxr != 0:
-            if dxr < self.width - dxr:
-                dirs.append(Direction.E)
-            elif dxr > self.width - dxr:
-                dirs.append(Direction.W)
-            else:
-                dirs.append(Direction.E)
-                dirs.append(Direction.W)
-        return frozenset(dirs)
-
-    @property
-    def diameter(self) -> int:
-        return self.width // 2 + self.height // 2
+    def __init__(self, width: int, height: int | None = None) -> None:
+        super().__init__((width, width if height is None else height), wrap=(True, True))

@@ -394,9 +394,9 @@ class MinimalityOracle(DualPathOracle):
     ) -> None:
         """The array path: both checks vectorized over the step's moves.
 
-        Distances come from the topology's shape and each packet's own
-        source and destination (cached per slot), not from the engine's
-        destination array.
+        Distances come from the engine's grid geometry and each packet's
+        own source and destination (cached per slot), not from the
+        engine's destination array.
         """
         delta = sim.algorithm.excursion_delta()
         if delta is None or not len(moves):
@@ -406,10 +406,11 @@ class MinimalityOracle(DualPathOracle):
         slots = moves.slots
         src = self._ends.src[slots]
         dest = self._ends.dest[slots]
-        width, height = topo.width, topo.height
+        height = topo.height
         if sim.algorithm.minimal:
-            before = _grid_distance(moves.src, dest, width, height, topo.wraps)
-            after = _grid_distance(moves.target, dest, width, height, topo.wraps)
+            geom = sim._state.geom
+            before = geom.distance(moves.src, dest)
+            after = geom.distance(moves.target, dest)
             for i in np.flatnonzero(after != before - 1).tolist():
                 p = sim._packet_of[int(slots[i])]
                 a, b = int(moves.src[i]), int(moves.target[i])
@@ -543,18 +544,6 @@ class _SlotEndpoints:
         self.dest = np.concatenate([self.dest, np.array(dest, dtype=np.int64)])
 
 
-def _grid_distance(
-    a: NDArray[Any], b: NDArray[Any], width: int, height: int, wraps: bool
-) -> NDArray[Any]:
-    """``Topology.distance`` between flat node ids on a mesh or torus."""
-    dx = np.abs(a // height - b // height)
-    dy = np.abs(a % height - b % height)
-    if wraps:
-        dx = np.minimum(dx, width - dx)
-        dy = np.minimum(dy, height - dy)
-    return dx + dy
-
-
 def _rectangle_excess(
     pos: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]
 ) -> int:
@@ -615,11 +604,9 @@ class StepBoundOracle(Oracle):
         st = sim._state
         act = sim._act
         g = st.geom
-        queued = sim.time + _grid_distance(
-            st.posf[act], st.destf[act], g.width, g.height, g.wraps
-        )
+        queued = sim.time + g.distance(st.posf[act], st.destf[act])
         ptime, ppid, psrc, pdst = sim.pending_arrays()
-        pending = ptime + _grid_distance(psrc, pdst, g.width, g.height, g.wraps)
+        pending = ptime + g.distance(psrc, pdst)
         pids = np.concatenate([st.pids[act], ppid])
         return pids.tolist(), np.concatenate([queued, pending]).tolist()
 

@@ -220,10 +220,11 @@ class TestCommands:
             (["--topology", "torus", "--torus"], "set either 'topology' or 'torus'"),
             (["--topology", "mesh3d"], "'bounded-dor' is 2D-only"),
             (["--workload", "nope"], "unknown workload 'nope'"),
+            (["--algorithm", "nope"], "invalid choice"),
         ],
         ids=["k0", "availability0", "availability1.5", "max-steps-1", "n1",
              "max-steps0", "topology-and-torus", "mesh3d-2d-router",
-             "workload-nope"],
+             "workload-nope", "algorithm-nope"],
     )
     def test_route_out_of_range_argument_is_usage_error(self, flags, message, capsys):
         with pytest.raises(SystemExit) as exc:

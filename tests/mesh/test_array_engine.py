@@ -10,7 +10,7 @@ it does not model instead of guessing at them.
 import numpy as np
 import pytest
 
-from repro.mesh import Mesh, Packet, Simulator, Torus
+from repro.mesh import Mesh, Packet, Simulator, Topology, Torus
 from repro.mesh.array_engine import ArraySimulator, ported_router_types
 from repro.mesh.errors import QueueOverflowError
 from repro.verify.engine_equivalence import LockstepReport, lockstep
@@ -64,6 +64,23 @@ class TestDispatch:
         sim = make(topology=Torus(6))
         assert sim.engine_name == "array"
 
+    @pytest.mark.parametrize(
+        "grid,twin",
+        [(MeshND((6, 6)), Mesh(6)), (TorusND((6, 6)), Torus(6))],
+        ids=["meshnd", "torusnd"],
+    )
+    def test_2d_grid_runs_like_mesh_and_torus(self, grid, twin):
+        """Support is a property of the data (a regular 2D grid with both
+        axes wrapped or neither), not of the class that built it."""
+        results = []
+        for topology in (grid, twin):
+            sim = make(topology=topology, algorithm=GreedyAdaptiveRouter(2, "incoming"))
+            assert sim.engine_name == "array"
+            sim.run(max_steps=500)
+            results.append(sim.result())
+        assert results[0].completed
+        assert results[0] == results[1]
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             make(engine="simd")
@@ -84,7 +101,12 @@ class TestDispatch:
 
     @pytest.mark.parametrize(
         "topology",
-        [MeshND((4, 4, 4)), TorusND((4, 4, 4)), SparsePillarMesh(4, layers=3)],
+        [
+            MeshND((4, 4, 4)),
+            TorusND((4, 4, 4)),
+            SparsePillarMesh(4, layers=3),
+            Topology((6, 6), wrap=(True, False)),
+        ],
         ids=repr,
     )
     def test_nd_topology_raises(self, topology):

@@ -133,20 +133,20 @@ class TestTorus:
     def test_axis_delta_halfway_positive_every_even_size(self):
         """Regression for the halfway tie-break on even sizes.
 
-        ``_axis_delta`` once special-cased ``delta == size // 2`` in a
+        The per-axis delta once special-cased ``delta == size // 2`` in a
         dead ``elif`` branch; the simplification must keep reporting the
         tie as +size/2 (never -size/2) for every even size and origin."""
         for size in (2, 4, 6, 8, 10):
             half = size // 2
             for src in range(size):
-                delta = Torus._axis_delta(src, (src + half) % size, size)
+                delta = Torus(size).displacement((src, 0), ((src + half) % size, 0))[0]
                 assert delta == half
 
     def test_axis_delta_range_and_inverse(self):
         for size in (4, 5, 8):
             for src in range(size):
                 for dst in range(size):
-                    delta = Torus._axis_delta(src, dst, size)
+                    delta = Torus(size).displacement((src, 0), (dst, 0))[0]
                     assert -size // 2 < delta <= size // 2
                     assert (src + delta) % size == dst
 

@@ -2,8 +2,9 @@
 
 The 2D suite (``test_topology_properties.py``) pins the compass behaviour
 of :class:`Mesh`/:class:`Torus`; this suite checks the same invariants on
-the data-driven :class:`NdTopology` family for d in 1..4, plus the
-encoding laws of :func:`ports` and an exhaustive BFS cross-check of the
+the :class:`MeshND`/:class:`TorusND` grids for d in 1..4, plus the
+encoding laws of :func:`ports`, the agreement of the numpy link table
+with the scalar ``neighbor``, and an exhaustive BFS cross-check of the
 distance closed forms: the irregular :class:`SparsePillarMesh` and the 2D
 :class:`Mesh`/:class:`Torus` pair.
 """
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mesh.directions import DIRECTIONS
-from repro.mesh.ndtopology import MeshND, SparsePillarMesh, TorusND, ports
-from repro.mesh.topology import Mesh, Torus
+from repro.mesh.directions import DIRECTIONS, ports
+from repro.mesh.ndtopology import MeshND, SparsePillarMesh, TorusND
+from repro.mesh.topology import Mesh, Topology, Torus
 
 
 @st.composite
@@ -83,6 +84,33 @@ def test_wrap_tie_has_both_directions_profitable(case):
         d = abs(a[axis] - b[axis])
         tie = topo.wrap[axis] and side % 2 == 0 and d == side // 2
         assert len(on_axis) == (2 if tie else (0 if d == 0 else 1))
+
+
+def _assert_link_array_matches_neighbor(topo):
+    links = topo.link_array()
+    assert links.shape == (topo.num_nodes, 2 * topo.dims)
+    for a in topo.nodes():
+        for p in topo.directions:
+            nb = topo.neighbor(a, p)
+            expected = -1 if nb is None else topo.node_index(nb)
+            assert links[topo.node_index(a), p] == expected, (a, p)
+
+
+@given(nd_case())
+@settings(max_examples=100)
+def test_link_array_matches_neighbor(case):
+    """The numpy link table both engines read is the scalar ``neighbor``."""
+    topo, _, _ = case
+    _assert_link_array_matches_neighbor(topo)
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [Topology((4, 3, 5), wrap=(True, False, True)), SparsePillarMesh(4, layers=3)],
+    ids=["mixed-wrap", "pillar"],
+)
+def test_link_array_matches_neighbor_irregular_and_mixed(topo):
+    _assert_link_array_matches_neighbor(topo)
 
 
 @given(nd_case())
