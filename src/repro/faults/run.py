@@ -28,6 +28,7 @@ from typing import Any, Iterable
 from repro.analysis.stats import degradation_metrics, percentile, violation_counts
 from repro.faults.plan import FaultPlan
 from repro.faults.resilience import ResilienceManager
+from repro.mesh.batch import PacketBatch
 from repro.mesh.interfaces import RoutingAlgorithm
 from repro.mesh.packet import Packet
 from repro.mesh.simulator import RunResult, Simulator
@@ -127,12 +128,10 @@ def run_faulty(
     the oracles' job here, and record mode must be able to observe a
     queue overflow rather than die on the simulator's own check.
     """
-    original_packets = list(packets)
-    injection_time = {p.pid: p.injection_time for p in original_packets}
+    batch = PacketBatch.of(packets, topology)
+    injection_time = dict(zip(batch.pid.tolist(), batch.injection_time.tolist()))
 
-    sim = Simulator(
-        topology, algorithm, original_packets, validate=False, engine=engine
-    )
+    sim = Simulator(topology, algorithm, batch, validate=False, engine=engine)
     plan.attach(sim)
     checker = attach_checker(
         sim,

@@ -29,6 +29,7 @@ from repro.mesh.ndtopology import (
     build_topology,
 )
 from repro.mesh.packet import Packet
+from repro.mesh.batch import PacketBatch
 from repro.mesh.queues import QueueSpec, CENTRAL
 from repro.mesh.visibility import PacketView, FullPacketView, Offer
 from repro.mesh.interfaces import RoutingAlgorithm, RoutingContract, NodeContext
@@ -68,6 +69,7 @@ __all__ = [
     "build_topology",
     "ports",
     "Packet",
+    "PacketBatch",
     "QueueSpec",
     "CENTRAL",
     "PacketView",

@@ -24,19 +24,21 @@ per-step availability mask over the scheduled moves, evaluated from the
 same pure counter-hash draws as the reference engine's ``link_filter``
 path -- so faulty runs are byte-identical across engines too.
 
-The compatibility surface (``queues``, ``configuration()``,
-``iter_packets`` and the observer hooks' move lists) is provided by
-materializing Packet objects on demand.  The hot path never touches
-them, and the verify oracles read the arrays directly, so a run without
-object-level observers -- checked or not -- stays fully vectorized.  See
+Packets are loaded from a :class:`~repro.mesh.batch.PacketBatch`'s flat
+arrays (a Packet list is converted to one first), and a slot's Packet
+object is resolved only when something asks for it.  The compatibility
+surface (``queues``, ``configuration()``, ``iter_packets`` and the
+observer hooks' move lists) is provided by materializing those objects
+on demand.  The hot path never touches them, and the verify oracles read
+the arrays directly, so a run without object-level observers -- checked
+or not -- builds no Packet from a batch and stays fully vectorized.  See
 docs/PERFORMANCE.md for the memory layout, the porting checklist, and the
 equivalence-gate protocol.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence, Sized
 
 import numpy as np
 
@@ -50,6 +52,7 @@ from repro.mesh.array_state import (
     ArrayState,
     GridGeometry,
 )
+from repro.mesh.batch import PacketBatch
 from repro.mesh.directions import DIRECTIONS, Direction
 from repro.mesh.errors import QueueOverflowError
 from repro.mesh.packet import Packet
@@ -577,7 +580,7 @@ class ArrayMoves(Sequence[ScheduledMove]):
             return moves
         engine = self._engine
         height = engine._height
-        packet_of = engine._packet_of
+        packet_of = engine._slots.objects()
         current = engine.time == self._time
         moves = []
         for slot, src_f, d, tgt_f in zip(
@@ -597,6 +600,76 @@ class ArrayMoves(Sequence[ScheduledMove]):
             )
         self._moves = moves
         return moves
+
+
+class SlotPackets:
+    """The packet behind each array-engine slot, built only when read.
+
+    Slots are numbered in placement order.  Per slot the store keeps the
+    source and destination flat ids the caller gave, written once when the
+    slot is created and never from the engine's working arrays, so the
+    verify oracles measure each move against them independently.  It also
+    resolves each slot to its Packet: the loaded slots to the loaded
+    batch's own objects, which the batch builds only when :meth:`objects`
+    is first called, and the slots injected later to the pending pool's
+    Packets.
+    """
+
+    def __init__(self) -> None:
+        self.size = 0
+        self._ends = np.zeros((2, 64), dtype=np.int64)  # [source/dest, slot]
+        self._batch: PacketBatch | None = None
+        self._index = _EMPTY  # batch index of each loaded slot
+        self._later: list[Packet] = []  # Packets of the slots after those
+        self._objects: list[Packet] | None = None
+
+    @property
+    def source(self) -> np.ndarray:
+        """Source flat id per slot, as the caller gave it."""
+        return self._ends[0, : self.size]
+
+    @property
+    def dest(self) -> np.ndarray:
+        """Destination flat id per slot, as the caller gave it."""
+        return self._ends[1, : self.size]
+
+    def _add_ends(self, src: np.ndarray, dst: np.ndarray) -> None:
+        start = self.size
+        self.size = end = start + len(src)
+        if end > self._ends.shape[1]:
+            grown = np.zeros((2, max(end, 2 * self._ends.shape[1])), dtype=np.int64)
+            grown[:, :start] = self._ends[:, :start]
+            self._ends = grown
+        self._ends[0, start:end] = src
+        self._ends[1, start:end] = dst
+
+    def load(self, batch: PacketBatch, index: np.ndarray) -> None:
+        """The first slots (called before any :meth:`append`) are
+        ``batch``'s packets at ``index``."""
+        self._add_ends(batch.source[index], batch.dest[index])
+        self._batch = batch
+        self._index = index
+
+    def append(self, packets: list[Packet], src: np.ndarray, dst: np.ndarray) -> None:
+        """New slots for ``packets``, with flat endpoints ``src``/``dst``."""
+        self._add_ends(src, dst)
+        if self._objects is None:
+            self._later.extend(packets)
+        else:
+            self._objects.extend(packets)
+
+    def objects(self) -> list[Packet]:
+        """Slot -> Packet, for every slot created so far."""
+        objects = self._objects
+        if objects is None:
+            objects = []
+            if self._batch is not None:
+                loaded = self._batch.objects()
+                objects = [loaded[i] for i in self._index.tolist()]
+            objects.extend(self._later)
+            self._objects = objects
+            self._later = []
+        return objects
 
 
 class ArraySimulator(Simulator):
@@ -716,9 +789,11 @@ class ArraySimulator(Simulator):
         self._arrival_pos = _EMPTY
         if algorithm.uses_credit:
             algorithm.attach_credit_probe(self._downstream_occupancy)
-        self._packet_of: list[Packet] = []  # slot -> Packet
-        self._slot_of: dict[int, int] = {}  # pid -> slot (in-network only)
-        self._known_pids: set[int] = set()
+        self._slots = SlotPackets()
+        # The loaded pids; the set of every pid seen is made from them on
+        # the first inject_packet/offer_packets call (see _known).
+        self._loaded_pids = _EMPTY
+        self._known_pids: set[int] | None = None
         self._act = _EMPTY  # slots currently in the network
         self._seq = 0
         self._mat: dict | None = None  # cached materialized queues
@@ -736,74 +811,43 @@ class ArraySimulator(Simulator):
         return CENTRAL if self._central else DIRECTIONS[kidx]
 
     def _load_packets(self, packets: Iterable[Packet]) -> None:
-        packets = list(packets)
-        seen: set[int] = set()
-        originating: list[Packet] = []
-        keep: list[int] = []  # index in ``packets`` of each originating packet
-        for i, p in enumerate(packets):
-            if p.pid in seen:
-                raise ValueError(f"duplicate packet id {p.pid}")
-            seen.add(p.pid)
-            if p.injection_time > 0:
-                self._pending.append(p)
-                continue
-            p.pos = p.source
-            if p.source == p.dest:
-                self.delivery_times[p.pid] = 0
-                continue
-            originating.append(p)
-            keep.append(i)
-        # Checks every endpoint, pending and delivered-at-source ones too.
-        pid, src, dst = self._packet_arrays(packets)
-        self.total_packets += len(packets)
-        self._known_pids = seen
-        self._pending_dirty = bool(self._pending)
-        if not originating:
+        if isinstance(packets, Sized) and not len(packets):
+            return  # nothing to load, so no packet arrays to build
+        # The batch refuses repeated pids and foreign endpoints.
+        batch = PacketBatch.of(packets, self.topology)
+        pid, src, dst, time = batch.pid, batch.source, batch.dest, batch.injection_time
+        self.total_packets += len(pid)
+        self._loaded_pids = pid
+        later = time > 0
+        home = ~later & (src == dst)
+        if bool(later.any()):
+            wait = np.flatnonzero(later)
+            wait = wait[np.lexsort((pid[wait], time[wait]))]
+            objects = batch.objects()
+            self._pending = [objects[i] for i in wait.tolist()]
+            self._pend = (time[wait], pid[wait], src[wait], dst[wait])
+        if bool(home.any()):
+            self.delivery_times.update(dict.fromkeys(pid[home].tolist(), 0))
+        index = np.flatnonzero(~later & ~home)
+        if not len(index):
             return
-        if len(keep) < len(packets):
-            pid, src, dst = pid[keep], src[keep], dst[keep]
-        # The reference engine loads node by node, in order of each node's
-        # first appearance, pid-ascending within a node.
-        first = _rank_within(src) == 0
-        appearance = np.empty(self._state.geom.num_nodes, dtype=np.int64)
-        appearance[src[first]] = np.flatnonzero(first)
-        order = np.lexsort((pid, appearance[src]))
-        if bool((order[1:] < order[:-1]).any()):
-            originating = [originating[i] for i in order.tolist()]
-            pid, src, dst = pid[order], src[order], dst[order]
+        pid, src, dst = pid[index], src[index], dst[index]
+        if not bool((src[1:] > src[:-1]).all()):
+            # The reference engine loads node by node, in order of each
+            # node's first appearance, pid-ascending within a node (sources
+            # that only ascend are that order already).
+            first = _rank_within(src) == 0
+            appearance = np.empty(self._state.geom.num_nodes, dtype=np.int64)
+            appearance[src[first]] = np.flatnonzero(first)
+            order = np.lexsort((pid, appearance[src]))
+            index, pid, src, dst = index[order], pid[order], src[order], dst[order]
         # Load-time FIFO sequence = pid: per-queue load order is
         # pid-ascending, matching the reference append order.
-        self._place(originating, pid, src, dst, qseq=pid)
+        self._place(pid, src, dst, qseq=pid)
+        self._slots.load(batch, index)
         self._seq = int(pid.max()) + 1
         if int(pid.min()) < 0:
             self._renumber_qseq()  # packed sort keys need qseq >= 0
-
-    def _packet_arrays(
-        self, packets: list[Packet]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(pid, source flat, dest flat)`` arrays of ``packets``.
-
-        Raises ``ValueError`` naming the first packet with an endpoint
-        outside the grid: one range check over the coordinate arrays,
-        instead of a ``Topology.contains`` call per endpoint.
-        """
-        n = len(packets)
-        pid = np.fromiter((p.pid for p in packets), dtype=np.int64, count=n)
-        ends = np.fromiter(
-            itertools.chain.from_iterable(
-                (sx, sy, dx, dy)
-                for (sx, sy), (dx, dy) in ((p.source, p.dest) for p in packets)
-            ),
-            dtype=np.int64,
-            count=4 * n,
-        ).reshape(n, 2, 2)  # [packet, source/dest, x/y]
-        outside = ((ends < 0) | (ends >= self.topology.shape)).any(axis=(1, 2))
-        if bool(outside.any()):
-            raise ValueError(
-                f"packet {pid[int(np.argmax(outside))]} endpoints outside topology"
-            )
-        flat = ends[:, :, 0] * self._height + ends[:, :, 1]
-        return pid, flat[:, 0], flat[:, 1]
 
     def _injection_slots(
         self, src: np.ndarray, dst: np.ndarray
@@ -831,7 +875,6 @@ class ArraySimulator(Simulator):
 
     def _place(
         self,
-        packets: list[Packet],
         pid: np.ndarray,
         src: np.ndarray,
         dst: np.ndarray,
@@ -839,7 +882,8 @@ class ArraySimulator(Simulator):
         qseq: np.ndarray | None = None,
     ) -> np.ndarray:
         """Queue packets at their sources, in the given order; returns the
-        placed mask.
+        placed mask.  The caller registers the placed packets' slots with
+        :class:`SlotPackets`.
 
         ``qseq=None`` is dynamic injection: a packet whose injection queue
         is full stays out (the caller keeps it pending) -- per queue, the
@@ -850,11 +894,12 @@ class ArraySimulator(Simulator):
         """
         st = self._state
         kidx, slot = self._injection_slots(src, dst)
-        rank = _rank_within(slot)
+        # Rank of each packet within its queue: admission reads it, and the
+        # queue-creation order (a key is created by its first placement).
+        rank = _rank_within(slot) if qseq is None or st.key_rank is not None else None
         if qseq is None:
             placed = rank < self.spec.capacity - st.occ.ravel()[slot]
             if not bool(placed.all()):
-                packets = [p for p, ok in zip(packets, placed.tolist()) if ok]
                 pid, src, dst = pid[placed], src[placed], dst[placed]
                 kidx, slot, rank = kidx[placed], slot[placed], rank[placed]
             n = len(pid)
@@ -865,19 +910,12 @@ class ArraySimulator(Simulator):
             placed = np.ones(len(pid), dtype=bool)
         if not len(pid):
             return placed
-        track_age = st.track_age
-        for p in packets:
-            p.pos = p.source
-            if track_age:
-                p.state = 0
         slots = st.new_slots(pid, src, dst, kidx, qseq)
-        self._packet_of.extend(packets)
-        self._slot_of.update(zip((p.pid for p in packets), range(slots[0], slots[-1] + 1)))
         np.add.at(st.occ.ravel(), slot, 1)
         np.add.at(st.load, src, 1)
         self._in_flight += len(pid)
         if st.key_rank is not None:
-            first = rank == 0  # a queue key is created by its first placement
+            first = rank == 0
             self._record_key_creations(src[first], kidx[first])
         # Every queue and node load increase updates the maxima, so the
         # maxima over all queues are the maxima over the touched ones.
@@ -933,7 +971,7 @@ class ArraySimulator(Simulator):
         slots = act[order]
         height = self._height
         central = self._central
-        packet_of = self._packet_of
+        packet_of = self._slots.objects()
         pos_l = st.posf[slots].tolist()
         key_l = st.qkey[slots].tolist()
         age_l = st.age[slots].tolist() if st.track_age else None
@@ -1045,8 +1083,14 @@ class ArraySimulator(Simulator):
         self._fault_plan = plan
         self._plan_filter = plan.as_link_filter(self.topology)
 
+    def _known(self) -> set[int]:
+        known = self._known_pids
+        if known is None:
+            self._known_pids = known = set(self._loaded_pids.tolist())
+        return known
+
     def _check_new_pid(self, packet: Packet) -> None:
-        if packet.pid in self._known_pids:
+        if packet.pid in self._known():
             raise ValueError(f"duplicate packet id {packet.pid}")
         if not self.topology.contains(packet.source) or not self.topology.contains(
             packet.dest
@@ -1056,8 +1100,9 @@ class ArraySimulator(Simulator):
     def _check_new_offers(
         self, pids: range, sources: np.ndarray, dests: np.ndarray
     ) -> None:
-        if not self._known_pids.isdisjoint(pids):
-            dup = min(set(pids) & self._known_pids)
+        known = self._known()
+        if not known.isdisjoint(pids):
+            dup = min(set(pids) & known)
             raise ValueError(f"duplicate packet id {dup}")
         n = self._state.geom.num_nodes
         bad = (sources < 0) | (sources >= n) | (dests < 0) | (dests >= n)
@@ -1069,7 +1114,7 @@ class ArraySimulator(Simulator):
     def inject_packet(self, packet: Packet) -> None:
         """Add a dynamic packet mid-run (same admission rule as load time)."""
         self._check_new_pid(packet)
-        self._known_pids.add(packet.pid)
+        self._known().add(packet.pid)
         self.total_packets += 1
         self._pending.append(packet)
         self._pending_dirty = True
@@ -1086,7 +1131,7 @@ class ArraySimulator(Simulator):
         m = len(sources)
         pids = range(first_pid, first_pid + m)
         self._check_new_offers(pids, sources, dests)
-        self._known_pids.update(pids)
+        self._known().update(pids)
         self.total_packets += m
         st = self._state
         if self._offer_time != self.time:
@@ -1132,9 +1177,8 @@ class ArraySimulator(Simulator):
         flat)`` arrays, sorted by (injection_time, pid)."""
         if self._pending_dirty:
             self._pending.sort(key=lambda p: (p.injection_time, p.pid))
-            pid, src, dst = self._packet_arrays(self._pending)
-            ptime = np.array([p.injection_time for p in self._pending], dtype=np.int64)
-            self._pend = (ptime, pid, src, dst)
+            pool = PacketBatch.of(self._pending, self.topology)
+            self._pend = (pool.injection_time, pool.pid, pool.source, pool.dest)
             self._pending_dirty = False
         return self._pend
 
@@ -1327,13 +1371,8 @@ class ArraySimulator(Simulator):
                 self._record_key_creations(stgt, skey)
         dpkt = apkt[delivered]
         if len(dpkt):
-            now = self.time
-            delivery_times = self.delivery_times
-            slot_of = self._slot_of
             # Plain-int pids, as on the reference engine.
-            for pid in st.pids[dpkt].tolist():
-                delivery_times[pid] = now
-                slot_of.pop(pid, None)
+            self.delivery_times.update(dict.fromkeys(st.pids[dpkt].tolist(), self.time))
             self._in_flight -= len(dpkt)
             st.in_net[dpkt] = False
             act = self._act
@@ -1389,9 +1428,12 @@ class ArraySimulator(Simulator):
             for pid in ppid[:due][~routed].tolist():
                 self.delivery_times[pid] = now
             waiting = [p for p, ok in zip(waiting, routed.tolist()) if ok]
-        placed = self._place(
-            waiting, ppid[:due][routed], psrc[:due][routed], pdst[:due][routed]
-        )
+        src, dst = psrc[:due][routed], pdst[:due][routed]
+        placed = self._place(ppid[:due][routed], src, dst)
+        if not bool(placed.all()):
+            waiting = [p for p, ok in zip(waiting, placed.tolist()) if ok]
+            src, dst = src[placed], dst[placed]
+        self._slots.append(waiting, src, dst)
         # Packets whose queue was full keep their place in the pool.
         keep = routed.copy()
         keep[routed] = ~placed

@@ -25,6 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from repro.mesh.batch import PacketBatch
 from repro.mesh.directions import Direction
 from repro.mesh.errors import (
     InvalidScheduleError,
@@ -269,15 +270,12 @@ class Simulator:
         self.link_filter = plan.as_link_filter(self.topology)
 
     def _load(self, packets: Iterable[Packet]) -> None:
-        seen: set[int] = set()
+        # The batch refuses repeated pids and foreign endpoints up front;
+        # loading then walks its Packet objects (built here if need be).
+        batch = PacketBatch.of(packets, self.topology)
+        self.total_packets += len(batch)
         originating: dict[tuple[int, int], list[Packet]] = {}
-        for p in packets:
-            if p.pid in seen:
-                raise ValueError(f"duplicate packet id {p.pid}")
-            seen.add(p.pid)
-            if not self.topology.contains(p.source) or not self.topology.contains(p.dest):
-                raise ValueError(f"packet {p.pid} endpoints outside topology")
-            self.total_packets += 1
+        for p in batch:
             if p.injection_time > 0:
                 self._pending.append(p)
                 continue

@@ -100,6 +100,11 @@ class Topology:
         """Flat id in :meth:`nodes` order (2D: ``x * height + y``)."""
         return sum(map(operator.mul, node, self._strides))
 
+    def node_indices(self, coords: np.ndarray) -> np.ndarray:
+        """:meth:`node_index` over the last axis of an integer coordinate
+        array (no range check)."""
+        return coords @ np.array(self._strides, dtype=np.int64)
+
     # -- links ---------------------------------------------------------------
 
     def link_array(self) -> np.ndarray:

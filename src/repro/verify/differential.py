@@ -29,7 +29,7 @@ oracle battery attached, then cross-checks the outcomes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.mesh import (
     Mesh,
@@ -42,6 +42,7 @@ from repro.mesh import (
     TorusND,
     TOPOLOGY_NAMES,
 )
+from repro.mesh.batch import PacketBatch
 from repro.mesh.errors import SimulationError
 from repro.mesh.interfaces import RoutingAlgorithm
 from repro.verify.oracles import (
@@ -160,8 +161,13 @@ REGISTRY: dict[str, RouterEntry] = _registry()
 # -- instances -----------------------------------------------------------------
 
 
-def build_instance(family: str, n: int, seed: int) -> tuple[Topology, list[Packet]]:
-    """The (topology, packets) of one cell.  Deterministic in (family, n, seed)."""
+def build_instance(
+    family: str, n: int, seed: int
+) -> tuple[Topology, Sequence[Packet]]:
+    """The (topology, packets) of one cell.  Deterministic in (family, n, seed).
+
+    Permutation families come as an unbuilt
+    :class:`~repro.mesh.batch.PacketBatch`, the others as Packet lists."""
     from repro.workloads import bernoulli_traffic, dynamic_hh_problem, random_permutation
 
     if family == "permutation":
@@ -188,8 +194,12 @@ def build_instance(family: str, n: int, seed: int) -> tuple[Topology, list[Packe
     raise ValueError(f"unknown workload family {family!r}; expected one of {FAMILIES}")
 
 
-def fresh_copies(packets: list[Packet]) -> list[Packet]:
-    """Pristine copies for one more run (pos/state reset, no shared objects)."""
+def fresh_copies(packets: Sequence[Packet]) -> Sequence[Packet]:
+    """Pristine copies for one more run (pos/state reset, no shared objects).
+
+    A batch's copy is an unbuilt batch, so copying builds no Packet."""
+    if isinstance(packets, PacketBatch):
+        return packets.fresh()
     out = []
     for p in packets:
         q = Packet(p.pid, p.source, p.dest, injection_time=p.injection_time)
@@ -198,7 +208,7 @@ def fresh_copies(packets: list[Packet]) -> list[Packet]:
 
 
 def transpose_instance(
-    topology: Topology, packets: list[Packet]
+    topology: Topology, packets: Sequence[Packet]
 ) -> tuple[Topology, list[Packet]]:
     """The instance under coordinate reversal -- (x, y) -> (y, x) in 2D.
 
@@ -220,7 +230,7 @@ def transpose_instance(
 
 
 def reflect_instance(
-    topology: Topology, packets: list[Packet]
+    topology: Topology, packets: Sequence[Packet]
 ) -> tuple[Topology, list[Packet]]:
     """The instance under first-axis reflection -- (x, y) -> (width-1-x, y).
 
@@ -260,7 +270,7 @@ class RunOutcome:
 def checked_run(
     entry: RouterEntry,
     topology: Topology,
-    packets: list[Packet],
+    packets: Sequence[Packet],
     *,
     k: int,
     seed: int,

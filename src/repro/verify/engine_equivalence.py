@@ -203,12 +203,13 @@ def lockstep_cell(
             budget if entry.expects_completion(family) else min(budget, 50 * n)
         )
 
+    # The array engine loads the generator's own output -- for permutation
+    # families an unbuilt batch, the path a benchmark run takes -- and the
+    # reference engine pristine copies of it.
     reference = Simulator(
         topology, entry.factory(k, seed), fresh_copies(packets)
     )
-    array = Simulator(
-        topology, entry.factory(k, seed), fresh_copies(packets), engine="array"
-    )
+    array = Simulator(topology, entry.factory(k, seed), packets, engine="array")
     report = LockstepReport(router=router, family=family, n=n, k=k, seed=seed)
     lockstep(reference, array, max_steps, report)
     return report

@@ -205,7 +205,6 @@ class PacketConservationOracle(DualPathOracle):
         self._delivered = _Ledger(sim.delivery_times)
         self._dropped = _Ledger(sim.dropped)
         self._rejected = _Ledger(sim.rejected)
-        self._ends = _SlotEndpoints()
 
     def check_objects(
         self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
@@ -258,15 +257,14 @@ class PacketConservationOracle(DualPathOracle):
                 self, f"delivered set shrank (lost pids {lost[:5].tolist()})"
             )
         if len(new_delivered) and len(moves):
-            self._ends.refresh(sim)
             slots = moves.slots
             delivering = np.isin(st.pids[slots], new_delivered)
-            wrong = delivering & (moves.target != self._ends.dest[slots])
+            wrong = delivering & (moves.target != sim._slots.dest[slots])
             height = sim.topology.height
             for slot, target in zip(
                 slots[wrong].tolist(), moves.target[wrong].tolist()
             ):
-                p = sim._packet_of[slot]
+                p = sim._slots.objects()[slot]
                 checker.report(
                     self,
                     f"packet {p.pid} recorded delivered at "
@@ -386,33 +384,29 @@ class MinimalityOracle(DualPathOracle):
 
     name = "minimality"
 
-    def on_attach(self, checker: InvariantChecker, sim: Simulator) -> None:
-        self._ends = _SlotEndpoints()
-
     def check_arrays(
         self, checker: InvariantChecker, sim: ArraySimulator, moves: ArrayMoves
     ) -> None:
         """The array path: both checks vectorized over the step's moves.
 
         Distances come from the engine's grid geometry and each packet's
-        own source and destination (cached per slot), not from the
-        engine's destination array.
+        source and destination as the caller gave them (kept per slot by
+        the engine's slot store), not from the engine's destination array.
         """
         delta = sim.algorithm.excursion_delta()
         if delta is None or not len(moves):
             return
         topo = sim.topology
-        self._ends.refresh(sim)
         slots = moves.slots
-        src = self._ends.src[slots]
-        dest = self._ends.dest[slots]
+        src = sim._slots.source[slots]
+        dest = sim._slots.dest[slots]
         height = topo.height
         if sim.algorithm.minimal:
             geom = sim._state.geom
             before = geom.distance(moves.src, dest)
             after = geom.distance(moves.target, dest)
             for i in np.flatnonzero(after != before - 1).tolist():
-                p = sim._packet_of[int(slots[i])]
+                p = sim._slots.objects()[int(slots[i])]
                 a, b = int(moves.src[i]), int(moves.target[i])
                 checker.report(
                     self,
@@ -432,7 +426,7 @@ class MinimalityOracle(DualPathOracle):
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             excess += np.maximum(np.maximum(lo - x, 0), x - hi)
         for i in np.flatnonzero(excess > delta).tolist():
-            p = sim._packet_of[int(slots[i])]
+            p = sim._slots.objects()[int(slots[i])]
             t = int(moves.target[i])
             checker.report(
                 self,
@@ -518,30 +512,6 @@ class _Ledger:
             return np.zeros(len(pids), dtype=bool)
         at = np.minimum(np.searchsorted(keys, pids), len(keys) - 1)
         return keys[at] == pids
-
-
-class _SlotEndpoints:
-    """Source and destination flat node ids per array-engine packet slot.
-
-    Read once per slot from the slot's own Packet, so the array paths
-    measure every move against where its packet was sent, not against the
-    engine's destination array.
-    """
-
-    def __init__(self) -> None:
-        self.src: NDArray[Any] = _EMPTY
-        self.dest: NDArray[Any] = _EMPTY
-
-    def refresh(self, sim: ArraySimulator) -> None:
-        """Cover the slots admitted since the last refresh."""
-        new = sim._packet_of[len(self.src) :]
-        if not new:
-            return
-        height = sim.topology.height
-        src = [p.source[0] * height + p.source[1] for p in new]
-        dest = [p.dest[0] * height + p.dest[1] for p in new]
-        self.src = np.concatenate([self.src, np.array(src, dtype=np.int64)])
-        self.dest = np.concatenate([self.dest, np.array(dest, dtype=np.int64)])
 
 
 def _rectangle_excess(

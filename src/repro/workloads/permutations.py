@@ -1,9 +1,12 @@
 """Permutation routing problems (the paper's benchmark, Section 1).
 
 A (partial) permutation sends at most one packet from each node and at most
-one packet to each node.  Generators return fresh :class:`Packet` lists;
-all randomness flows through an explicit seed or ``numpy`` generator so
-every experiment is reproducible.
+one packet to each node.  Generators build flat ``(pid, source, dest)``
+arrays over :meth:`Topology.node_index` ids and return them as a fresh
+:class:`~repro.mesh.batch.PacketBatch`, which the array engine loads
+directly and object-level readers see as a Packet sequence.  Packet ids
+follow the source order.  All randomness flows through an explicit seed or
+``numpy`` generator so every experiment is reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.mesh.packet import Packet
+from repro.mesh.batch import PacketBatch
 from repro.mesh.topology import Topology
 
 
@@ -22,13 +25,28 @@ def _rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _coords(topology: Topology) -> np.ndarray:
+    """``(dims, num_nodes)`` coordinates of every node, by flat id."""
+    return np.indices(topology.shape).reshape(topology.dims, -1)
+
+
+def _from_dest(topology: Topology, dest: np.ndarray) -> PacketBatch:
+    """Every node sends one packet, node ``i`` to ``dest[i]``."""
+    ids = np.arange(topology.num_nodes, dtype=np.int64)
+    return PacketBatch(topology, ids, ids, dest)
+
+
 def packets_from_mapping(
     mapping: Mapping[tuple[int, ...], tuple[int, ...]]
     | Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
     *,
     check_permutation: bool = True,
-) -> list[Packet]:
+) -> PacketBatch:
     """Build packets from explicit (source -> destination) pairs.
+
+    The batch indexes the smallest unwrapped grid holding every endpoint;
+    an engine on a grid of another shape converts it through its Packet
+    objects (:meth:`PacketBatch.of`).
 
     Args:
         mapping: Source/destination pairs.  Sources are sorted before id
@@ -44,43 +62,49 @@ def packets_from_mapping(
             raise ValueError("not a partial permutation: duplicate source")
         if len(set(dests)) != len(dests):
             raise ValueError("not a partial permutation: duplicate destination")
-    return [Packet(pid, src, dst) for pid, (src, dst) in enumerate(pairs)]
+    if not pairs:
+        return PacketBatch(Topology((1,)), [], [], [])
+    ends = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, -1)
+    negative = (ends < 0).any(axis=(1, 2))
+    if bool(negative.any()):
+        raise ValueError(f"packet {int(np.argmax(negative))} endpoints outside topology")
+    topology = Topology(tuple(ends.max(axis=(0, 1)) + 1))
+    flat = topology.node_indices(ends)
+    return PacketBatch(topology, np.arange(len(pairs)), flat[:, 0], flat[:, 1])
 
 
-def identity_permutation(topology: Topology) -> list[Packet]:
+def identity_permutation(topology: Topology) -> PacketBatch:
     """Every node sends to itself (all packets delivered at step 0)."""
-    return packets_from_mapping({node: node for node in topology.nodes()})
+    return _from_dest(topology, np.arange(topology.num_nodes, dtype=np.int64))
 
 
 def random_permutation(
     topology: Topology, seed: int | np.random.Generator | None = None
-) -> list[Packet]:
+) -> PacketBatch:
     """A uniformly random full permutation of the nodes."""
-    rng = _rng(seed)
-    nodes = list(topology.nodes())
-    order = rng.permutation(len(nodes))
-    return packets_from_mapping({nodes[i]: nodes[order[i]] for i in range(len(nodes))})
+    return _from_dest(topology, _rng(seed).permutation(topology.num_nodes))
 
 
 def random_partial_permutation(
     topology: Topology,
     fraction: float,
     seed: int | np.random.Generator | None = None,
-) -> list[Packet]:
+) -> PacketBatch:
     """A random partial permutation using roughly ``fraction`` of the nodes."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     rng = _rng(seed)
-    nodes = list(topology.nodes())
-    m = int(round(fraction * len(nodes)))
-    sources = rng.choice(len(nodes), size=m, replace=False)
-    dests = rng.choice(len(nodes), size=m, replace=False)
-    return packets_from_mapping(
-        {nodes[s]: nodes[d] for s, d in zip(sources, dests)}
+    n = topology.num_nodes
+    m = int(round(fraction * n))
+    sources = rng.choice(n, size=m, replace=False)
+    dests = rng.choice(n, size=m, replace=False)
+    order = np.argsort(sources)
+    return PacketBatch(
+        topology, np.arange(m, dtype=np.int64), sources[order], dests[order]
     )
 
 
-def transpose_permutation(topology: Topology) -> list[Packet]:
+def transpose_permutation(topology: Topology) -> PacketBatch:
     """The coordinate-reversal permutation: (x, y) -> (y, x) in 2D.
 
     A classic stress pattern for dimension-order routing: all traffic
@@ -89,12 +113,10 @@ def transpose_permutation(topology: Topology) -> list[Packet]:
     """
     if len(set(topology.shape)) != 1:
         raise ValueError("transpose needs equal side lengths on every axis")
-    return packets_from_mapping(
-        {node: tuple(reversed(node)) for node in topology.nodes()}
-    )
+    return _from_dest(topology, topology.node_indices(_coords(topology)[::-1].T))
 
 
-def bit_reversal_permutation(topology: Topology) -> list[Packet]:
+def bit_reversal_permutation(topology: Topology) -> PacketBatch:
     """(x, y) -> (rev(x), rev(y)) where rev reverses the coordinate's bits.
 
     Defined for power-of-two side lengths, per axis, in any dimension.
@@ -103,26 +125,19 @@ def bit_reversal_permutation(topology: Topology) -> list[Packet]:
     for side in shape:
         if side & (side - 1):
             raise ValueError("bit reversal needs power-of-two dimensions")
-    bits = [side.bit_length() - 1 for side in shape]
-
-    def rev(v: int, nbits: int) -> int:
-        out = 0
-        for _ in range(nbits):
-            out = (out << 1) | (v & 1)
-            v >>= 1
-        return out
-
-    return packets_from_mapping(
-        {
-            node: tuple(rev(c, b) for c, b in zip(node, bits))
-            for node in topology.nodes()
-        }
-    )
+    coords = _coords(topology)
+    reversed_ = np.zeros_like(coords)
+    for axis, side in enumerate(shape):
+        v = coords[axis]
+        for _ in range(side.bit_length() - 1):
+            reversed_[axis] = (reversed_[axis] << 1) | (v & 1)
+            v = v >> 1
+    return _from_dest(topology, topology.node_indices(reversed_.T))
 
 
 def rotation_permutation(
     topology: Topology, *shifts: int, dx: int | None = None, dy: int | None = None
-) -> list[Packet]:
+) -> PacketBatch:
     """Cyclic shift: one shift per axis, each coordinate mod its side.
 
     The historical 2D spelling ``rotation_permutation(mesh, dx=3, dy=0)``
@@ -137,9 +152,5 @@ def rotation_permutation(
         raise ValueError(
             f"rotation needs one shift per axis ({len(shape)}), got {len(shifts)}"
         )
-    return packets_from_mapping(
-        {
-            node: tuple((c + s) % side for c, s, side in zip(node, shifts, shape))
-            for node in topology.nodes()
-        }
-    )
+    shifted = (_coords(topology) + np.array(shifts)[:, None]) % np.array(shape)[:, None]
+    return _from_dest(topology, topology.node_indices(shifted.T))

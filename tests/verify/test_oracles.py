@@ -285,7 +285,12 @@ class TestConservationOracle:
             clone = st.new_slots(
                 st.pids[slot], st.posf[slot], st.destf[slot], st.qkey[slot], st.qseq[slot]
             )
-            sim._packet_of.append(sim._packet_of[int(slot[0])].copy())
+            store = sim._slots  # the clone's Packet and endpoints
+            store.append(
+                [store.objects()[int(slot[0])].copy()],
+                store.source[slot].copy(),
+                store.dest[slot].copy(),
+            )
             sim._act = np.append(sim._act, clone)
         sim.step()
         assert any("occupies two queues" in v.message for v in checker.violations) or any(
@@ -424,7 +429,7 @@ class TestStepBoundFloors:
     @pytest.mark.parametrize("topology", [Mesh(7), Torus(6)], ids=["mesh", "torus"])
     @pytest.mark.parametrize("steps_before_attach", [0, 3])
     def test_array_floors_equal_object_floors(self, topology, steps_before_attach):
-        packets = random_permutation(topology, seed=4)
+        packets = list(random_permutation(topology, seed=4))  # appended to below
         # Some packets wait in the pending pool, some start at their goal.
         for p in packets[::5]:
             p.injection_time = 2 + p.pid % 7
