@@ -702,7 +702,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="route on a named topology (mesh3d/torus3d/pillar need a "
         "d-dimensional router); mutually exclusive with --torus",
     )
-    p.add_argument("--max-steps", type=int, default=1_000_000)
+    p.add_argument(
+        "--max-steps",
+        type=int,
+        default=1_000_000,
+        help="step budget; a fault-free run (--availability 1.0) also "
+        "stops, STALLED, after 16 consecutive steps without a move",
+    )
     p.add_argument(
         "--engine",
         choices=["reference", "array"],

@@ -138,6 +138,13 @@ class FaultPlan:
         resilience layer (see :mod:`repro.faults.resilience`)."""
         return True
 
+    @property
+    def has_node_faults(self) -> bool:
+        """False when :meth:`node_up` is always True, so the array engine
+        may skip its node queries.  The default is True whenever a
+        subclass overrides :meth:`node_up`."""
+        return type(self).node_up is not FaultPlan.node_up
+
     def link_up_array(
         self, xs: np.ndarray, ys: np.ndarray, dirs: np.ndarray, time: int
     ) -> np.ndarray:

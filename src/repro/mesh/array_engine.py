@@ -27,9 +27,10 @@ path -- so faulty runs are byte-identical across engines too.
 Packets are loaded from a :class:`~repro.mesh.batch.PacketBatch`'s flat
 arrays (a Packet list is converted to one first), and a slot's Packet
 object is resolved only when something asks for it.  The compatibility
-surface (``queues``, ``configuration()``, ``iter_packets`` and the
-observer hooks' move lists) is provided by materializing those objects
-on demand.  The hot path never touches them, and the verify oracles read
+surface (``queues``, ``configuration()``, ``iter_packets``,
+``delivery_times`` and the observer hooks' move lists) is provided by
+materializing those objects on demand; deliveries are kept as an array
+ledger (:class:`DeliveryLedger`).  The hot path never touches them, and the verify oracles read
 the arrays directly, so a run without object-level observers -- checked
 or not -- builds no Packet from a batch and stays fully vectorized.  See
 docs/PERFORMANCE.md for the memory layout, the porting checklist, and the
@@ -608,19 +609,23 @@ class SlotPackets:
     Slots are numbered in placement order.  Per slot the store keeps the
     source and destination flat ids the caller gave, written once when the
     slot is created and never from the engine's working arrays, so the
-    verify oracles measure each move against them independently.  It also
-    resolves each slot to its Packet: the loaded slots to the loaded
-    batch's own objects, which the batch builds only when :meth:`objects`
-    is first called, and the slots injected later to the pending pool's
-    Packets.
+    verify oracles measure each move against them independently.  It
+    resolves each slot to its Packet only when :meth:`objects` is first
+    called: the loaded slots to the loaded batch's own objects, a later
+    slot to the Packet its caller passed (``inject_packet``), and an
+    admitted offer's slot to a Packet built from the pid and injection
+    time its :meth:`append` call gave.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.size = 0
         self._ends = np.zeros((2, 64), dtype=np.int64)  # [source/dest, slot]
+        self._topology = topology
         self._batch: PacketBatch | None = None
         self._index = _EMPTY  # batch index of each loaded slot
-        self._later: list[Packet] = []  # Packets of the slots after those
+        # (pid, injection_time) arrays of each append not yet built.
+        self._unbuilt: list[tuple[np.ndarray, np.ndarray]] = []
+        self._given: dict[int, Packet] = {}  # later slot -> caller's Packet
         self._objects: list[Packet] | None = None
 
     @property
@@ -650,13 +655,25 @@ class SlotPackets:
         self._batch = batch
         self._index = index
 
-    def append(self, packets: list[Packet], src: np.ndarray, dst: np.ndarray) -> None:
-        """New slots for ``packets``, with flat endpoints ``src``/``dst``."""
+    def append(
+        self,
+        pid: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        time: np.ndarray,
+        given: dict[int, Packet],
+    ) -> None:
+        """New slots for packets ``pid`` (flat endpoints ``src``/``dst``,
+        injection times ``time``); a pid in ``given`` keeps that Packet,
+        which is moved out of ``given``."""
+        start = self.size
         self._add_ends(src, dst)
-        if self._objects is None:
-            self._later.extend(packets)
-        else:
-            self._objects.extend(packets)
+        self._unbuilt.append((pid, time))
+        if given:
+            for slot, p in enumerate(pid.tolist(), start):
+                obj = given.pop(p, None)
+                if obj is not None:
+                    self._given[slot] = obj
 
     def objects(self) -> list[Packet]:
         """Slot -> Packet, for every slot created so far."""
@@ -666,10 +683,90 @@ class SlotPackets:
             if self._batch is not None:
                 loaded = self._batch.objects()
                 objects = [loaded[i] for i in self._index.tolist()]
-            objects.extend(self._later)
             self._objects = objects
-            self._later = []
+        if self._unbuilt:
+            # The appended slots not built yet are the last ones, in order.
+            nodes = tuple(self._topology.nodes())
+            given = self._given
+            start = len(objects)
+            for slot, pid, src, dst, time in zip(
+                range(start, self.size),
+                np.concatenate([pid for pid, _ in self._unbuilt]).tolist(),
+                self.source[start:].tolist(),
+                self.dest[start:].tolist(),
+                np.concatenate([time for _, time in self._unbuilt]).tolist(),
+            ):
+                p = given.pop(slot, None)
+                if p is None:
+                    p = Packet(pid, nodes[src], nodes[dst], injection_time=time)
+                objects.append(p)
+            self._unbuilt = []
         return objects
+
+
+class DeliveryLedger:
+    """The array engine's deliveries: append-only int64 columns of pid,
+    step and slot, one row per delivery, in delivery order.
+
+    ``slot`` is -1 for a packet delivered without ever holding a slot (its
+    source is its destination).  The engine appends rows at load, in
+    phase (d) and when a pending packet enters at its destination; the
+    verify oracles read the rows past the last ones they saw.  Nothing
+    keyed by pid exists until :meth:`as_dict` is called.
+    """
+
+    def __init__(self) -> None:
+        self.size = 0
+        self._rows = np.zeros((3, 64), dtype=np.int64)  # [pid, step, slot]
+        # The dict view of the first _view_size rows, and the pid of the
+        # last of them (which tells whether those rows are still there).
+        self._view: dict[int, int] = {}
+        self._view_size = 0
+        self._view_last = 0
+
+    @property
+    def pid(self) -> np.ndarray:
+        return self._rows[0, : self.size]
+
+    @property
+    def step(self) -> np.ndarray:
+        return self._rows[1, : self.size]
+
+    @property
+    def slot(self) -> np.ndarray:
+        return self._rows[2, : self.size]
+
+    def append(self, pid: np.ndarray, step: int, slot: np.ndarray | int) -> None:
+        """Record the deliveries of ``pid`` at ``step``, from ``slot``."""
+        start = self.size
+        self.size = end = start + len(pid)
+        if end > self._rows.shape[1]:
+            grown = np.zeros((3, max(end, 2 * self._rows.shape[1])), dtype=np.int64)
+            grown[:, :start] = self._rows[:, :start]
+            self._rows = grown
+        self._rows[0, start:end] = pid
+        self._rows[1, start:end] = step
+        self._rows[2, start:end] = slot
+
+    def as_dict(self) -> dict[int, int]:
+        """pid -> delivery step, in delivery order: the reference engine's
+        ``delivery_times``.
+
+        Built on the first call and extended by the rows appended since;
+        rebuilt whole if the rows it was built from changed.  The dict is
+        a cached view, to be read, not written: the rows are the record,
+        and the engine and the oracles read only them.
+        """
+        n, seen = self.size, self._view_size
+        if seen and (n < seen or self._rows[0, seen - 1] != self._view_last):
+            self._view, seen = {}, 0
+        if n > seen:
+            self._view.update(
+                zip(self._rows[0, seen:n].tolist(), self._rows[1, seen:n].tolist())
+            )
+            self._view_last = int(self._rows[0, n - 1])
+        self._view_size = n
+        return self._view
 
 
 class ArraySimulator(Simulator):
@@ -691,8 +788,9 @@ class ArraySimulator(Simulator):
     ``configuration()``/``iter_packets``/``result()`` work unchanged, and
     :meth:`step` returns (and hands post-step hooks) the step's moves as
     :class:`ArrayMoves`, which builds the ``ScheduledMove`` list only when
-    iterated.  The verify oracles read the arrays instead, so a checked
-    run builds neither.
+    iterated.  ``delivery_times`` is a dict built from the
+    :attr:`deliveries` ledger when read.  The verify oracles read the
+    arrays and the ledger instead, so a checked run builds none of these.
     """
 
     engine_name = "array"
@@ -741,7 +839,7 @@ class ArraySimulator(Simulator):
         self.spec = algorithm.queue_spec
         self.time = 0
         self.node_states: dict = {}
-        self.delivery_times: dict[int, int] = {}
+        self.deliveries = DeliveryLedger()
         self.dropped: dict[int, int] = {}
         self.rejected: dict[int, int] = {}
         self.total_packets = 0
@@ -753,12 +851,14 @@ class ArraySimulator(Simulator):
         self.injected_packets = 0
         self.instrument: Any = None
         self.series: list[StepRecord] = []
-        # Packets waiting outside the network, sorted by (injection_time,
-        # pid), with parallel (time, pid, source, dest) arrays.  Single
-        # ``inject_packet`` calls only append to the list and mark the
-        # arrays stale; ``pending_arrays`` re-sorts and rebuilds them.
-        self._pending: list[Packet] = []
+        # Packets waiting outside the network: parallel (time, pid, source,
+        # dest) arrays, sorted by (injection_time, pid) unless marked
+        # stale, and the caller's Packet of each pending pid that has one.
+        # ``inject_packet`` only appends to ``_pend_new``; admitted offers
+        # have no Packet.  ``pending_arrays`` merges and re-sorts.
         self._pend: tuple[np.ndarray, ...] = (_EMPTY,) * 4
+        self._pend_given: dict[int, Packet] = {}
+        self._pend_new: list[Packet] = []
         self._pending_dirty = False
         self._in_flight = 0
         self.pre_step_hooks: list = []
@@ -782,14 +882,13 @@ class ArraySimulator(Simulator):
         # (node, key) slot during step ``_offer_time`` (made on first use).
         self._offer_time = -1
         self._offers = _EMPTY
-        self._nodes: tuple[tuple[int, int], ...] | None = None
         # Counting-sort buffers of _transmit, one entry per (node, inlink)
         # (made on first use).
         self._arrival_mark: np.ndarray | None = None
         self._arrival_pos = _EMPTY
         if algorithm.uses_credit:
             algorithm.attach_credit_probe(self._downstream_occupancy)
-        self._slots = SlotPackets()
+        self._slots = SlotPackets(topology)
         # The loaded pids; the set of every pid seen is made from them on
         # the first inject_packet/offer_packets call (see _known).
         self._loaded_pids = _EMPTY
@@ -824,10 +923,10 @@ class ArraySimulator(Simulator):
             wait = np.flatnonzero(later)
             wait = wait[np.lexsort((pid[wait], time[wait]))]
             objects = batch.objects()
-            self._pending = [objects[i] for i in wait.tolist()]
+            self._pend_given = {objects[i].pid: objects[i] for i in wait.tolist()}
             self._pend = (time[wait], pid[wait], src[wait], dst[wait])
         if bool(home.any()):
-            self.delivery_times.update(dict.fromkeys(pid[home].tolist(), 0))
+            self.deliveries.append(pid[home], 0, -1)
         index = np.flatnonzero(~later & ~home)
         if not len(index):
             return
@@ -946,6 +1045,20 @@ class ArraySimulator(Simulator):
         return placed
 
     # -- compatibility surface ---------------------------------------------
+
+    @property
+    def delivery_times(self) -> dict[int, int]:  # type: ignore[override]
+        """pid -> delivery step, built from :attr:`deliveries` on first read
+        (see :meth:`DeliveryLedger.as_dict`); the engine never reads it."""
+        return self.deliveries.as_dict()
+
+    @property
+    def delivered_count(self) -> int:
+        return self.deliveries.size
+
+    @property
+    def pending_count(self) -> int:
+        return len(self._pend[1]) + len(self._pend_new)
 
     @property
     def queues(self) -> dict:
@@ -1116,8 +1229,7 @@ class ArraySimulator(Simulator):
         self._check_new_pid(packet)
         self._known().add(packet.pid)
         self.total_packets += 1
-        self._pending.append(packet)
-        self._pending_dirty = True
+        self._pend_new.append(packet)
 
     def offer_packets(
         self, first_pid: int, sources: np.ndarray, dests: np.ndarray
@@ -1152,16 +1264,10 @@ class ArraySimulator(Simulator):
         return admitted
 
     def _queue_offers(self, pid: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-        """Append admitted offers (injection time = now) to the pending pool."""
-        nodes = self._nodes
-        if nodes is None:
-            # Node tuples by flat id, shared by every offered packet.
-            self._nodes = nodes = tuple(self.topology.nodes())
+        """Append admitted offers (injection time = now) to the pending
+        pool's arrays; their Packets are built only if an object-level
+        reader asks (see :class:`SlotPackets`)."""
         time = self.time
-        self._pending.extend(
-            Packet(i, nodes[s], nodes[d], injection_time=time)
-            for i, s, d in zip(pid.tolist(), src.tolist(), dst.tolist())
-        )
         ptime, ppid, psrc, pdst = self._pend
         if len(ppid) and (ptime[-1], ppid[-1]) > (time, pid[0]):
             self._pending_dirty = True  # out of order: re-sort before use
@@ -1175,10 +1281,16 @@ class ArraySimulator(Simulator):
     def pending_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The pending pool as ``(injection_time, pid, source flat, dest
         flat)`` arrays, sorted by (injection_time, pid)."""
+        if self._pend_new:
+            added = PacketBatch.of(self._pend_new, self.topology)
+            self._pend_given.update(zip(added.pid.tolist(), self._pend_new))
+            self._pend_new = []
+            new = (added.injection_time, added.pid, added.source, added.dest)
+            self._pend = tuple(np.concatenate(ab) for ab in zip(self._pend, new))
+            self._pending_dirty = True
         if self._pending_dirty:
-            self._pending.sort(key=lambda p: (p.injection_time, p.pid))
-            pool = PacketBatch.of(self._pending, self.topology)
-            self._pend = (pool.injection_time, pool.pid, pool.source, pool.dest)
+            order = np.lexsort((self._pend[1], self._pend[0]))
+            self._pend = tuple(a[order] for a in self._pend)
             self._pending_dirty = False
         return self._pend
 
@@ -1215,7 +1327,7 @@ class ArraySimulator(Simulator):
                 hook(self)
             if instr is not None:
                 instr.mark("hooks")
-        if self._pending:
+        if self.pending_count:
             self._inject_pending()
 
         # (a) outqueue policies, batched in the kernel.
@@ -1237,14 +1349,14 @@ class ArraySimulator(Simulator):
         plan = self._fault_plan
         if plan is not None and n_scheduled:
             t = self.time
-            h = self._height
-            sx = sched_src // h
-            sy = sched_src % h
+            geom = self._state.geom
+            sx, sy = geom.xy[:, sched_src]
             keep = plan.link_up_array(sx, sy, sched_dir, t)
-            keep &= plan.node_up_array(sx, sy, t)
-            # Scheduled moves are profitable, so the target always exists.
-            tgt_all = self._state.geom.nbr_flat[sched_src, sched_dir]
-            keep &= plan.node_up_array(tgt_all // h, tgt_all % h, t)
+            if plan.has_node_faults:
+                keep &= plan.node_up_array(sx, sy, t)
+                # Scheduled moves are profitable, so the target always exists.
+                tx, ty = geom.xy[:, geom.nbr_flat[sched_src, sched_dir]]
+                keep &= plan.node_up_array(tx, ty, t)
             if not bool(keep.all()):
                 sched_pkt = sched_pkt[keep]
                 sched_src = sched_src[keep]
@@ -1283,7 +1395,7 @@ class ArraySimulator(Simulator):
                 StepRecord(
                     time=self.time,
                     in_flight=self._in_flight,
-                    delivered_total=len(self.delivery_times),
+                    delivered_total=self.deliveries.size,
                     moves=len(apkt),
                     max_queue_len=self.max_queue_len,
                 )
@@ -1371,8 +1483,7 @@ class ArraySimulator(Simulator):
                 self._record_key_creations(stgt, skey)
         dpkt = apkt[delivered]
         if len(dpkt):
-            # Plain-int pids, as on the reference engine.
-            self.delivery_times.update(dict.fromkeys(st.pids[dpkt].tolist(), self.time))
+            self.deliveries.append(st.pids[dpkt], self.time, dpkt)
             self._in_flight -= len(dpkt)
             st.in_net[dpkt] = False
             act = self._act
@@ -1419,32 +1530,29 @@ class ArraySimulator(Simulator):
         due = int(np.searchsorted(ptime, self.time))  # injection_time < now
         if due == 0:
             return
-        pending = self._pending
-        waiting = pending[:due]
-        routed = psrc[:due] != pdst[:due]
+        given = self._pend_given
+        pid, src, dst, time = ppid[:due], psrc[:due], pdst[:due], ptime[:due]
+        routed = src != dst
         if not bool(routed.all()):
             # Source == destination: delivered on entry, never queued.
-            now = self.time
-            for pid in ppid[:due][~routed].tolist():
-                self.delivery_times[pid] = now
-            waiting = [p for p, ok in zip(waiting, routed.tolist()) if ok]
-        src, dst = psrc[:due][routed], pdst[:due][routed]
-        placed = self._place(ppid[:due][routed], src, dst)
+            home = pid[~routed]
+            self.deliveries.append(home, self.time, -1)
+            if given:
+                for p in home.tolist():
+                    given.pop(p, None)
+            pid, src, dst, time = pid[routed], src[routed], dst[routed], time[routed]
+        placed = self._place(pid, src, dst)
         if not bool(placed.all()):
-            waiting = [p for p, ok in zip(waiting, placed.tolist()) if ok]
-            src, dst = src[placed], dst[placed]
-        self._slots.append(waiting, src, dst)
+            pid, src, dst, time = pid[placed], src[placed], dst[placed], time[placed]
+        self._slots.append(pid, src, dst, time, given)
         # Packets whose queue was full keep their place in the pool.
         keep = routed.copy()
         keep[routed] = ~placed
         if bool(keep.any()):
-            self._pending = [p for p, k in zip(pending[:due], keep.tolist()) if k]
-            self._pending.extend(pending[due:])
             self._pend = tuple(
                 np.concatenate([a[:due][keep], a[due:]]) for a in self._pend
             )
         else:
-            self._pending = pending[due:]
             self._pend = tuple(a[due:] for a in self._pend)
 
 

@@ -443,8 +443,13 @@ class Simulator:
         return self._in_flight
 
     @property
+    def delivered_count(self) -> int:
+        """Packets delivered so far."""
+        return len(self.delivery_times)
+
+    @property
     def undelivered(self) -> int:
-        return self.total_packets - len(self.delivery_times)
+        return self.total_packets - self.delivered_count
 
     @property
     def pending_count(self) -> int:
@@ -1065,7 +1070,7 @@ class Simulator:
     @property
     def done(self) -> bool:
         return (
-            len(self.delivery_times) + len(self.dropped) + len(self.rejected)
+            self.delivered_count + len(self.dropped) + len(self.rejected)
             == self.total_packets
         )
 
@@ -1100,15 +1105,16 @@ class Simulator:
         return counters
 
     def result(self) -> RunResult:
+        delivery_times = dict(self.delivery_times)
         return RunResult(
             completed=self.done,
             steps=self.time,
             total_packets=self.total_packets,
-            delivered=len(self.delivery_times),
+            delivered=len(delivery_times),
             max_queue_len=self.max_queue_len,
             max_node_load=self.max_node_load,
             total_moves=self.total_moves,
-            delivery_times=dict(self.delivery_times),
+            delivery_times=delivery_times,
             series=list(self.series),
             counters=self.counter_snapshot(),
         )

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Iterable, Sequence
+from typing import Any, Container, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -201,8 +201,23 @@ class PacketConservationOracle(DualPathOracle):
     name = "packet-conservation"
 
     def on_attach(self, checker: InvariantChecker, sim: Simulator) -> None:
-        self._delivered_seen: set[int] = set(sim.delivery_times)
-        self._delivered = _Ledger(sim.delivery_times)
+        if isinstance(sim, ArraySimulator):
+            led = sim.deliveries
+            self._delivered_seen: set[int] = set(led.pid.tolist())
+            # The array path's view of the ledger: rows read, the pid of
+            # the last of them, and the distinct delivered pids (sorted
+            # chunks, one per step that added any).
+            self._read = led.size
+            self._last = int(led.pid[-1]) if led.size else 0
+            self._chunks = [_distinct(led.pid)]
+            self._distinct = len(self._chunks[0])
+            # Slots below ``_fresh_from`` were checked against the delivered
+            # set when last queued; ``_offenders`` are the queued pids that
+            # were delivered already (at 0, the first check checks all).
+            self._fresh_from = 0
+            self._offenders = _EMPTY
+        else:
+            self._delivered_seen = set(sim.delivery_times)
         self._dropped = _Ledger(sim.dropped)
         self._rejected = _Ledger(sim.rejected)
 
@@ -211,9 +226,10 @@ class PacketConservationOracle(DualPathOracle):
     ) -> None:
         """The object path: walks the queued Packet objects."""
         queued = [p.pid for p in sim.iter_packets()]
-        self._check_queued(checker, sim, queued)
-        self._check_totals(checker, sim, len(queued))
-        delivered_now = set(sim.delivery_times)
+        delivered = sim.delivery_times
+        self._check_queued(checker, queued, delivered, sim.dropped, sim.rejected)
+        self._check_totals(checker, sim, len(queued), len(delivered))
+        delivered_now = set(delivered)
         if not self._delivered_seen <= delivered_now:
             lost = sorted(self._delivered_seen - delivered_now)[:5]
             checker.report(self, f"delivered set shrank (lost pids {lost})")
@@ -231,7 +247,8 @@ class PacketConservationOracle(DualPathOracle):
     def check_arrays(
         self, checker: InvariantChecker, sim: ArraySimulator, moves: ArrayMoves
     ) -> None:
-        """The array path: the same checks as reductions over the queued pids.
+        """The array path: the same checks over the queued pids and the
+        engine's delivery ledger.
 
         Reports exactly what :meth:`check_objects` reports, in the same
         order; only a step that violates something walks its packets.
@@ -239,26 +256,42 @@ class PacketConservationOracle(DualPathOracle):
         st = sim._state
         act = sim._act
         pids = st.pids[act]
-        new_delivered, lost = self._delivered.update(sim.delivery_times)
+        ordered = np.sort(pids)
+        added, added_slots, lost, offenders = self._read_ledger(
+            sim, act, pids, ordered
+        )
         self._dropped.update(sim.dropped)
         self._rejected.update(sim.rejected)
-        ordered = np.sort(pids)
-        suspect = bool((ordered[1:] == ordered[:-1]).any())
-        for ledger in (self._delivered, self._dropped, self._rejected):
-            suspect = suspect or bool(ledger.contains(ordered).any())
+        suspect = bool(len(offenders)) or bool((ordered[1:] == ordered[:-1]).any())
+        for ledger in (self._dropped, self._rejected):
+            if len(ledger.keys) and not suspect:
+                suspect = bool(ledger.contains(ordered).any())
         if suspect:
             # Name the offenders in the order the object path meets them:
             # materialized queue order, (node, queue key, FIFO).
             order = np.lexsort((st.qseq[act], st.qkey[act], st.posf[act]))
-            self._check_queued(checker, sim, pids[order].tolist())
-        self._check_totals(checker, sim, len(pids))
+            self._check_queued(
+                checker,
+                pids[order].tolist(),
+                set(offenders.tolist()),
+                sim.dropped,
+                sim.rejected,
+            )
+        self._check_totals(checker, sim, len(pids), self._distinct)
         if len(lost):
             checker.report(
                 self, f"delivered set shrank (lost pids {lost[:5].tolist()})"
             )
-        if len(new_delivered) and len(moves):
+        if len(added) and len(moves):
             slots = moves.slots
-            delivering = np.isin(st.pids[slots], new_delivered)
+            if added_slots is not None and not len(offenders):
+                # No queued pid is delivered, so a move of a newly
+                # delivered pid is one that wrote its row: mark those slots.
+                mark = np.zeros(st.size, dtype=bool)
+                mark[added_slots] = True
+                delivering = mark[slots]
+            else:
+                delivering = _member(added, st.pids[slots])
             wrong = delivering & (moves.target != sim._slots.dest[slots])
             height = sim.topology.height
             for slot, target in zip(
@@ -272,8 +305,77 @@ class PacketConservationOracle(DualPathOracle):
                     f"destination is {p.dest}",
                 )
 
+    def _read_ledger(
+        self,
+        sim: ArraySimulator,
+        act: NDArray[Any],
+        pids: NDArray[Any],
+        ordered: NDArray[Any],
+    ) -> tuple[NDArray[Any], NDArray[Any] | None, NDArray[Any], NDArray[Any]]:
+        """Catch up with the delivery ledger.  Returns the pids delivered
+        since the last check and not before (sorted), the slots of their
+        rows (None when the rows read before changed), the pids no longer
+        delivered (sorted), and the queued pids that are delivered.
+
+        The ledger only grows, so this reads its new rows.  A new row can
+        repeat an earlier delivery only if its pid was queued after that
+        delivery at the last check (an offender then), or if its slot was
+        not queued at the last check (a slot made since, or none): only
+        those rows are looked up in the earlier rows.  Likewise a queued
+        pid is delivered only if it was an offender, was delivered now, or
+        holds a slot made since the last check; packets enter the network
+        only in new slots.  If the rows read before changed (the pid of the
+        last one moved), the whole delivered set is compared instead.
+        """
+        led = sim.deliveries
+        rows = led.pid
+        n, seen = led.size, self._read
+        added_slots: NDArray[Any] | None
+        if n >= seen and (not seen or rows[seen - 1] == self._last):
+            entries = rows[seen:]
+            entry_slots = led.slot[seen:]
+            lost = _EMPTY
+            made = sim._state.size > self._fresh_from  # new slots since
+            unseen = entry_slots < 0
+            if made:
+                unseen |= entry_slots >= self._fresh_from
+            if len(self._offenders) or bool(unseen.any()):
+                again = _member(self._offenders, entries)
+                again[unseen] |= np.isin(entries[unseen], rows[:seen])
+                entries, entry_slots = entries[~again], entry_slots[~again]
+            added = _distinct(entries)
+            added_slots = entry_slots[entry_slots >= 0]
+            found = [added[_member(ordered, added)]]
+            if len(self._offenders):
+                found.append(self._offenders[_member(ordered, self._offenders)])
+            if made:
+                born = pids[act >= self._fresh_from]
+                found.append(born[np.isin(born, rows)])
+            offenders = _distinct(np.concatenate(found)) if len(found) > 1 else found[0]
+            if len(added):
+                self._chunks.append(added)
+        else:
+            before = np.sort(np.concatenate(self._chunks))
+            now = _distinct(rows)
+            added = np.setdiff1d(now, before, assume_unique=True)
+            lost = np.setdiff1d(before, now, assume_unique=True)
+            offenders = _distinct(ordered[_member(now, ordered)])
+            self._chunks = [now]
+            added_slots = None
+        self._distinct += len(added) - len(lost)
+        self._read = n
+        self._last = int(rows[-1]) if n else 0
+        self._fresh_from = sim._state.size
+        self._offenders = offenders
+        return added, added_slots, lost, offenders
+
     def _check_queued(
-        self, checker: InvariantChecker, sim: Simulator, queued: list[int]
+        self,
+        checker: InvariantChecker,
+        queued: list[int],
+        delivered: Container[int],
+        dropped: Container[int],
+        rejected: Container[int],
     ) -> None:
         """Per-packet checks over the queued pids, in queue order."""
         seen: set[int] = set()
@@ -281,17 +383,17 @@ class PacketConservationOracle(DualPathOracle):
             if pid in seen:
                 checker.report(self, f"packet {pid} occupies two queues")
             seen.add(pid)
-            if pid in sim.delivery_times:
+            if pid in delivered:
                 checker.report(self, f"packet {pid} still queued after delivery")
-            if pid in sim.dropped:
+            if pid in dropped:
                 checker.report(self, f"packet {pid} still queued after being dropped")
-            if pid in sim.rejected:
+            if pid in rejected:
                 checker.report(
                     self, f"packet {pid} queued despite admission rejection"
                 )
 
     def _check_totals(
-        self, checker: InvariantChecker, sim: Simulator, in_network: int
+        self, checker: InvariantChecker, sim: Simulator, in_network: int, delivered: int
     ) -> None:
         """The in-flight counter and the conservation sum."""
         if in_network != sim.in_flight:
@@ -300,7 +402,7 @@ class PacketConservationOracle(DualPathOracle):
                 f"in-flight counter {sim.in_flight} != queued packets {in_network}",
             )
         total = (
-            len(sim.delivery_times)
+            delivered
             + in_network
             + sim.pending_count
             + len(sim.dropped)
@@ -309,7 +411,7 @@ class PacketConservationOracle(DualPathOracle):
         if total != sim.total_packets:
             checker.report(
                 self,
-                f"conservation broken: delivered {len(sim.delivery_times)} + "
+                f"conservation broken: delivered {delivered} + "
                 f"queued {in_network} + pending {sim.pending_count} + "
                 f"dropped {len(sim.dropped)} + rejected {len(sim.rejected)} "
                 f"!= total {sim.total_packets}",
@@ -341,6 +443,8 @@ class QueueBoundOracle(DualPathOracle):
             st.posf[act] * num_keys + st.qkey[act],
             minlength=st.geom.num_nodes * num_keys,
         )
+        if int(counts.max()) <= capacity:
+            return
         height = sim.topology.height
         for cell in np.flatnonzero(counts > capacity).tolist():
             flat, kidx = divmod(cell, num_keys)
@@ -384,6 +488,13 @@ class MinimalityOracle(DualPathOracle):
 
     name = "minimality"
 
+    def on_attach(self, checker: InvariantChecker, sim: Simulator) -> None:
+        if isinstance(sim, ArraySimulator) and not sim.topology.wraps:
+            # int32 copies of the geometry's coordinate tables for the
+            # array path: coordinates are small, and int32 gathers and
+            # arithmetic move half the memory of int64 ones.
+            self._coords = sim._state.geom.xy.astype(np.int32)
+
     def check_arrays(
         self, checker: InvariantChecker, sim: ArraySimulator, moves: ArrayMoves
     ) -> None:
@@ -392,39 +503,45 @@ class MinimalityOracle(DualPathOracle):
         Distances come from the engine's grid geometry and each packet's
         source and destination as the caller gave them (kept per slot by
         the engine's slot store), not from the engine's destination array.
+        Coordinates are read off the geometry's per-node tables.
         """
         delta = sim.algorithm.excursion_delta()
         if delta is None or not len(moves):
             return
         topo = sim.topology
+        geom = sim._state.geom
         slots = moves.slots
-        src = sim._slots.source[slots]
         dest = sim._slots.dest[slots]
-        height = topo.height
-        if sim.algorithm.minimal:
-            geom = sim._state.geom
-            before = geom.distance(moves.src, dest)
-            after = geom.distance(moves.target, dest)
-            for i in np.flatnonzero(after != before - 1).tolist():
-                p = sim._slots.objects()[int(slots[i])]
-                a, b = int(moves.src[i]), int(moves.target[i])
-                checker.report(
-                    self,
-                    f"packet {p.pid} moved {(a // height, a % height)}->"
-                    f"{(b // height, b % height)} (distance {before[i]}->"
-                    f"{after[i]}), not a profitable move for dest {p.dest}",
-                )
+        minimal = sim.algorithm.minimal
         if topo.wraps:
-            # The array engine runs neither interceptors nor irregular
-            # topologies, the object path's other two reasons to skip.
+            # No rectangle check: the array engine runs neither
+            # interceptors nor irregular topologies, the object path's
+            # other two reasons to skip it.
+            if minimal:
+                before = geom.distance(moves.src, dest)
+                after = geom.distance(moves.target, dest)
+                bad = np.flatnonzero(after != before - 1)
+                self._report_unprofitable(checker, sim, moves, dest, bad)
             return
-        excess = np.zeros(len(slots), dtype=np.int64)
-        for coord in (np.floor_divide, np.remainder):
-            x = coord(moves.target, height)
-            a = coord(src, height)
-            b = coord(dest, height)
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            excess += np.maximum(np.maximum(lo - x, 0), x - hi)
+        # On the mesh both checks come from one pass over the coordinates:
+        # the move's change of distance, and the target's distance from
+        # the source-destination rectangle.
+        src = sim._slots.source[slots]
+        gain: Any = 0
+        excess: Any = 0
+        for coord in self._coords:
+            t = coord[moves.target]
+            b = coord[dest]
+            if minimal:
+                gain = gain + (np.abs(t - b) - np.abs(coord[moves.src] - b))
+            a = coord[src]
+            excess = excess + np.maximum(
+                np.maximum(np.minimum(a, b) - t, 0), t - np.maximum(a, b)
+            )
+        if minimal:
+            bad = np.flatnonzero(gain != -1)
+            self._report_unprofitable(checker, sim, moves, dest, bad)
+        height = topo.height
         for i in np.flatnonzero(excess > delta).tolist():
             p = sim._slots.objects()[int(slots[i])]
             t = int(moves.target[i])
@@ -432,6 +549,31 @@ class MinimalityOracle(DualPathOracle):
                 self,
                 f"packet {p.pid} at {(t // height, t % height)} strays "
                 f"{excess[i]} > delta {delta} beyond rectangle {p.source}..{p.dest}",
+            )
+
+    def _report_unprofitable(
+        self,
+        checker: InvariantChecker,
+        sim: ArraySimulator,
+        moves: ArrayMoves,
+        dest: NDArray[Any],
+        bad: NDArray[Any],
+    ) -> None:
+        """Report moves ``bad``, which did not shrink the distance by one."""
+        if not len(bad):
+            return
+        geom = sim._state.geom
+        before = geom.distance(moves.src[bad], dest[bad]).tolist()
+        after = geom.distance(moves.target[bad], dest[bad]).tolist()
+        height = sim.topology.height
+        for i, d0, d1 in zip(bad.tolist(), before, after):
+            p = sim._slots.objects()[int(moves.slots[i])]
+            a, b = int(moves.src[i]), int(moves.target[i])
+            checker.report(
+                self,
+                f"packet {p.pid} moved {(a // height, a % height)}->"
+                f"{(b // height, b % height)} (distance {d0}->{d1}), "
+                f"not a profitable move for dest {p.dest}",
             )
 
     def check_objects(
@@ -471,11 +613,11 @@ class MinimalityOracle(DualPathOracle):
 class _Ledger:
     """The keys of one pid-keyed dict, mirrored as a sorted array.
 
-    The simulator's delivered, dropped and rejected dicts gain keys at the
-    end of their insertion order, so an update reads only the entries
-    added since the last one, plus the entry just before them: that must
-    still be the newest key the last update saw.  Any deletion moves it,
-    and the dict is then re-read whole, so the mirror is always exact.
+    The simulator's dropped and rejected dicts gain keys at the end of
+    their insertion order, so an update reads only the entries added since
+    the last one, plus the entry just before them: that must still be the
+    newest key the last update saw.  Any deletion moves it, and the dict
+    is then re-read whole, so the mirror is always exact.
     """
 
     def __init__(self, ledger: dict[int, int]) -> None:
@@ -488,6 +630,8 @@ class _Ledger:
         the last update."""
         n = len(ledger)
         fresh = n - self.seen
+        if not fresh and (not n or next(reversed(ledger)) == self.newest):
+            return _EMPTY, _EMPTY
         tail = list(islice(reversed(ledger), fresh + 1)) if fresh >= 0 else []
         if fresh >= 0 and (not self.seen or tail[-1] == self.newest):
             added = np.sort(np.array(tail[:fresh], dtype=np.int64))
@@ -507,11 +651,23 @@ class _Ledger:
 
     def contains(self, pids: NDArray[Any]) -> NDArray[Any]:
         """Membership mask of ``pids`` in the ledger."""
-        keys = self.keys
-        if not len(keys):
-            return np.zeros(len(pids), dtype=bool)
-        at = np.minimum(np.searchsorted(keys, pids), len(keys) - 1)
-        return keys[at] == pids
+        return _member(self.keys, pids)
+
+
+def _member(keys: NDArray[Any], values: NDArray[Any]) -> NDArray[Any]:
+    """Membership mask of ``values`` in the sorted array ``keys``."""
+    if not len(keys):
+        return np.zeros(len(values), dtype=bool)
+    at = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return keys[at] == values
+
+
+def _distinct(values: NDArray[Any]) -> NDArray[Any]:
+    """The distinct ``values``, sorted (a sort, not numpy's hash unique)."""
+    values = np.sort(values)
+    if len(values) > 1:
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return values
 
 
 def _rectangle_excess(

@@ -129,6 +129,19 @@ class TestCommands:
         assert rc == 1
         assert "STALLED" in capsys.readouterr().out
 
+    def test_route_closed_wedge_stops(self, capsys):
+        # Central-queue farthest-first wedges on the random permutation
+        # after 966 moves; the run stops STALL_STEPS idle steps later
+        # instead of stepping on to the default 1,000,000-step cap.
+        rc = main(
+            ["route", "--algorithm", "farthest-first", "--queues", "central",
+             "--n", "16", "--k", "2"]
+        )
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "STALLED 62/256 in 37 steps" in out
+        assert out.rstrip().endswith("966 moves")
+
     def test_route_torus(self, capsys):
         rc = main(["route", "--n", "8", "--torus", "--workload", "random"])
         assert rc == 0

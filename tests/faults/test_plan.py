@@ -176,6 +176,15 @@ class TestCompositeFaultPlan:
             CompositeFaultPlan()
 
 
+def test_has_node_faults_only_when_node_up_is_overridden():
+    """The array engine skips its node queries for plans whose nodes are
+    always up; every plan that can take a node down says it may."""
+    assert not BernoulliLinkPlan(0.5).has_node_faults
+    assert ScheduledOutagePlan([Outage((0, 0), 0, 1)]).has_node_faults
+    assert RenewalOutagePlan(5.0, 2.0).has_node_faults
+    assert CompositeFaultPlan(BernoulliLinkPlan(0.5)).has_node_faults
+
+
 class TestAttach:
     def test_link_filter_fails_links_into_and_out_of_down_nodes(self):
         sim = Simulator(

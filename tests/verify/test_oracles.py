@@ -95,6 +95,40 @@ def pile_into_one_queue(sim, moves):
     sim._mat = None
 
 
+def clone_slot(sim, slot):
+    """Array-engine tamper: a second slot holding slot ``slot``'s packet
+    (same pid, position, queue and FIFO place), queued behind the
+    engine's back; the in-flight counter is not told.  Returns the
+    clone's slot."""
+    st = sim._state
+    one = np.array([slot])
+    clone = st.new_slots(
+        st.pids[one], st.posf[one], st.destf[one], st.qkey[one], st.qseq[one]
+    )
+    store = sim._slots  # the clone's Packet and endpoints
+    store.append(
+        st.pids[one],
+        store.source[one].copy(),
+        store.dest[one].copy(),
+        np.zeros(1, dtype=np.int64),
+        {int(st.pids[slot]): store.objects()[slot].copy()},
+    )
+    sim._act = np.append(sim._act, clone)
+    sim._mat = None
+    return int(clone[0])
+
+
+def forget_first_delivery(sim):
+    """Delete the oldest delivery record: the reference engine's first
+    ``delivery_times`` entry, the array engine's first ledger row."""
+    if sim.engine_name == "reference":
+        del sim.delivery_times[next(iter(sim.delivery_times))]
+        return
+    led = sim.deliveries
+    led._rows[:, : led.size - 1] = led._rows[:, 1 : led.size].copy()
+    led.size -= 1
+
+
 def overflowing_sim(engine):
     """Four packets converging on one queue of capacity 1: the broken
     router on the reference engine, the tampered state on the array one."""
@@ -250,6 +284,25 @@ class TestMinimalityOracleOnArrays(TestMinimalityOracle):
 
     engine = "array"
 
+    def test_excursion_beyond_rectangle_is_flagged(self):
+        """A move west of a packet whose rectangle is the column x=2
+        strays one hop beyond it (and is unprofitable): both paths report
+        both, in the same order."""
+        mesh = Mesh(6)
+        sim = build(
+            self.engine, mesh, GreedyAdaptiveRouter(2), [Packet(0, (2, 2), (2, 4))],
+            validate=False,
+        )
+        sim._state.destf[0] = mesh.node_index((0, 2))
+        checker, objects = attach_paths(sim, lambda: [MinimalityOracle()], "record")
+        sim.step()
+        assert [v.message for v in checker.violations] == [
+            "packet 0 moved (2, 2)->(1, 2) (distance 2->3), not a profitable "
+            "move for dest (2, 4)",
+            "packet 0 at (1, 2) strays 1 > delta 0 beyond rectangle (2, 2)..(2, 4)",
+        ]
+        assert_paths_agree(checker, objects)
+
 
 class TestConservationOracle:
     engine = "reference"
@@ -280,18 +333,7 @@ class TestConservationOracle:
                         q.append(p.copy())
                         break
         else:
-            st = sim._state
-            slot = sim._act[:1]
-            clone = st.new_slots(
-                st.pids[slot], st.posf[slot], st.destf[slot], st.qkey[slot], st.qseq[slot]
-            )
-            store = sim._slots  # the clone's Packet and endpoints
-            store.append(
-                [store.objects()[int(slot[0])].copy()],
-                store.source[slot].copy(),
-                store.dest[slot].copy(),
-            )
-            sim._act = np.append(sim._act, clone)
+            clone_slot(sim, int(sim._act[0]))
         sim.step()
         assert any("occupies two queues" in v.message for v in checker.violations) or any(
             "in-flight counter" in v.message for v in checker.violations
@@ -333,15 +375,16 @@ class TestConservationOracle:
         assert_paths_agree(checker, objects)
 
     def test_forgotten_delivery_is_flagged(self):
-        """Deleting a delivery record shrinks the delivered set and breaks
-        the sum; both are reported, by both paths alike."""
+        """Deleting a delivery record (on the array engine, the first row
+        of its delivery ledger) shrinks the delivered set and breaks the
+        sum; both are reported, by both paths alike."""
         mesh = Mesh(6)
         packets = random_permutation(mesh, seed=1)
         sim = build(self.engine, mesh, GreedyAdaptiveRouter(4), packets)
         checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
-        while not sim.delivery_times:
+        while not sim.delivered_count:
             sim.step()
-        del sim.delivery_times[next(iter(sim.delivery_times))]
+        forget_first_delivery(sim)
         sim.step()
         messages = [v.message for v in checker.violations]
         assert any("delivered set shrank" in m for m in messages)
@@ -368,6 +411,71 @@ class TestConservationOracleOnArrays(TestConservationOracle):
     """The same tests on the array engine, corruption planted in ArrayState."""
 
     engine = "array"
+
+    def test_clone_of_delivered_packet_stays_queued(self):
+        """A delivered packet's clone, queued far from its destination for
+        two steps: each step reports it as still queued after delivery,
+        and the counts, by both paths alike."""
+        mesh = Mesh(6)
+        sim = build(
+            self.engine, mesh, GreedyAdaptiveRouter(4), random_permutation(mesh, seed=1),
+            validate=False,
+        )
+        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
+        led = sim.deliveries
+        while not (led.slot >= 0).any():
+            sim.step()
+        row = int(np.argmax(led.slot >= 0))  # the first delivery from a slot
+        slot, pid = int(led.slot[row]), int(led.pid[row])
+        clone = clone_slot(sim, slot)
+        # In the corner farthest from its destination, 5+ hops away.
+        x, y = divmod(int(sim._state.destf[clone]), mesh.height)
+        sim._state.posf[clone] = mesh.node_index((5 if x < 3 else 0, 5 if y < 3 else 0))
+        sim.step()
+        sim.step()
+        messages = [v.message for v in checker.violations]
+        assert messages.count(f"packet {pid} still queued after delivery") == 2
+        assert any("in-flight counter" in m for m in messages)
+        assert_paths_agree(checker, objects)
+
+    def test_clone_delivered_again(self):
+        """A clone one hop from its destination is delivered a second time
+        in the step after it was planted: the ledger then holds that pid
+        twice, both paths count it once, and only the in-flight counter
+        (decremented twice) is off."""
+        mesh = Mesh(6)
+        sim = build(
+            self.engine, mesh, GreedyAdaptiveRouter(4), [Packet(0, (0, 0), (0, 1))],
+            validate=False,
+        )
+        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
+        sim.step()
+        clone = clone_slot(sim, 0)
+        sim._state.posf[clone] = mesh.node_index((0, 0))
+        sim.step()
+        assert sim.deliveries.pid.tolist() == [0, 0]
+        assert len(sim.delivery_times) == 1
+        assert [v.message for v in checker.violations] == [
+            "in-flight counter -1 != queued packets 0"
+        ]
+        assert_paths_agree(checker, objects)
+
+    def test_wrong_node_delivery_is_flagged(self):
+        """The engine's destination array moved next to the source: the
+        packet is delivered there, which both paths report."""
+        mesh = Mesh(6)
+        sim = build(
+            self.engine, mesh, GreedyAdaptiveRouter(2), [Packet(0, (0, 0), (5, 5))],
+            validate=False,
+        )
+        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
+        sim._state.destf[0] = mesh.node_index((1, 0))
+        sim.step()
+        assert sim.delivered_count == 1
+        assert [v.message for v in checker.violations] == [
+            "packet 0 recorded delivered at (1, 0), destination is (5, 5)"
+        ]
+        assert_paths_agree(checker, objects)
 
 
 class TestStepBoundOracle:
