@@ -89,6 +89,7 @@ DOCSTRING_PACKAGES: Tuple[str, ...] = ("perf", "harness", "streaming", "analysis
 DOCSTRING_MODULES: Tuple[str, ...] = (
     "mesh/array_engine.py",
     "mesh/array_state.py",
+    "mesh/stepview.py",
     "mesh/transitions.py",
     "verify/engine_equivalence.py",
 )
@@ -99,6 +100,7 @@ DOCSTRING_MODULES: Tuple[str, ...] = (
 ARRAY_MODULES: Tuple[str, ...] = (
     "mesh/array_engine.py",
     "mesh/array_state.py",
+    "mesh/stepview.py",
 )
 
 #: numpy constructors whose dtype must be explicit (SC008).

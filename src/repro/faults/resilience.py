@@ -128,7 +128,7 @@ class ResilienceManager:
         self._attempts: dict[int, int] = {}
         self.retransmissions = 0
         self.dropped_by_outage = 0
-        self._seen_delivered: set[int] = set(sim.delivery_times)
+        self._read = sim.deliveries.size  # ledger rows already handled
 
         for p in list(sim.iter_packets()) + list(sim._pending):
             self._register_original(p)
@@ -187,13 +187,11 @@ class ResilienceManager:
         self.retransmissions += 1
 
     def _post_step(self, sim: Simulator, moves: list[ScheduledMove]) -> None:
-        newly = [
-            pid for pid in sim.delivery_times if pid not in self._seen_delivered
-        ]
-        for pid in newly:
-            self._seen_delivered.add(pid)
+        led = sim.deliveries
+        start, self._read = self._read, led.size
+        for pid, t in zip(led.pid[start:].tolist(), led.step[start:].tolist()):
             orig = self.origin_of[pid]
-            self.delivered_at.setdefault(orig, sim.delivery_times[pid])
+            self.delivered_at.setdefault(orig, t)
             self._forget_copy(pid)
             self._suppress_duplicates(orig)
 

@@ -27,18 +27,22 @@ path -- so faulty runs are byte-identical across engines too.
 Packets are loaded from a :class:`~repro.mesh.batch.PacketBatch`'s flat
 arrays (a Packet list is converted to one first), and a slot's Packet
 object is resolved only when something asks for it.  The compatibility
-surface (``queues``, ``configuration()``, ``iter_packets``,
-``delivery_times`` and the observer hooks' move lists) is provided by
-materializing those objects on demand; deliveries are kept as an array
-ledger (:class:`DeliveryLedger`).  The hot path never touches them, and the verify oracles read
-the arrays directly, so a run without object-level observers -- checked
-or not -- builds no Packet from a batch and stays fully vectorized.  See
+surface (``queues``, ``configuration()``, ``iter_packets`` and the
+observer hooks' move lists) is provided by materializing those objects
+on demand.  Deliveries go to the engine-neutral array ledger
+(:class:`~repro.mesh.stepview.DeliveryLedger`), and
+:meth:`~repro.mesh.simulator.Simulator.step_view` hands observers the
+engine's own arrays, gathered per field on first read.  The hot path
+never touches the objects, and the verify oracles read only the ledger
+and the view, so a run without object-level observers -- checked or not
+-- builds no Packet from a batch and stays fully vectorized.  See
 docs/PERFORMANCE.md for the memory layout, the porting checklist, and the
 equivalence-gate protocol.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence, Sized
 
 import numpy as np
@@ -59,6 +63,7 @@ from repro.mesh.errors import QueueOverflowError
 from repro.mesh.packet import Packet
 from repro.mesh.queues import CENTRAL
 from repro.mesh.simulator import ScheduledMove, Simulator, StepRecord
+from repro.mesh.stepview import DeliveryLedger, StepView
 from repro.mesh.topology import Topology
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -540,8 +545,8 @@ class ArrayMoves(Sequence[ScheduledMove]):
 
     ``slots`` (packet slots), ``src`` and ``target`` (flat node ids) and
     ``direction`` (direction values) are in the reference engine's
-    accepted-move order, (target, inlink).  Array-aware observers -- the
-    verify oracles' array paths -- read the arrays directly.  Indexing or
+    accepted-move order, (target, inlink).  Array-aware observers read
+    them through :meth:`ArraySimulator.step_view`.  Indexing or
     iterating builds the ``ScheduledMove`` list the reference engine hands
     its hooks, once; a build during the step that made the moves also
     moves each Packet's ``pos`` to its target, as the reference engine
@@ -704,71 +709,6 @@ class SlotPackets:
         return objects
 
 
-class DeliveryLedger:
-    """The array engine's deliveries: append-only int64 columns of pid,
-    step and slot, one row per delivery, in delivery order.
-
-    ``slot`` is -1 for a packet delivered without ever holding a slot (its
-    source is its destination).  The engine appends rows at load, in
-    phase (d) and when a pending packet enters at its destination; the
-    verify oracles read the rows past the last ones they saw.  Nothing
-    keyed by pid exists until :meth:`as_dict` is called.
-    """
-
-    def __init__(self) -> None:
-        self.size = 0
-        self._rows = np.zeros((3, 64), dtype=np.int64)  # [pid, step, slot]
-        # The dict view of the first _view_size rows, and the pid of the
-        # last of them (which tells whether those rows are still there).
-        self._view: dict[int, int] = {}
-        self._view_size = 0
-        self._view_last = 0
-
-    @property
-    def pid(self) -> np.ndarray:
-        return self._rows[0, : self.size]
-
-    @property
-    def step(self) -> np.ndarray:
-        return self._rows[1, : self.size]
-
-    @property
-    def slot(self) -> np.ndarray:
-        return self._rows[2, : self.size]
-
-    def append(self, pid: np.ndarray, step: int, slot: np.ndarray | int) -> None:
-        """Record the deliveries of ``pid`` at ``step``, from ``slot``."""
-        start = self.size
-        self.size = end = start + len(pid)
-        if end > self._rows.shape[1]:
-            grown = np.zeros((3, max(end, 2 * self._rows.shape[1])), dtype=np.int64)
-            grown[:, :start] = self._rows[:, :start]
-            self._rows = grown
-        self._rows[0, start:end] = pid
-        self._rows[1, start:end] = step
-        self._rows[2, start:end] = slot
-
-    def as_dict(self) -> dict[int, int]:
-        """pid -> delivery step, in delivery order: the reference engine's
-        ``delivery_times``.
-
-        Built on the first call and extended by the rows appended since;
-        rebuilt whole if the rows it was built from changed.  The dict is
-        a cached view, to be read, not written: the rows are the record,
-        and the engine and the oracles read only them.
-        """
-        n, seen = self.size, self._view_size
-        if seen and (n < seen or self._rows[0, seen - 1] != self._view_last):
-            self._view, seen = {}, 0
-        if n > seen:
-            self._view.update(
-                zip(self._rows[0, seen:n].tolist(), self._rows[1, seen:n].tolist())
-            )
-            self._view_last = int(self._rows[0, n - 1])
-        self._view_size = n
-        return self._view
-
-
 class ArraySimulator(Simulator):
     """Array-backend drop-in for :class:`~repro.mesh.simulator.Simulator`.
 
@@ -788,9 +728,9 @@ class ArraySimulator(Simulator):
     ``configuration()``/``iter_packets``/``result()`` work unchanged, and
     :meth:`step` returns (and hands post-step hooks) the step's moves as
     :class:`ArrayMoves`, which builds the ``ScheduledMove`` list only when
-    iterated.  ``delivery_times`` is a dict built from the
-    :attr:`deliveries` ledger when read.  The verify oracles read the
-    arrays and the ledger instead, so a checked run builds none of these.
+    iterated.  The verify oracles read :meth:`step_view` and the
+    :attr:`deliveries` ledger instead, so a checked run builds none of
+    these.
     """
 
     engine_name = "array"
@@ -878,10 +818,6 @@ class ArraySimulator(Simulator):
         )
         # Injection queue index per 4-bit profitable mask (made on first use).
         self._initial_kidx: np.ndarray | None = None
-        # Same-step admission ledger of offer_packets: offers per flat
-        # (node, key) slot during step ``_offer_time`` (made on first use).
-        self._offer_time = -1
-        self._offers = _EMPTY
         # Counting-sort buffers of _transmit, one entry per (node, inlink)
         # (made on first use).
         self._arrival_mark: np.ndarray | None = None
@@ -907,7 +843,11 @@ class ArraySimulator(Simulator):
         return (flat // self._height, flat % self._height)
 
     def _key_object(self, kidx: int) -> Any:
-        return CENTRAL if self._central else DIRECTIONS[kidx]
+        """The queue key of a key index; one outside the regime (corrupted
+        state) reads as the incoming regime's direction, or as itself."""
+        if self._central and kidx == 0:
+            return CENTRAL
+        return DIRECTIONS[kidx] if 0 <= kidx < len(DIRECTIONS) else kidx
 
     def _load_packets(self, packets: Iterable[Packet]) -> None:
         if isinstance(packets, Sized) and not len(packets):
@@ -1045,16 +985,6 @@ class ArraySimulator(Simulator):
         return placed
 
     # -- compatibility surface ---------------------------------------------
-
-    @property
-    def delivery_times(self) -> dict[int, int]:  # type: ignore[override]
-        """pid -> delivery step, built from :attr:`deliveries` on first read
-        (see :meth:`DeliveryLedger.as_dict`); the engine never reads it."""
-        return self.deliveries.as_dict()
-
-    @property
-    def delivered_count(self) -> int:
-        return self.deliveries.size
 
     @property
     def pending_count(self) -> int:
@@ -1236,28 +1166,20 @@ class ArraySimulator(Simulator):
     ) -> np.ndarray:
         """The reference engine's admission rule over arrays (see
         :meth:`Simulator.offer_packets`): per (source, injection key) slot,
-        an offer is admitted iff fewer than ``capacity - occupancy`` offers
-        reached that slot earlier this step."""
+        an offer is admitted iff fewer than ``capacity - occupancy``
+        earlier offers of the call reached that slot."""
         sources = np.asarray(sources, dtype=np.int64)
         dests = np.asarray(dests, dtype=np.int64)
         m = len(sources)
         pids = range(first_pid, first_pid + m)
         self._check_new_offers(pids, sources, dests)
+        time = self._offer_once()
         self._known().update(pids)
         self.total_packets += m
-        st = self._state
-        if self._offer_time != self.time:
-            self._offer_time = self.time
-            if len(self._offers):
-                self._offers.fill(0)
-            else:
-                self._offers = np.zeros(st.occ.size, dtype=np.int64)
         _, slot = self._injection_slots(sources, dests)
-        free = self.spec.capacity - st.occ.ravel()[slot] - self._offers[slot]
+        free = self.spec.capacity - self._state.occ.ravel()[slot]
         admitted = _rank_within(slot) < free
-        np.add.at(self._offers, slot, 1)
         pid = first_pid + np.arange(m, dtype=np.int64)
-        time = self.time
         self.rejected.update(dict.fromkeys(pid[~admitted].tolist(), time))
         if bool(admitted.any()):
             self._queue_offers(pid[admitted], sources[admitted], dests[admitted])
@@ -1303,6 +1225,9 @@ class ArraySimulator(Simulator):
         raise NotImplementedError(
             "array engine does not support packet drops; use engine='reference'"
         )
+
+    def _make_step_view(self, moves: Sequence[Any] | None) -> StepView:
+        return _ArrayStepView(self, moves)
 
     # -- the step ----------------------------------------------------------
 
@@ -1350,12 +1275,13 @@ class ArraySimulator(Simulator):
         if plan is not None and n_scheduled:
             t = self.time
             geom = self._state.geom
-            sx, sy = geom.xy[:, sched_src]
+            coords = self.topology.coords
+            sx, sy = coords[:, sched_src]
             keep = plan.link_up_array(sx, sy, sched_dir, t)
             if plan.has_node_faults:
                 keep &= plan.node_up_array(sx, sy, t)
                 # Scheduled moves are profitable, so the target always exists.
-                tx, ty = geom.xy[:, geom.nbr_flat[sched_src, sched_dir]]
+                tx, ty = coords[:, geom.nbr_flat[sched_src, sched_dir]]
                 keep &= plan.node_up_array(tx, ty, t)
             if not bool(keep.all()):
                 sched_pkt = sched_pkt[keep]
@@ -1554,6 +1480,49 @@ class ArraySimulator(Simulator):
             )
         else:
             self._pend = tuple(a[due:] for a in self._pend)
+
+
+class _ArrayStepView(StepView):
+    """The array engine's :class:`StepView`: the engine's own arrays, and
+    gathers from them (the rarely read ``dest`` and ``order`` on first
+    read).  A move's source and destination are the ones its caller gave
+    (:class:`SlotPackets`), not the engine's working destination array."""
+
+    def __init__(self, engine: "ArraySimulator", moves: Any) -> None:
+        st, act = engine._state, engine._act
+        self._engine = engine
+        self.slot, self.slots_made = act, st.size
+        self.pid, self.node = st.pids[act], st.posf[act]
+        self.key, self.outside_keys = _key_column(engine, st.qkey[act])
+        moves = moves if moves is not None else ArrayMoves(engine, *[_EMPTY] * 4)
+        self.move_src, self.move_target = moves.src, moves.target
+        self.move_pid = st.pids[moves.slots]
+        self.move_source = engine._slots.source[moves.slots]
+        self.move_dest = engine._slots.dest[moves.slots]
+
+    @cached_property
+    def dest(self) -> np.ndarray:
+        return self._engine._slots.dest[self.slot]
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return self._engine._state.qseq[self.slot]
+
+    @property
+    def pending(self) -> tuple[np.ndarray, ...]:
+        return self._engine.pending_arrays()
+
+
+def _key_column(engine: "ArraySimulator", key: np.ndarray) -> tuple[np.ndarray, list]:
+    """Queued key indices, and the key objects of those outside the regime
+    (corrupted state only), which read as -1."""
+    num_keys = engine._state.num_keys
+    if not len(key) or key.view(np.uint64).max() < num_keys:  # negatives wrap
+        return key, []
+    outside = (key < 0) | (key >= num_keys)
+    return np.where(outside, -1, key), [
+        engine._key_object(k) for k in key[outside].tolist()
+    ]
 
 
 #: Exact router type -> kernel.  Exact types, not subclasses: a subclass may

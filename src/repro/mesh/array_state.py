@@ -18,8 +18,8 @@ arrays so each simulator phase becomes a handful of batched operations:
   fallback scans depend.
 - **Geometry tables** derived from the topology once: the flat neighbor
   ids of :meth:`repro.mesh.topology.Topology.link_array` (the table the
-  reference engine's ``neighbor_table`` comes from too), each node's
-  coordinates (made on first use), an outlink bitmask per node, and the
+  reference engine's ``neighbor_table`` comes from too), an outlink
+  bitmask per node, and the
   bit widths of the node and distance fields of packed sort keys.
 
 Everything here is layout and geometry; the per-router scheduling kernels
@@ -30,8 +30,6 @@ tuples -- the order the reference engine iterates nodes in.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +60,6 @@ class GridGeometry:
     Attributes:
         width / height / num_nodes: Grid dimensions.
         wraps: True for the torus.
-        xy: ``(2, num_nodes)`` coordinates of each flat node id.
         nbr_flat: ``(num_nodes, 4)`` flat neighbor ids, -1 where the
             outlink does not exist (mesh boundary): the topology's
             :meth:`~repro.mesh.topology.Topology.link_array`.
@@ -84,12 +81,6 @@ class GridGeometry:
         # distance along one axis (below max(width, height)).
         self.node_bits = max(self.num_nodes - 1, 1).bit_length()
         self.dist_bits = max(width, height).bit_length()
-
-    @cached_property
-    def xy(self) -> np.ndarray:
-        """``(2, num_nodes)`` coordinates of each flat node id, made on
-        first use: a flat id becomes ``(x, y)`` by two gathers."""
-        return np.indices((self.width, self.height), dtype=np.int64).reshape(2, -1)
 
     def displacement(
         self, pos: np.ndarray, dest: np.ndarray
@@ -113,12 +104,6 @@ class GridGeometry:
             dx = dx_ - px
             dy = dy_ - py
         return dx, dy
-
-    def distance(self, pos: np.ndarray, dest: np.ndarray) -> np.ndarray:
-        """:meth:`repro.mesh.topology.Topology.distance` between flat node
-        ids: ``|dx| + |dy|`` of :meth:`displacement`."""
-        dx, dy = self.displacement(pos, dest)
-        return np.abs(dx) + np.abs(dy)
 
     def profitable_mask(self, pos: np.ndarray, dest: np.ndarray) -> np.ndarray:
         """4-bit profitable-outlink mask from ``pos`` toward ``dest`` (bit

@@ -89,6 +89,25 @@ class SparsePillarMesh(Topology):
             cost = min(cost, 2 * above - a - b)
         return cost
 
+    def _pillar_axis_costs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """:meth:`_pillar_axis_cost`, elementwise over coordinate arrays."""
+        stride = self.pillar_stride
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        below = lo // stride * stride
+        above = below + stride
+        cost = a + b - 2 * below
+        cost = np.where(
+            above < self.shape[0], np.minimum(cost, 2 * above - a - b), cost
+        )
+        return np.where(hi // stride * stride >= lo, hi - lo, cost)
+
+    def flat_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        x, y, z = self.coords
+        dz = np.abs(z[a] - z[b])
+        xa, xb, ya, yb = x[a], x[b], y[a], y[b]
+        walk = self._pillar_axis_costs(xa, xb) + self._pillar_axis_costs(ya, yb)
+        return np.where(dz == 0, np.abs(xa - xb) + np.abs(ya - yb), walk + dz)
+
     def distance(self, a: Node, b: Node) -> int:
         dz = abs(a[2] - b[2])
         if dz == 0:

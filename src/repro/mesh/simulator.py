@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from repro.mesh.errors import (
 )
 from repro.mesh.interfaces import NodeContext, RoutingAlgorithm
 from repro.mesh.packet import Packet
+from repro.mesh.stepview import DeliveryLedger, StepView
 from repro.mesh.topology import Topology
 from repro.mesh.visibility import FullPacketView, Offer, PacketView
 
@@ -134,6 +136,12 @@ class Simulator:
     #: The engine running this simulator ("reference" here; the array
     #: backend overrides this with "array").
     engine_name = "reference"
+    # Set on use: the step of the last offer_packets call, the last
+    # step_view as (moves, step, view), and the reference view's node ->
+    # flat id and queue key -> index tables.
+    _offer_time = -1
+    _step_view: tuple[Any, int, StepView] | None = None
+    _view_ids: tuple[dict[Any, int], dict[Any, int]] | None = None
 
     def __new__(cls, *args: Any, **kwargs: Any) -> "Simulator":
         engine = kwargs.get("engine", "reference")
@@ -185,7 +193,8 @@ class Simulator:
         self.time = 0
         self.queues: dict[tuple[int, int], dict[Any, list[Packet]]] = {}
         self.node_states: dict[tuple[int, int], Any] = {}
-        self.delivery_times: dict[int, int] = {}
+        #: Every delivery, one (pid, step) row each, in delivery order.
+        self.deliveries = DeliveryLedger()
         #: pid -> step at which the packet was dropped (fault handling; see
         #: repro.faults).  Empty in fault-free runs.  Dropped packets count
         #: as resolved for :attr:`done` and for conservation.
@@ -214,10 +223,6 @@ class Simulator:
         self.series: list[StepRecord] = []
         self._pending: list[Packet] = []
         self._in_flight = 0
-        # Same-step admission ledger of offer_packets: offers per
-        # (node, queue key) during step ``_offer_time``.
-        self._offer_time = -1
-        self._offers: dict[tuple[tuple[int, int], Any], int] = {}
         # Precomputed geometry (built once per topology, shared across
         # simulators): per-node outlink targets and outlink direction sets.
         self._neighbors: dict[tuple[int, int], tuple[tuple[int, int] | None, ...]] = (
@@ -281,7 +286,7 @@ class Simulator:
                 continue
             p.pos = p.source
             if p.source == p.dest:
-                self.delivery_times[p.pid] = 0
+                self.deliveries.append([p.pid], 0)
                 continue
             originating.setdefault(p.source, []).append(p)
 
@@ -407,9 +412,6 @@ class Simulator:
             self._view_factory(node),
         )
 
-    def _out_directions(self, node: tuple[int, int]) -> tuple[Direction, ...]:
-        return self._out_dirs[node]
-
     # -- introspection (used by adversaries, tests, and metrics) ---------------
 
     def iter_packets(self) -> Iterator[Packet]:
@@ -443,9 +445,14 @@ class Simulator:
         return self._in_flight
 
     @property
+    def delivery_times(self) -> dict[int, int]:
+        """pid -> delivery step, built from :attr:`deliveries` when read."""
+        return self.deliveries.as_dict()
+
+    @property
     def delivered_count(self) -> int:
         """Packets delivered so far."""
-        return len(self.delivery_times)
+        return self.deliveries.size
 
     @property
     def undelivered(self) -> int:
@@ -477,6 +484,23 @@ class Simulator:
             if qitems:
                 items.append((node, tuple(qitems), self.node_states.get(node)))
         return tuple(items)
+
+    def step_view(self, moves: Sequence[Any] | None = None) -> StepView:
+        """The state as a :class:`~repro.mesh.stepview.StepView` whose moves
+        are ``moves`` (a step's returned moves, or none); the oracles of
+        one step share one view."""
+        cached = self._step_view
+        if cached is None or cached[0] is not moves or cached[1] != self.time:
+            cached = self._step_view = (moves, self.time, self._make_step_view(moves))
+        return cached[2]
+
+    def _make_step_view(self, moves: Sequence[Any] | None) -> StepView:
+        if self._view_ids is None:
+            self._view_ids = (
+                {node: i for i, node in enumerate(self._neighbors)},
+                {key: i for i, key in enumerate(self.spec.keys)},
+            )
+        return _PacketStepView(self, *self._view_ids, moves or ())
 
     # -- the step ---------------------------------------------------------------
 
@@ -738,7 +762,7 @@ class Simulator:
         arrivals: set[tuple[int, int]] = set()
         arrival_map = self.spec._arrival_map
         record_link_loads = self.record_link_loads
-        delivery_times = self.delivery_times
+        delivered: list[int] = []
         self.total_moves += len(accepted_moves)
         max_queue_len = self.max_queue_len
         max_node_load = self.max_node_load
@@ -751,7 +775,7 @@ class Simulator:
                 key = (mv.src, mv.direction)
                 self.link_loads[key] = self.link_loads.get(key, 0) + 1
             if target == p.dest:
-                delivery_times[p.pid] = self.time
+                delivered.append(p.pid)
                 self._in_flight -= 1
                 queue_of.pop(p.pid, None)
             else:
@@ -785,6 +809,8 @@ class Simulator:
                     )
         self.max_queue_len = max_queue_len
         self.max_node_load = max_node_load
+        if delivered:
+            self.deliveries.append(delivered, self.time)
         if instr is not None:
             instr.mark("d")
 
@@ -816,7 +842,7 @@ class Simulator:
                 StepRecord(
                     time=self.time,
                     in_flight=self._in_flight,
-                    delivered_total=len(self.delivery_times),
+                    delivered_total=self.deliveries.size,
                     moves=len(accepted_moves),
                     max_queue_len=self.max_queue_len,
                 )
@@ -844,7 +870,7 @@ class Simulator:
                 still_pending.append(p)
                 continue
             if p.source == p.dest:
-                self.delivery_times[p.pid] = self.time
+                self.deliveries.append([p.pid], self.time)
                 continue
             profitable = self.topology.profitable_directions(p.source, p.dest)
             key = self.spec.initial_key(profitable)
@@ -999,10 +1025,11 @@ class Simulator:
         ``sources[i]`` to ``dests[i]`` (:meth:`Topology.node_index` ids),
         injected now.  Admission is purely local: per (source,
         ``queue_spec.initial_key``) slot, an offer is admitted iff fewer
-        than ``capacity - occupancy`` offers reached that slot earlier this
-        step -- counting every call made during the step, so a burst cannot
-        overbook the queue it lands in.  Admitted packets join the pending
-        pool and enter the network at the next step.
+        than ``capacity - occupancy`` earlier offers of the call reached
+        that slot, so a burst cannot overbook the queue it lands in.  A
+        step takes one call: a second one in the same step raises
+        ``ValueError``.  Admitted packets join the pending pool and enter
+        the network at the next step.
 
         A rejected offer -- the open-loop analogue of a dropped call --
         never enters the network but counts toward ``total_packets`` and is
@@ -1014,11 +1041,12 @@ class Simulator:
         nodes = tuple(self._neighbors)  # flat id -> node
         src_l, dst_l = list(map(int, sources)), list(map(int, dests))
         pending_pids = {p.pid for p in self._pending}
+        delivered = self.delivery_times
         for i, (s, d) in enumerate(zip(src_l, dst_l)):
             pid = first_pid + i
             if (
                 pid in self._queue_of
-                or pid in self.delivery_times
+                or pid in delivered
                 or pid in self.dropped
                 or pid in self.rejected
                 or pid in pending_pids
@@ -1026,11 +1054,8 @@ class Simulator:
                 raise ValueError(f"duplicate packet id {pid}")
             if not (0 <= s < len(nodes) and 0 <= d < len(nodes)):
                 raise ValueError(f"packet {pid} endpoints outside topology")
-        time = self.time
-        if self._offer_time != time:
-            self._offer_time = time
-            self._offers = {}
-        offers = self._offers
+        time = self._offer_once()
+        offers: dict[tuple[tuple[int, int], Any], int] = {}
         spec = self.spec
         m = len(src_l)
         admitted = np.zeros(m, dtype=bool)
@@ -1049,6 +1074,13 @@ class Simulator:
         if admitted.any():
             self._pending.sort(key=lambda p: (p.injection_time, p.pid))
         return admitted
+
+    def _offer_once(self) -> int:
+        """Mark this step as offered; a second call in it raises."""
+        if self._offer_time == self.time:
+            raise ValueError(f"offer_packets was already called at step {self.time}")
+        self._offer_time = self.time
+        return self.time
 
     def _check_new_pid(self, packet: Packet) -> None:
         pid = packet.pid
@@ -1118,3 +1150,50 @@ class Simulator:
             series=list(self.series),
             counters=self.counter_snapshot(),
         )
+
+
+class _PacketStepView(StepView):
+    """The reference engine's :class:`StepView`, built from its Packets:
+    rows carry no slot, and a move's endpoints are its packet's current
+    ones (an interceptor may have exchanged the destination)."""
+
+    slots_made = 0
+
+    def __init__(
+        self,
+        sim: Simulator,
+        flat: dict[Any, int],
+        index: dict[Any, int],
+        moves: Sequence[ScheduledMove],
+    ) -> None:
+        queues = [
+            (flat[at], index.get(key, -1), key, q)
+            for at, node_queues in sim.queues.items()
+            for key, q in node_queues.items()
+            if q
+        ]
+        rows = [
+            (p.pid, at, flat[p.dest], i, j, -1)
+            for at, i, _, q in queues
+            for j, p in enumerate(q)
+        ]
+        (self.pid, self.node, self.dest, self.key, self.order,
+         self.slot) = _columns(rows, 6)
+        self.outside_keys = [key for _, i, key, q in queues if i < 0 for _ in q]
+        moved = [
+            (p.pid, flat[mv.src], flat[mv.target], flat[p.source], flat[p.dest])
+            for mv in moves
+            for p in (mv.packet,)
+        ]
+        (self.move_pid, self.move_src, self.move_target, self.move_source,
+         self.move_dest) = _columns(moved, 5)
+        pending = [
+            (p.injection_time, p.pid, flat[p.source], flat[p.dest]) for p in sim._pending
+        ]
+        self.pending = tuple(_columns(pending, 4))
+
+
+def _columns(rows: list[tuple[int, ...]], width: int) -> np.ndarray:
+    """``rows`` of ``width`` ints, as ``width`` int64 columns."""
+    flat = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
+    return flat.reshape(-1, width).T

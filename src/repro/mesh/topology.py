@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from functools import cached_property
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -104,6 +105,11 @@ class Topology:
         """:meth:`node_index` over the last axis of an integer coordinate
         array (no range check)."""
         return coords @ np.array(self._strides, dtype=np.int64)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """``(dims, num_nodes)`` coordinates: ``coords[:, i]`` is node ``i``."""
+        return np.indices(self.shape, dtype=np.int64).reshape(self.dims, -1)
 
     # -- links ---------------------------------------------------------------
 
@@ -203,6 +209,15 @@ class Topology:
     def distance(self, a: Node, b: Node) -> int:
         """Length of a shortest path from ``a`` to ``b``."""
         return sum(map(abs, self.displacement(a, b)))
+
+    def flat_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """:meth:`distance` between flat node ids, elementwise."""
+        coords = self.coords
+        total = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+        for axis, (side, wrapped) in enumerate(zip(self.shape, self.wrap)):
+            gap = np.abs(coords[axis][a] - coords[axis][b])
+            total += np.minimum(gap, side - gap) if wrapped else gap
+        return total
 
     def profitable_directions(self, node: Node, dest: Node) -> frozenset[Any]:
         """Outlinks of ``node`` that move a packet strictly closer to ``dest``.

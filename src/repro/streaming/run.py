@@ -159,12 +159,12 @@ def offer_packet(
     Offer ``i`` is packet ``first_pid + i`` from flat node ``sources[i]``
     to ``dests[i]``, injected at the current step.  The admission rule is
     purely local: an offer is admitted iff fewer than ``capacity -
-    occupancy`` offers reached the queue it would initially join
-    (``queue_spec.initial_key`` of its profitable directions at the
-    source) earlier in this step.  The engine keeps that same-step
-    accounting (:meth:`Simulator.offer_packets`), so callers may offer a
-    step's traffic in one batch or in several.  Rejected offers consume
-    their pid and stay visible to the conservation oracle.
+    occupancy`` earlier offers of the batch reached the queue it would
+    initially join (``queue_spec.initial_key`` of its profitable
+    directions at the source).  A step's traffic is offered in one batch:
+    :meth:`Simulator.offer_packets` raises ``ValueError`` on a second call
+    in the same step.  Rejected offers consume their pid and stay visible
+    to the conservation oracle.
     """
     return sim.offer_packets(first_pid, sources, dests)
 

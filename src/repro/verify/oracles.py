@@ -28,30 +28,28 @@ instead of trusting the simulator's own ``validate`` flag, so they catch
 regressions in the enforcement code itself (run with ``validate=False`` to
 see them work alone).
 
-The conservation, queue-bound and minimality oracles each have two paths,
-and the simulator being checked picks one.  ``check_objects`` walks Packet
-objects and ``ScheduledMove`` lists; it runs on the reference engine.
-``check_arrays`` runs on :class:`~repro.mesh.array_engine.ArraySimulator`
-and makes the same checks as numpy reductions over its packet arrays and
-the step's :class:`~repro.mesh.array_engine.ArrayMoves`, so a checked
-array run never builds per-packet objects.  Both report the same
-violations, with the same messages in the same order.  The array paths
+Every oracle has one path, which runs on either engine: numpy reductions
+over the simulator's :meth:`~repro.mesh.simulator.Simulator.step_view`
+(flat-id arrays of the queued packets, the step's moves and the pending
+pool) and its :class:`~repro.mesh.stepview.DeliveryLedger`.  The oracles
 re-derive their figures rather than read the engine's bookkeeping: queue
-lengths are recounted from packet positions, not read from the occupancy
+lengths are recounted from packet positions, not read from an occupancy
 table, and distances use each packet's own source and destination.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Container, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.mesh.array_engine import ArrayMoves, ArraySimulator
 from repro.mesh.simulator import ScheduledMove, Simulator
+from repro.mesh.stepview import StepView
+from repro.mesh.topology import Topology
 
 MODES = ("strict", "record", "off")
 
@@ -158,32 +156,7 @@ def attach_checker(
 # -- the oracles ---------------------------------------------------------------
 
 
-class DualPathOracle(Oracle):
-    """An oracle with an object path and an array path; the simulator it
-    checks picks one (see the module docstring)."""
-
-    def post_step(
-        self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
-    ) -> None:
-        if isinstance(sim, ArraySimulator) and isinstance(moves, ArrayMoves):
-            self.check_arrays(checker, sim, moves)
-        else:
-            self.check_objects(checker, sim, moves)
-
-    def check_objects(
-        self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
-    ) -> None:
-        """Check one step by walking Packet and ScheduledMove objects."""
-        raise NotImplementedError
-
-    def check_arrays(
-        self, checker: InvariantChecker, sim: ArraySimulator, moves: ArrayMoves
-    ) -> None:
-        """Check the same step from the array engine's state and moves."""
-        raise NotImplementedError
-
-
-class PacketConservationOracle(DualPathOracle):
+class PacketConservationOracle(Oracle):
     """Packets are conserved: pending + in-network + delivered + dropped
     + rejected == total, no pid occupies two queues, deliveries happen at
     the destination, and the delivered set only grows.
@@ -196,70 +169,36 @@ class PacketConservationOracle(DualPathOracle):
     source under backpressure is recorded in ``Simulator.rejected`` and
     never enters the network, but stays in the accounting.  In closed-loop
     fault-free runs both dicts are empty and the invariant reduces to the
-    original equality."""
+    original equality.  Only a step that violates something walks its
+    packets.
+    """
 
     name = "packet-conservation"
 
     def on_attach(self, checker: InvariantChecker, sim: Simulator) -> None:
-        if isinstance(sim, ArraySimulator):
-            led = sim.deliveries
-            self._delivered_seen: set[int] = set(led.pid.tolist())
-            # The array path's view of the ledger: rows read, the pid of
-            # the last of them, and the distinct delivered pids (sorted
-            # chunks, one per step that added any).
-            self._read = led.size
-            self._last = int(led.pid[-1]) if led.size else 0
-            self._chunks = [_distinct(led.pid)]
-            self._distinct = len(self._chunks[0])
-            # Slots below ``_fresh_from`` were checked against the delivered
-            # set when last queued; ``_offenders`` are the queued pids that
-            # were delivered already (at 0, the first check checks all).
-            self._fresh_from = 0
-            self._offenders = _EMPTY
-        else:
-            self._delivered_seen = set(sim.delivery_times)
+        led = sim.deliveries
+        # The ledger as read so far: rows read, the pid of the last of
+        # them, and the distinct delivered pids (sorted chunks, one per
+        # step that added any).
+        self._read = led.size
+        self._last = int(led.pid[-1]) if led.size else 0
+        self._chunks = [_distinct(led.pid)]
+        self._distinct = len(self._chunks[0])
+        # Slots below ``_fresh_from`` were checked against the delivered
+        # set when last queued; ``_offenders`` are the queued pids that
+        # were delivered already (at 0, the first check checks all).
+        self._fresh_from = 0
+        self._offenders = _EMPTY
         self._dropped = _Ledger(sim.dropped)
         self._rejected = _Ledger(sim.rejected)
 
-    def check_objects(
+    def post_step(
         self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
     ) -> None:
-        """The object path: walks the queued Packet objects."""
-        queued = [p.pid for p in sim.iter_packets()]
-        delivered = sim.delivery_times
-        self._check_queued(checker, queued, delivered, sim.dropped, sim.rejected)
-        self._check_totals(checker, sim, len(queued), len(delivered))
-        delivered_now = set(delivered)
-        if not self._delivered_seen <= delivered_now:
-            lost = sorted(self._delivered_seen - delivered_now)[:5]
-            checker.report(self, f"delivered set shrank (lost pids {lost})")
-        newly_delivered = delivered_now - self._delivered_seen
-        for mv in moves:
-            p = mv.packet
-            if p.pid in newly_delivered and p.pos != p.dest:
-                checker.report(
-                    self,
-                    f"packet {p.pid} recorded delivered at {p.pos}, "
-                    f"destination is {p.dest}",
-                )
-        self._delivered_seen = delivered_now
-
-    def check_arrays(
-        self, checker: InvariantChecker, sim: ArraySimulator, moves: ArrayMoves
-    ) -> None:
-        """The array path: the same checks over the queued pids and the
-        engine's delivery ledger.
-
-        Reports exactly what :meth:`check_objects` reports, in the same
-        order; only a step that violates something walks its packets.
-        """
-        st = sim._state
-        act = sim._act
-        pids = st.pids[act]
+        view = sim.step_view(moves)
+        pids = view.pid
         ordered = np.sort(pids)
-        added, added_slots, lost, offenders = self._read_ledger(
-            sim, act, pids, ordered
-        )
+        added, lost, offenders = self._read_ledger(sim, view, ordered)
         self._dropped.update(sim.dropped)
         self._rejected.update(sim.rejected)
         suspect = bool(len(offenders)) or bool((ordered[1:] == ordered[:-1]).any())
@@ -267,347 +206,254 @@ class PacketConservationOracle(DualPathOracle):
             if len(ledger.keys) and not suspect:
                 suspect = bool(ledger.contains(ordered).any())
         if suspect:
-            # Name the offenders in the order the object path meets them:
-            # materialized queue order, (node, queue key, FIFO).
-            order = np.lexsort((st.qseq[act], st.qkey[act], st.posf[act]))
-            self._check_queued(
-                checker,
-                pids[order].tolist(),
-                set(offenders.tolist()),
-                sim.dropped,
-                sim.rejected,
-            )
-        self._check_totals(checker, sim, len(pids), self._distinct)
-        if len(lost):
-            checker.report(
-                self, f"delivered set shrank (lost pids {lost[:5].tolist()})"
-            )
-        if len(added) and len(moves):
-            slots = moves.slots
-            if added_slots is not None and not len(offenders):
-                # No queued pid is delivered, so a move of a newly
-                # delivered pid is one that wrote its row: mark those slots.
-                mark = np.zeros(st.size, dtype=bool)
-                mark[added_slots] = True
-                delivering = mark[slots]
-            else:
-                delivering = _member(added, st.pids[slots])
-            wrong = delivering & (moves.target != sim._slots.dest[slots])
-            height = sim.topology.height
-            for slot, target in zip(
-                slots[wrong].tolist(), moves.target[wrong].tolist()
-            ):
-                p = sim._slots.objects()[slot]
-                checker.report(
-                    self,
-                    f"packet {p.pid} recorded delivered at "
-                    f"{(target // height, target % height)}, "
-                    f"destination is {p.dest}",
-                )
-
-    def _read_ledger(
-        self,
-        sim: ArraySimulator,
-        act: NDArray[Any],
-        pids: NDArray[Any],
-        ordered: NDArray[Any],
-    ) -> tuple[NDArray[Any], NDArray[Any] | None, NDArray[Any], NDArray[Any]]:
-        """Catch up with the delivery ledger.  Returns the pids delivered
-        since the last check and not before (sorted), the slots of their
-        rows (None when the rows read before changed), the pids no longer
-        delivered (sorted), and the queued pids that are delivered.
-
-        The ledger only grows, so this reads its new rows.  A new row can
-        repeat an earlier delivery only if its pid was queued after that
-        delivery at the last check (an offender then), or if its slot was
-        not queued at the last check (a slot made since, or none): only
-        those rows are looked up in the earlier rows.  Likewise a queued
-        pid is delivered only if it was an offender, was delivered now, or
-        holds a slot made since the last check; packets enter the network
-        only in new slots.  If the rows read before changed (the pid of the
-        last one moved), the whole delivered set is compared instead.
-        """
-        led = sim.deliveries
-        rows = led.pid
-        n, seen = led.size, self._read
-        added_slots: NDArray[Any] | None
-        if n >= seen and (not seen or rows[seen - 1] == self._last):
-            entries = rows[seen:]
-            entry_slots = led.slot[seen:]
-            lost = _EMPTY
-            made = sim._state.size > self._fresh_from  # new slots since
-            unseen = entry_slots < 0
-            if made:
-                unseen |= entry_slots >= self._fresh_from
-            if len(self._offenders) or bool(unseen.any()):
-                again = _member(self._offenders, entries)
-                again[unseen] |= np.isin(entries[unseen], rows[:seen])
-                entries, entry_slots = entries[~again], entry_slots[~again]
-            added = _distinct(entries)
-            added_slots = entry_slots[entry_slots >= 0]
-            found = [added[_member(ordered, added)]]
-            if len(self._offenders):
-                found.append(self._offenders[_member(ordered, self._offenders)])
-            if made:
-                born = pids[act >= self._fresh_from]
-                found.append(born[np.isin(born, rows)])
-            offenders = _distinct(np.concatenate(found)) if len(found) > 1 else found[0]
-            if len(added):
-                self._chunks.append(added)
-        else:
-            before = np.sort(np.concatenate(self._chunks))
-            now = _distinct(rows)
-            added = np.setdiff1d(now, before, assume_unique=True)
-            lost = np.setdiff1d(before, now, assume_unique=True)
-            offenders = _distinct(ordered[_member(now, ordered)])
-            self._chunks = [now]
-            added_slots = None
-        self._distinct += len(added) - len(lost)
-        self._read = n
-        self._last = int(rows[-1]) if n else 0
-        self._fresh_from = sim._state.size
-        self._offenders = offenders
-        return added, added_slots, lost, offenders
-
-    def _check_queued(
-        self,
-        checker: InvariantChecker,
-        queued: list[int],
-        delivered: Container[int],
-        dropped: Container[int],
-        rejected: Container[int],
-    ) -> None:
-        """Per-packet checks over the queued pids, in queue order."""
-        seen: set[int] = set()
-        for pid in queued:
-            if pid in seen:
-                checker.report(self, f"packet {pid} occupies two queues")
-            seen.add(pid)
-            if pid in delivered:
-                checker.report(self, f"packet {pid} still queued after delivery")
-            if pid in dropped:
-                checker.report(self, f"packet {pid} still queued after being dropped")
-            if pid in rejected:
-                checker.report(
-                    self, f"packet {pid} queued despite admission rejection"
-                )
-
-    def _check_totals(
-        self, checker: InvariantChecker, sim: Simulator, in_network: int, delivered: int
-    ) -> None:
-        """The in-flight counter and the conservation sum."""
+            # Name the offenders in queue order: (node, queue key, FIFO).
+            delivered = set(offenders.tolist())
+            seen: set[int] = set()
+            for pid in pids[np.lexsort((view.order, view.key, view.node))].tolist():
+                if pid in seen:
+                    checker.report(self, f"packet {pid} occupies two queues")
+                seen.add(pid)
+                if pid in delivered:
+                    checker.report(self, f"packet {pid} still queued after delivery")
+                if pid in sim.dropped:
+                    checker.report(
+                        self, f"packet {pid} still queued after being dropped"
+                    )
+                if pid in sim.rejected:
+                    checker.report(
+                        self, f"packet {pid} queued despite admission rejection"
+                    )
+        in_network = len(pids)
         if in_network != sim.in_flight:
             checker.report(
                 self,
                 f"in-flight counter {sim.in_flight} != queued packets {in_network}",
             )
-        total = (
-            delivered
-            + in_network
-            + sim.pending_count
-            + len(sim.dropped)
-            + len(sim.rejected)
-        )
+        dropped, rejected = len(sim.dropped), len(sim.rejected)
+        pending = sim.pending_count
+        total = self._distinct + in_network + pending + dropped + rejected
         if total != sim.total_packets:
             checker.report(
                 self,
-                f"conservation broken: delivered {delivered} + "
-                f"queued {in_network} + pending {sim.pending_count} + "
-                f"dropped {len(sim.dropped)} + rejected {len(sim.rejected)} "
-                f"!= total {sim.total_packets}",
+                f"conservation broken: delivered {self._distinct} + "
+                f"queued {in_network} + pending {pending} + dropped {dropped} + "
+                f"rejected {rejected} != total {sim.total_packets}",
             )
+        if len(lost):
+            checker.report(
+                self, f"delivered set shrank (lost pids {lost[:5].tolist()})"
+            )
+        if len(added) and len(moves):
+            target, dest = view.move_target, view.move_dest
+            arrived = np.sort(view.move_pid[target == dest])
+            if not len(offenders) and np.array_equal(arrived, added):
+                return  # each new delivery is a move that reached its goal
+            delivering = _member(added, view.move_pid)
+            for i in np.flatnonzero(delivering & (target != dest)).tolist():
+                at, goal = _nodes(sim.topology, [target[i], dest[i]])
+                checker.report(
+                    self,
+                    f"packet {view.move_pid[i]} recorded delivered at {at}, "
+                    f"destination is {goal}",
+                )
+
+    def _read_ledger(
+        self, sim: Simulator, view: StepView, ordered: NDArray[Any]
+    ) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
+        """Catch up with the delivery ledger.  Returns the pids delivered
+        since the last check and not before (sorted), the pids no longer
+        delivered (sorted), and the queued pids that are delivered.
+
+        The ledger only grows, so this reads its new rows.  A new row can
+        repeat an earlier delivery only if its pid was queued after that
+        delivery at the last check (an offender then), or if its slot was
+        not queued at the last check (made since, or none); only those
+        rows are looked up.  Likewise a queued pid is delivered only if it
+        was an offender, was delivered now, or holds a slot made since or
+        none (every reference-engine row).  If the rows read before changed
+        (the pid of the last one moved), the whole set is compared instead.
+        """
+        led = sim.deliveries
+        rows = led.pid
+        n, seen = led.size, self._read
+        if n >= seen and (not seen or rows[seen - 1] == self._last):
+            added = lost = _EMPTY
+            if n > seen:
+                entries, slots = rows[seen:], led.slot[seen:]
+                unseen = (slots < 0) | (slots >= self._fresh_from)
+                if len(self._offenders) or bool(unseen.any()):
+                    again = _member(self._offenders, entries)
+                    again[unseen] |= _member(self._delivered(), entries[unseen])
+                    entries = entries[~again]
+                added = _distinct(entries)
+                self._chunks.append(added)
+            if not view.slots_made:
+                # An engine that numbers no slots: every queued pid is new.
+                offenders = ordered[_member(self._delivered(), ordered)]
+            else:
+                found = [added[_member(ordered, added)]]
+                if len(self._offenders):
+                    found.append(self._offenders[_member(ordered, self._offenders)])
+                if view.slots_made > self._fresh_from:
+                    born = view.pid[(view.slot < 0) | (view.slot >= self._fresh_from)]
+                    found.append(born[_member(self._delivered(), born)])
+                found = [f for f in found if len(f)]
+                offenders = _distinct(np.concatenate(found)) if found else _EMPTY
+        else:
+            before = self._delivered()
+            now = _distinct(rows)
+            added = np.setdiff1d(now, before, assume_unique=True)
+            lost = np.setdiff1d(before, now, assume_unique=True)
+            offenders = _distinct(ordered[_member(now, ordered)])
+            self._chunks = [now]
+        self._distinct += len(added) - len(lost)
+        self._read = n
+        self._last = int(rows[-1]) if n else 0
+        self._fresh_from = view.slots_made
+        self._offenders = offenders
+        return added, lost, offenders
+
+    def _delivered(self) -> NDArray[Any]:
+        """The distinct delivered pids read so far, sorted."""
+        if len(self._chunks) > 1:
+            # Sorted runs: a stable (merging) sort is linear in them.
+            self._chunks = [np.sort(np.concatenate(self._chunks), kind="stable")]
+        return self._chunks[0]
 
 
-class QueueBoundOracle(DualPathOracle):
+class QueueBoundOracle(Oracle):
     """No queue ever holds more than ``k`` packets, and only queue keys the
-    regime defines are in use (Section 2 / Section 5 queue models)."""
+    regime defines are in use (Section 2 / Section 5 queue models).
+
+    Queue lengths are recounted from each queued packet's node and queue
+    key, never read from an engine's occupancy bookkeeping, so a slip in
+    that bookkeeping cannot hide an overflow.
+    """
 
     name = "queue-bound"
 
-    def check_arrays(
-        self, checker: InvariantChecker, sim: ArraySimulator, moves: ArrayMoves
-    ) -> None:
-        """The array path: queue lengths recounted from packet positions.
-
-        The count comes from each queued packet's node and queue key, never
-        from the engine's incrementally kept occupancy table, so a slip in
-        that bookkeeping cannot hide an overflow.  Queues are visited in
-        the object path's order, (node, queue key).  The regime check has
-        nothing to do here: the engine's key indices are the regime's keys.
-        """
-        capacity = sim.spec.capacity
-        st = sim._state
-        act = sim._act
-        num_keys = st.num_keys
-        counts = np.bincount(
-            st.posf[act] * num_keys + st.qkey[act],
-            minlength=st.geom.num_nodes * num_keys,
-        )
-        if int(counts.max()) <= capacity:
-            return
-        height = sim.topology.height
-        for cell in np.flatnonzero(counts > capacity).tolist():
-            flat, kidx = divmod(cell, num_keys)
-            checker.report(
-                self,
-                f"queue {sim._key_object(kidx)!r} at {(flat // height, flat % height)} "
-                f"holds {counts[cell]} > capacity {capacity}",
-            )
-
-    def check_objects(
+    def post_step(
         self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
     ) -> None:
-        """The object path: walks the (materialized) queue dicts."""
+        view = sim.step_view(moves)
         spec = sim.spec
-        allowed = set(spec.keys)
-        for node, node_queues in sim.queues.items():
-            for key, q in node_queues.items():
-                if len(q) > spec.capacity:
-                    checker.report(
-                        self,
-                        f"queue {key!r} at {node} holds {len(q)} > "
-                        f"capacity {spec.capacity}",
-                    )
-                if q and key not in allowed:
-                    checker.report(
-                        self,
-                        f"queue key {key!r} at {node} is outside the "
-                        f"{spec.kind} regime",
-                    )
+        capacity = spec.capacity
+        num_keys = len(spec.keys)
+        node, key = view.node, view.key
+        outside = bool(view.outside_keys)
+        if outside:
+            inside = key >= 0
+            node, key = node[inside], key[inside]
+        counts = np.bincount(
+            node * num_keys + key, minlength=sim.topology.num_nodes * num_keys
+        )
+        if int(counts.max()) > capacity:
+            for cell in np.flatnonzero(counts > capacity).tolist():
+                flat, kidx = divmod(cell, num_keys)
+                checker.report(
+                    self,
+                    f"queue {spec.keys[kidx]!r} at {_nodes(sim.topology, [flat])[0]} "
+                    f"holds {counts[cell]} > capacity {capacity}",
+                )
+        if not outside:
+            return
+        # Queues whose key is outside the regime, by node.
+        flats = view.node[view.key < 0].tolist()
+        queues = Counter(zip(flats, map(repr, view.outside_keys)))
+        for (flat, name), length in sorted(queues.items()):
+            at = _nodes(sim.topology, [flat])[0]
+            if length > capacity:
+                checker.report(
+                    self, f"queue {name} at {at} holds {length} > capacity {capacity}"
+                )
+            checker.report(
+                self, f"queue key {name} at {at} is outside the {spec.kind} regime"
+            )
 
 
-class MinimalityOracle(DualPathOracle):
+class MinimalityOracle(Oracle):
     """Minimal routers shrink distance-to-destination by exactly one per
     move; delta-bounded routers never stray more than ``delta`` hops beyond
     the rectangle spanned by source and destination (Section 5's class).
 
     The rectangle check is skipped on wrapping topologies, where the
-    spanned rectangle is not well defined, and under an interceptor, whose
-    destination exchanges redefine the rectangle mid-flight.
+    spanned rectangle is not well defined; on irregular ones
+    (sparse-pillar), whose minimal paths legitimately leave it to route
+    around missing links; and under an interceptor, whose destination
+    exchanges redefine the rectangle mid-flight.
     """
 
     name = "minimality"
 
     def on_attach(self, checker: InvariantChecker, sim: Simulator) -> None:
-        if isinstance(sim, ArraySimulator) and not sim.topology.wraps:
-            # int32 copies of the geometry's coordinate tables for the
-            # array path: coordinates are small, and int32 gathers and
-            # arithmetic move half the memory of int64 ones.
-            self._coords = sim._state.geom.xy.astype(np.int32)
+        topo = sim.topology
+        self._coords: NDArray[Any] | None = None
+        if not topo.wraps and topo.regular and sim.interceptor is None:
+            # int32 copies of the coordinate table: coordinates are small,
+            # and int32 gathers and arithmetic move half the memory.
+            self._coords = topo.coords.astype(np.int32)
 
-    def check_arrays(
-        self, checker: InvariantChecker, sim: ArraySimulator, moves: ArrayMoves
+    def post_step(
+        self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
     ) -> None:
-        """The array path: both checks vectorized over the step's moves.
-
-        Distances come from the engine's grid geometry and each packet's
-        source and destination as the caller gave them (kept per slot by
-        the engine's slot store), not from the engine's destination array.
-        Coordinates are read off the geometry's per-node tables.
-        """
         delta = sim.algorithm.excursion_delta()
         if delta is None or not len(moves):
             return
-        topo = sim.topology
-        geom = sim._state.geom
-        slots = moves.slots
-        dest = sim._slots.dest[slots]
+        view = sim.step_view(moves)
         minimal = sim.algorithm.minimal
-        if topo.wraps:
-            # No rectangle check: the array engine runs neither
-            # interceptors nor irregular topologies, the object path's
-            # other two reasons to skip it.
+        dest = view.move_dest
+        target = view.move_target
+        if self._coords is None:
             if minimal:
-                before = geom.distance(moves.src, dest)
-                after = geom.distance(moves.target, dest)
+                topo = sim.topology
+                before = topo.flat_distance(view.move_src, dest)
+                after = topo.flat_distance(target, dest)
                 bad = np.flatnonzero(after != before - 1)
-                self._report_unprofitable(checker, sim, moves, dest, bad)
+                self._report_unprofitable(checker, sim, view, bad)
             return
-        # On the mesh both checks come from one pass over the coordinates:
+        # On a mesh both checks come from one pass over the coordinates:
         # the move's change of distance, and the target's distance from
         # the source-destination rectangle.
-        src = sim._slots.source[slots]
+        src = view.move_source
         gain: Any = 0
         excess: Any = 0
         for coord in self._coords:
-            t = coord[moves.target]
+            t = coord[target]
             b = coord[dest]
             if minimal:
-                gain = gain + (np.abs(t - b) - np.abs(coord[moves.src] - b))
+                gain = gain + (np.abs(t - b) - np.abs(coord[view.move_src] - b))
             a = coord[src]
             excess = excess + np.maximum(
                 np.maximum(np.minimum(a, b) - t, 0), t - np.maximum(a, b)
             )
         if minimal:
-            bad = np.flatnonzero(gain != -1)
-            self._report_unprofitable(checker, sim, moves, dest, bad)
-        height = topo.height
+            self._report_unprofitable(checker, sim, view, np.flatnonzero(gain != -1))
         for i in np.flatnonzero(excess > delta).tolist():
-            p = sim._slots.objects()[int(slots[i])]
-            t = int(moves.target[i])
+            at, a, b = _nodes(sim.topology, [target[i], src[i], dest[i]])
             checker.report(
                 self,
-                f"packet {p.pid} at {(t // height, t % height)} strays "
-                f"{excess[i]} > delta {delta} beyond rectangle {p.source}..{p.dest}",
+                f"packet {view.move_pid[i]} at {at} strays {excess[i]} > delta "
+                f"{delta} beyond rectangle {a}..{b}",
             )
 
     def _report_unprofitable(
         self,
         checker: InvariantChecker,
-        sim: ArraySimulator,
-        moves: ArrayMoves,
-        dest: NDArray[Any],
+        sim: Simulator,
+        view: StepView,
         bad: NDArray[Any],
     ) -> None:
         """Report moves ``bad``, which did not shrink the distance by one."""
-        if not len(bad):
-            return
-        geom = sim._state.geom
-        before = geom.distance(moves.src[bad], dest[bad]).tolist()
-        after = geom.distance(moves.target[bad], dest[bad]).tolist()
-        height = sim.topology.height
-        for i, d0, d1 in zip(bad.tolist(), before, after):
-            p = sim._slots.objects()[int(moves.slots[i])]
-            a, b = int(moves.src[i]), int(moves.target[i])
+        topo = sim.topology
+        for i in bad.tolist():
+            ends = [view.move_src[i], view.move_target[i]]
+            d0, d1 = topo.flat_distance(np.array(ends), view.move_dest[i]).tolist()
+            a, b, goal = _nodes(topo, ends + [view.move_dest[i]])
             checker.report(
                 self,
-                f"packet {p.pid} moved {(a // height, a % height)}->"
-                f"{(b // height, b % height)} (distance {d0}->{d1}), "
-                f"not a profitable move for dest {p.dest}",
+                f"packet {view.move_pid[i]} moved {a}->{b} (distance {d0}->{d1}), "
+                f"not a profitable move for dest {goal}",
             )
-
-    def check_objects(
-        self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
-    ) -> None:
-        """The object path: walks the step's ScheduledMove list."""
-        delta = sim.algorithm.excursion_delta()
-        if delta is None:
-            return
-        topo = sim.topology
-        if sim.algorithm.minimal:
-            for mv in moves:
-                before = topo.distance(mv.src, mv.packet.dest)
-                after = topo.distance(mv.target, mv.packet.dest)
-                if after != before - 1:
-                    checker.report(
-                        self,
-                        f"packet {mv.packet.pid} moved {mv.src}->{mv.target} "
-                        f"(distance {before}->{after}), not a profitable move "
-                        f"for dest {mv.packet.dest}",
-                    )
-        if topo.wraps or not topo.regular or sim.interceptor is not None:
-            # Irregular topologies (sparse-pillar) route minimally *around*
-            # missing links, so minimal paths legitimately leave the box.
-            return
-        for mv in moves:
-            p = mv.packet
-            excess = _rectangle_excess(p.pos, p.source, p.dest)
-            if excess > delta:
-                checker.report(
-                    self,
-                    f"packet {p.pid} at {p.pos} strays {excess} > delta "
-                    f"{delta} beyond rectangle {p.source}..{p.dest}",
-                )
 
 
 class _Ledger:
@@ -670,15 +516,9 @@ def _distinct(values: NDArray[Any]) -> NDArray[Any]:
     return values
 
 
-def _rectangle_excess(
-    pos: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]
-) -> int:
-    """Manhattan distance from ``pos`` to the box spanned by a and b (any d)."""
-    excess = 0
-    for x, ax, bx in zip(pos, a, b):
-        lo, hi = min(ax, bx), max(ax, bx)
-        excess += max(lo - x, 0, x - hi)
-    return excess
+def _nodes(topology: Topology, flat: Any) -> list[tuple[int, ...]]:
+    """The coordinate tuples of flat node ids, for messages."""
+    return [tuple(c) for c in topology.coords[:, flat].T.tolist()]
 
 
 class StepBoundOracle(Oracle):
@@ -691,9 +531,8 @@ class StepBoundOracle(Oracle):
     queued at ``pos`` when the oracle attaches (at step ``time``) cannot be
     delivered before ``time + distance(pos, dest)``, and a pending one not
     before ``injection_time + distance(source, dest)`` -- at attach time 0
-    both are the source-to-destination distance.  The array engine's floors
-    come from its packet and pending-pool arrays, the reference engine's
-    from its Packet objects.
+    both are the source-to-destination distance.  The floors, aligned to
+    the sorted pids, are checked against the delivery ledger's rows.
     """
 
     name = "step-bound"
@@ -702,39 +541,18 @@ class StepBoundOracle(Oracle):
         self.bound_steps = bound_steps
 
     def on_attach(self, checker: InvariantChecker, sim: Simulator) -> None:
-        self._floor: dict[int, int] = {}
+        self._pids = self._floors = _EMPTY
         if sim.interceptor is not None:
             return
-        if isinstance(sim, ArraySimulator):
-            pids, floors = self._floors_from_arrays(sim)
-        else:
-            pids, floors = self._floors_from_objects(sim)
-        self._floor = dict(zip(pids, floors))
-
-    @staticmethod
-    def _floors_from_objects(sim: Simulator) -> tuple[list[int], list[int]]:
-        topo = sim.topology
-        pids: list[int] = []
-        floors: list[int] = []
-        for p in sim.iter_packets():
-            pids.append(p.pid)
-            floors.append(sim.time + topo.distance(p.pos, p.dest))
-        # Pending (dynamic) packets are not in the queues yet.
-        for p in sim._pending:
-            pids.append(p.pid)
-            floors.append(p.injection_time + topo.distance(p.source, p.dest))
-        return pids, floors
-
-    @staticmethod
-    def _floors_from_arrays(sim: ArraySimulator) -> tuple[list[int], list[int]]:
-        st = sim._state
-        act = sim._act
-        g = st.geom
-        queued = sim.time + g.distance(st.posf[act], st.destf[act])
-        ptime, ppid, psrc, pdst = sim.pending_arrays()
-        pending = ptime + g.distance(psrc, pdst)
-        pids = np.concatenate([st.pids[act], ppid])
-        return pids.tolist(), np.concatenate([queued, pending]).tolist()
+        view = sim.step_view()
+        distance = sim.topology.flat_distance
+        ptime, ppid, psrc, pdst = view.pending
+        pids = np.concatenate([view.pid, ppid])
+        floors = np.concatenate(
+            [sim.time + distance(view.node, view.dest), ptime + distance(psrc, pdst)]
+        )
+        order = np.argsort(pids, kind="stable")
+        self._pids, self._floors = pids[order], floors[order]
 
     def post_step(
         self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
@@ -747,14 +565,19 @@ class StepBoundOracle(Oracle):
             )
 
     def on_finish(self, checker: InvariantChecker, sim: Simulator) -> None:
-        for pid, t in sim.delivery_times.items():
-            floor = self._floor.get(pid)
-            if floor is not None and t < floor:
-                checker.report(
-                    self,
-                    f"packet {pid} delivered at step {t}, before its "
-                    f"distance floor {floor}",
-                )
+        led = sim.deliveries
+        if not len(self._pids) or not led.size:
+            return
+        at = np.minimum(np.searchsorted(self._pids, led.pid), len(self._pids) - 1)
+        floor = self._floors[at]
+        early = np.flatnonzero((self._pids[at] == led.pid) & (led.step < floor))
+        for pid, t, f in zip(
+            led.pid[early].tolist(), led.step[early].tolist(), floor[early].tolist()
+        ):
+            checker.report(
+                self,
+                f"packet {pid} delivered at step {t}, before its distance floor {f}",
+            )
 
 
 def default_oracles(sim: Simulator, *, bound_steps: int | None = None) -> list[Oracle]:

@@ -25,11 +25,6 @@ def _rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _coords(topology: Topology) -> np.ndarray:
-    """``(dims, num_nodes)`` coordinates of every node, by flat id."""
-    return np.indices(topology.shape).reshape(topology.dims, -1)
-
-
 def _from_dest(topology: Topology, dest: np.ndarray) -> PacketBatch:
     """Every node sends one packet, node ``i`` to ``dest[i]``."""
     ids = np.arange(topology.num_nodes, dtype=np.int64)
@@ -113,7 +108,7 @@ def transpose_permutation(topology: Topology) -> PacketBatch:
     """
     if len(set(topology.shape)) != 1:
         raise ValueError("transpose needs equal side lengths on every axis")
-    return _from_dest(topology, topology.node_indices(_coords(topology)[::-1].T))
+    return _from_dest(topology, topology.node_indices(topology.coords[::-1].T))
 
 
 def bit_reversal_permutation(topology: Topology) -> PacketBatch:
@@ -125,7 +120,7 @@ def bit_reversal_permutation(topology: Topology) -> PacketBatch:
     for side in shape:
         if side & (side - 1):
             raise ValueError("bit reversal needs power-of-two dimensions")
-    coords = _coords(topology)
+    coords = topology.coords
     reversed_ = np.zeros_like(coords)
     for axis, side in enumerate(shape):
         v = coords[axis]
@@ -152,5 +147,5 @@ def rotation_permutation(
         raise ValueError(
             f"rotation needs one shift per axis ({len(shape)}), got {len(shifts)}"
         )
-    shifted = (_coords(topology) + np.array(shifts)[:, None]) % np.array(shape)[:, None]
+    shifted = (topology.coords + np.array(shifts)[:, None]) % np.array(shape)[:, None]
     return _from_dest(topology, topology.node_indices(shifted.T))

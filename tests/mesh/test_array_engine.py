@@ -374,20 +374,20 @@ class TestBatchedEntry:
         assert sims["array"].injected_packets == 11
 
     @pytest.mark.parametrize("engine", ["reference", "array"])
-    def test_offers_share_one_same_step_ledger(self, engine):
+    def test_offers_take_one_call_per_step(self, engine):
         sim = Simulator(Mesh(4), BoundedDimensionOrderRouter(2), [], engine=engine)
         east = np.array([0, 0, 0]), np.array([12, 12, 13])  # all into (0,0)'s W queue
+        # Within the call, earlier offers to a queue count against it.
         assert sim.offer_packets(0, *east).tolist() == [True, True, False]
-        # A second call in the same step sees the earlier offers.
-        assert sim.offer_packets(3, np.array([0]), np.array([8])).tolist() == [False]
-        # Another queue at the same node is unaffected.
-        assert sim.offer_packets(4, np.array([0]), np.array([3])).tolist() == [True]
-        assert sim.rejected == {2: 0, 3: 0}
-        assert (sim.total_packets, sim.pending_count) == (5, 3)
+        # A second call in the same step is refused and changes nothing.
+        with pytest.raises(ValueError, match="already called at step 0"):
+            sim.offer_packets(3, np.array([0]), np.array([3]))
+        assert sim.rejected == {2: 0}
+        assert (sim.total_packets, sim.pending_count) == (3, 2)
         sim.step()  # the admitted offers enter, one leaves the W queue
-        assert sim.injected_packets == 3 and sim.in_flight == 3
-        # The ledger starts afresh: one place is free again.
-        assert sim.offer_packets(5, *east).tolist() == [True, False, False]
+        assert sim.injected_packets == 2 and sim.in_flight == 2
+        # The next step takes a call again: one place is free in the queue.
+        assert sim.offer_packets(3, *east).tolist() == [True, False, False]
 
     @pytest.mark.parametrize("engine", ["reference", "array"])
     def test_offers_reject_known_pids_and_foreign_nodes(self, engine):

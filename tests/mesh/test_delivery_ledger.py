@@ -1,11 +1,12 @@
-"""The array engine's delivery ledger reads back as the reference engine's
-``delivery_times``.
+"""Both engines' delivery ledgers read back alike.
 
-``ArraySimulator`` records deliveries in an append-only array ledger (pid,
-step, slot) and builds the ``delivery_times`` dict from it only when asked.
-Each scenario here runs both engines side by side and requires, per step,
+Each engine records deliveries in an append-only array ledger (pid, step,
+slot; the reference engine numbers no slots, so its slots are -1) and
+builds the ``delivery_times`` dict from it only when asked.  Each
+scenario here runs both engines side by side and requires, per step,
 equal ``done``/``undelivered``/``delivered_count`` and equal series rows,
-and at the end the same ``delivery_times`` items in the same order.
+and at the end the same ledger rows and the same ``delivery_times``
+items in the same order.
 """
 
 import numpy as np
@@ -44,6 +45,10 @@ def assert_same_step(sims):
 
 
 def assert_same_result(sims):
+    ref_led, arr_led = (s.deliveries for s in sims)
+    assert arr_led.pid.tolist() == ref_led.pid.tolist()
+    assert arr_led.step.tolist() == ref_led.step.tolist()
+    assert (ref_led.slot == -1).all()
     ref, arr = (s.result() for s in sims)
     assert list(arr.delivery_times.items()) == list(ref.delivery_times.items())
     assert arr.delivered == ref.delivered
@@ -136,8 +141,8 @@ def test_late_packets_entering_at_their_goal():
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_no_delivery_dict_until_read(engine):
-    """The array engine's dict view exists only once something reads it
-    (``result()`` does)."""
+    """The dict view exists only once something reads it (``result()``
+    does)."""
     mesh = Mesh(6)
     sim = Simulator(
         mesh, GreedyAdaptiveRouter(2, "incoming"), random_permutation(mesh, seed=0),
@@ -145,7 +150,6 @@ def test_no_delivery_dict_until_read(engine):
     )
     while not sim.done:
         sim.step()
-    if engine == "array":
-        assert sim.deliveries._view == {}
-        assert sim.delivered_count == sim.deliveries.size == 36
+    assert sim.deliveries._view == {}
+    assert sim.delivered_count == sim.deliveries.size == 36
     assert len(sim.delivery_times) == 36

@@ -122,73 +122,68 @@ def test_engines_agree_step_by_step(case):
     assert report.ok, report.findings
 
 
-# -- oracle paths: the array path against the object path ----------------------
+# -- the oracles' one path: both engines report alike ---------------------------
 
 
-def checked_oracles():
-    return [PacketConservationOracle(), QueueBoundOracle(), MinimalityOracle()]
+def checked_pair(topology, router, packets, plan):
+    """The same faulted cell on both engines (validate off), each checked
+    in record mode by the conservation, queue-bound and minimality
+    oracles."""
+    pair = []
+    for engine in ("reference", "array"):
+        sim = Simulator(
+            topology, router(), fresh_copies(packets), engine=engine, validate=False
+        )
+        plan().attach(sim)
+        oracles = [PacketConservationOracle(), QueueBoundOracle(), MinimalityOracle()]
+        pair.append((sim, attach_checker(sim, oracles, mode="record")))
+    return pair
 
 
-def object_path(oracle):
-    """``oracle`` forced onto its object path, whatever engine runs it."""
-    oracle.post_step = oracle.check_objects
-    return oracle
-
-
-def cross_checked_run(topology, router, packets, plan, steps):
-    """One array-engine run checked twice: by the oracles' array path and,
-    through the materialized queues and move lists, by their object path.
-    Returns both checkers' violations grouped by step."""
-    sim = Simulator(topology, router, packets, engine="array", validate=False)
-    plan.attach(sim)
-    arrays = attach_checker(sim, checked_oracles(), mode="record")
-    objects = attach_checker(
-        sim, [object_path(o) for o in checked_oracles()], mode="record"
-    )
-    sim.run(steps)
-    by_step = []
-    for checker in (arrays, objects):
-        steps_seen = {}
-        for v in checker.violations:
-            steps_seen.setdefault(v.time, []).append(v)
-        by_step.append(steps_seen)
-    return by_step
-
-
-def assert_same_steps(arrays, objects):
-    for t in sorted(set(arrays) | set(objects)):
-        assert arrays.get(t, []) == objects.get(t, []), f"paths differ at step {t}"
+def violations_in_lockstep(pair, steps):
+    """Step both engines together; after every step their violation lists
+    must be equal.  Returns the reference engine's."""
+    (reference, ref_checker), (array, array_checker) = pair
+    while not reference.done and reference.time < steps:
+        reference.step()
+        array.step()
+        assert array_checker.violations == ref_checker.violations, (
+            f"engines report differently at step {reference.time}"
+        )
+    return ref_checker.violations
 
 
 @given(faulted_lockstep_case())
 @settings(max_examples=25, deadline=None)
-def test_oracle_paths_agree_step_by_step(case):
-    """The array path reports exactly the object path's violations, step
-    by step, on any ported router under any link plan (overflows of the
-    always-accepting inqueues included)."""
+def test_engines_report_the_same_violations_step_by_step(case):
+    """The one oracle path reports the same violations, step by step, on
+    the reference and array engines running any ported router under any
+    link plan (overflows of the always-accepting inqueues included)."""
     router, n, k, seed, torus, availability, fault_seed = case
     topology = Torus(n) if torus else Mesh(n)
-    arrays, objects = cross_checked_run(
-        topology,
-        REGISTRY[router].factory(k, seed),
-        random_permutation(topology, seed=seed),
-        BernoulliLinkPlan(availability, seed=fault_seed),
+    violations_in_lockstep(
+        checked_pair(
+            topology,
+            lambda: REGISTRY[router].factory(k, seed),
+            random_permutation(topology, seed=seed),
+            lambda: BernoulliLinkPlan(availability, seed=fault_seed),
+        ),
         min(step_budget(n, k), 40 * n),
     )
-    assert_same_steps(arrays, objects)
 
 
-def test_oracle_paths_agree_on_a_real_overflow():
+def test_engines_report_the_same_real_overflow():
     """bounded-dor's vertical inqueues always accept, so flaky links
-    overflow them: both paths must report the same overflows."""
+    overflow them: both engines must report the same overflows."""
     topology = Mesh(8)
-    arrays, objects = cross_checked_run(
-        topology,
-        REGISTRY["bounded-dor"].factory(2, 0),
-        random_permutation(topology, seed=0),
-        BernoulliLinkPlan(0.8, seed=0),
+    violations = violations_in_lockstep(
+        checked_pair(
+            topology,
+            lambda: REGISTRY["bounded-dor"].factory(2, 0),
+            random_permutation(topology, seed=0),
+            lambda: BernoulliLinkPlan(0.8, seed=0),
+        ),
         400,
     )
-    assert sum(len(vs) for vs in arrays.values()) >= 1
-    assert {v.oracle for vs in arrays.values() for v in vs} == {"queue-bound"}
-    assert_same_steps(arrays, objects)
+    assert len(violations) >= 1
+    assert {v.oracle for v in violations} == {"queue-bound"}

@@ -4,19 +4,27 @@ The 2D suite (``test_topology_properties.py``) pins the compass behaviour
 of :class:`Mesh`/:class:`Torus`; this suite checks the same invariants on
 the :class:`MeshND`/:class:`TorusND` grids for d in 1..4, plus the
 encoding laws of :func:`ports`, the agreement of the numpy link table
-with the scalar ``neighbor``, and an exhaustive BFS cross-check of the
-distance closed forms: the irregular :class:`SparsePillarMesh` and the 2D
-:class:`Mesh`/:class:`Torus` pair.
+with the scalar ``neighbor`` and of the flat-id geometry (``coords``,
+``flat_distance``) with the scalar ``nodes``/``distance``, and an
+exhaustive BFS cross-check of the distance closed forms: the irregular
+:class:`SparsePillarMesh` and the 2D :class:`Mesh`/:class:`Torus` pair.
 """
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh.directions import DIRECTIONS, ports
-from repro.mesh.ndtopology import MeshND, SparsePillarMesh, TorusND
+from repro.mesh.ndtopology import (
+    TOPOLOGY_NAMES,
+    MeshND,
+    SparsePillarMesh,
+    TorusND,
+    build_topology,
+)
 from repro.mesh.topology import Mesh, Topology, Torus
 
 
@@ -197,3 +205,38 @@ def test_pillar_profitable_moves_reduce_bfs_distance():
     assert profitable  # some minimal outlink exists even off-pillar
     for p in profitable:
         assert topo.distance(topo.neighbor(a, p), b) == topo.distance(a, b) - 1
+
+
+@st.composite
+def flat_geometry_case(draw):
+    """A registered topology at a small side, or a grid with mixed wrap
+    flags, and two aligned arrays of flat node ids."""
+    name = draw(st.sampled_from(TOPOLOGY_NAMES + ("mixed-wrap",)))
+    if name == "mixed-wrap":
+        dims = draw(st.integers(1, 4))
+        shape = tuple(draw(st.integers(1, 6)) for _ in range(dims))
+        topo = Topology(shape, tuple(draw(st.booleans()) for _ in range(dims)))
+    else:
+        topo = build_topology(name, draw(st.integers(2, 7)))
+    ids = st.integers(0, topo.num_nodes - 1)
+    m = draw(st.integers(0, 12))
+    a = draw(st.lists(ids, min_size=m, max_size=m))
+    b = draw(st.lists(ids, min_size=m, max_size=m))
+    return topo, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+
+
+@given(flat_geometry_case())
+@settings(max_examples=200)
+def test_flat_geometry_matches_the_scalar_geometry(case):
+    """``coords`` lists the nodes in ``node_index`` order, and
+    ``flat_distance`` is ``distance`` elementwise: what the oracles read
+    on every topology, the pillar mesh's walk metric and mixed wrap
+    included."""
+    topo, a, b = case
+    nodes = list(topo.nodes())
+    assert topo.coords.shape == (topo.dims, topo.num_nodes)
+    assert [tuple(c) for c in topo.coords.T.tolist()] == nodes
+    assert all(topo.node_index(node) == i for i, node in enumerate(nodes))
+    got = topo.flat_distance(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == [topo.distance(nodes[i], nodes[j]) for i, j in zip(a, b)]

@@ -4,23 +4,27 @@ Every test here runs with ``validate=False`` where it matters, proving the
 oracles re-derive the paper's invariants independently of the simulator's
 own enforcement -- a regression in either layer is caught by the other.
 
-The conservation, queue-bound and minimality tests run on both engines:
-each ``...OnArrays`` class reruns its parent's tests with ``engine =
-"array"``.  The broken routers are not ported to the array engine, so
-there the same defect is planted in its ``ArrayState`` instead, and a
-second checker forced onto the object path (walking the materialized
-queues) must report exactly what the array path reports.
+The conservation, queue-bound, minimality and step-bound tests run on
+both engines: each ``...OnArrays`` class reruns its parent's tests with
+``engine = "array"``.  The oracles have one path, over the simulator's
+step view and delivery ledger, so each planted defect must fire on
+either engine, and the tests pin its messages verbatim per engine.  The
+broken routers are not ported to the array engine, so there the same
+defect is planted in its ``ArrayState`` instead; where the two plants
+differ, so may the messages.
 """
+
+from bisect import insort
 
 import numpy as np
 import pytest
 
-from repro.mesh import Mesh, Packet, Simulator, Torus
+from repro.mesh import Mesh, MeshND, Packet, Simulator, SparsePillarMesh, Torus
 from repro.mesh.directions import Direction
 from repro.mesh.errors import QueueOverflowError
+from repro.mesh.queues import CENTRAL
 from repro.routing import BoundedDimensionOrderRouter, GreedyAdaptiveRouter
 from repro.verify import (
-    InvariantChecker,
     MinimalityOracle,
     PacketConservationOracle,
     QueueBoundOracle,
@@ -55,33 +59,14 @@ class NonMinimalLiar(GreedyAdaptiveRouter):
         return super().outqueue(ctx)
 
 
-def object_path(oracle):
-    """``oracle`` forced onto its object path, whatever engine runs it."""
-    oracle.post_step = oracle.check_objects
-    return oracle
-
-
-def attach_paths(sim, make_oracles, mode):
-    """Attach ``make_oracles()`` on the engine's own path and, on the array
-    engine, a second copy forced onto the object path.  Returns both
-    checkers (the second is None on the reference engine)."""
-    checker = attach_checker(sim, make_oracles(), mode=mode)
-    if sim.engine_name == "reference":
-        return checker, None
-    objects = attach_checker(sim, [object_path(o) for o in make_oracles()], mode=mode)
-    return checker, objects
-
-
-def assert_paths_agree(checker, objects):
-    if objects is not None:
-        assert checker.violations == objects.violations
-        assert checker.counters == objects.counters
-
-
 def build(engine, topology, router, packets, **kwargs):
     sim = Simulator(topology, router, packets, engine=engine, **kwargs)
     assert sim.engine_name == engine
     return sim
+
+
+def messages(checker):
+    return [v.message for v in checker.violations]
 
 
 def pile_into_one_queue(sim, moves):
@@ -118,12 +103,29 @@ def clone_slot(sim, slot):
     return int(clone[0])
 
 
-def forget_first_delivery(sim):
-    """Delete the oldest delivery record: the reference engine's first
-    ``delivery_times`` entry, the array engine's first ledger row."""
-    if sim.engine_name == "reference":
-        del sim.delivery_times[next(iter(sim.delivery_times))]
+def plant_copy(sim, packet, node):
+    """Tamper: a second copy of ``packet`` (queued or delivered; same pid)
+    queued at ``node`` behind the engine's back; the in-flight counter is
+    not told.  On the reference engine the copy joins the back of the
+    node's injection queue for it (the node's load is raised so that the
+    copy can leave again); on the array engine it is a clone of the
+    packet's slot (same queue key and FIFO place)."""
+    if sim.engine_name == "array":
+        st = sim._state
+        clone = clone_slot(sim, int(np.flatnonzero(st.pids[: st.size] == packet.pid)[0]))
+        st.posf[clone] = sim.topology.node_index(node)
         return
+    clone = packet.copy()
+    clone.pos = node
+    key = sim.spec.initial_key(sim.topology.profitable_directions(node, clone.dest))
+    sim.queues.setdefault(node, {}).setdefault(key, []).append(clone)
+    if node not in sim._sorted_nodes:
+        insort(sim._sorted_nodes, node)
+    sim._node_load[node] = sim._node_load.get(node, 0) + 1
+
+
+def forget_first_delivery(sim):
+    """Delete the oldest row of the delivery ledger."""
     led = sim.deliveries
     led._rows[:, : led.size - 1] = led._rows[:, 1 : led.size].copy()
     led.size -= 1
@@ -158,8 +160,24 @@ def converging_packets():
     ]
 
 
+def plant_foreign_key(sim, moves):
+    """Post-step tamper: the first queued packet moves into its node's S
+    queue, a key the central regime does not have."""
+    if sim.engine_name == "array":
+        sim._state.qkey[sim._act[0]] = Direction.S
+        sim._mat = None
+        return
+    node = min(sim.queues)
+    packet = sim.queues[node][CENTRAL].pop(0)
+    sim.queues[node][Direction.S] = [packet]
+
+
 class TestQueueBoundOracle:
     engine = "reference"
+    overflow = {
+        "reference": ["queue 'central' at (1, 1) holds 2 > capacity 1"],
+        "array": ["queue 'central' at (0, 1) holds 4 > capacity 1"],
+    }
 
     def test_broken_router_caught_by_oracle_alone(self):
         """The acceptance scenario: queue bound k+1, simulator enforcement
@@ -169,7 +187,8 @@ class TestQueueBoundOracle:
         plant_overflow(sim)
         with pytest.raises(VerificationError) as exc_info:
             sim.run(10)
-        assert "queue-bound" in str(exc_info.value)
+        expected = self.overflow[self.engine][0]
+        assert str(exc_info.value) == f"[queue-bound @ step 1] {expected}"
         assert not checker.ok
 
     def test_simulator_raises_typed_structured_overflow(self):
@@ -188,12 +207,28 @@ class TestQueueBoundOracle:
 
     def test_record_mode_collects_instead_of_raising(self):
         sim = overflowing_sim(self.engine)
-        checker, objects = attach_paths(sim, lambda: [QueueBoundOracle()], "record")
+        checker = attach_checker(sim, [QueueBoundOracle()], mode="record")
         plant_overflow(sim)
+        sim.step()
+        assert messages(checker) == self.overflow[self.engine]
         sim.run(5)
         assert checker.counters["queue-bound"] >= 1
         assert all(v.oracle == "queue-bound" for v in checker.violations)
-        assert_paths_agree(checker, objects)
+
+    def test_key_outside_the_regime_is_flagged(self):
+        """A packet in a queue the central regime does not have is named
+        with its key, whatever the length of that queue."""
+        mesh = Mesh(6)
+        sim = build(
+            self.engine, mesh, GreedyAdaptiveRouter(2), [Packet(0, (0, 0), (5, 5))],
+            validate=False,
+        )
+        checker = attach_checker(sim, [QueueBoundOracle()], mode="record")
+        sim.post_step_hooks.insert(0, plant_foreign_key)
+        sim.step()
+        assert messages(checker) == [
+            "queue key <Direction.S: 2> at (1, 0) is outside the central regime"
+        ]
 
     def test_off_mode_attaches_nothing(self):
         sim = overflowing_sim(self.engine)
@@ -211,16 +246,10 @@ class TestQueueBoundOracle:
             random_permutation(mesh, seed=0),
         )
         checker = attach_checker(sim, default_oracles(sim), mode="strict")
-        _, objects = attach_paths(
-            sim,
-            lambda: [PacketConservationOracle(), QueueBoundOracle(), MinimalityOracle()],
-            "strict",
-        )
         result = sim.run(5_000)
         checker.finish()
         assert result.completed
         assert checker.ok
-        assert objects is None or objects.ok
 
 
 class TestQueueBoundOracleOnArrays(TestQueueBoundOracle):
@@ -240,29 +269,52 @@ class TestQueueBoundOracleOnArrays(TestQueueBoundOracle):
         sim.post_step_hooks.insert(0, lambda s, moves: s._state.occ.fill(occupancy))
         sim.step()
         expected = ["queue 'central' at (0, 1) holds 4 > capacity 1"]
-        assert [v.message for v in checker.violations] == (
-            expected if occupancy == 0 else []
-        )
+        assert messages(checker) == (expected if occupancy == 0 else [])
 
 
 class TestMinimalityOracle:
     engine = "reference"
 
-    def test_nonminimal_liar_caught(self):
-        mesh = Mesh(6)
-        # One packet that gets deflected unprofitably (west) on step 1.
-        packets = [Packet(0, (5, 5), (5, 4))]
+    def wrong_way_sim(self, mesh, source, dest, west_of):
+        """One packet that moves unprofitably on step 1: the liar router on
+        the reference engine; on the array engine, whose router follows
+        its own destination array, a destination planted at ``west_of``."""
+        packets = [Packet(0, source, dest)]
         if self.engine == "reference":
-            sim = build(self.engine, mesh, NonMinimalLiar(2), packets, validate=False)
-        else:
-            # The array engine routes by its own destination array; point
-            # it west of the packet's real destination.
-            sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), packets, validate=False)
-            sim._state.destf[0] = mesh.node_index((0, 5))
-        checker, objects = attach_paths(sim, lambda: [MinimalityOracle()], "record")
-        sim.run(3)
-        assert any("not a profitable move" in v.message for v in checker.violations)
-        assert_paths_agree(checker, objects)
+            return build(self.engine, mesh, NonMinimalLiar(2), packets, validate=False)
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), packets, validate=False)
+        sim._state.destf[0] = mesh.node_index(west_of)
+        return sim
+
+    def test_nonminimal_liar_caught(self):
+        sim = self.wrong_way_sim(Mesh(6), (5, 5), (5, 4), west_of=(0, 5))
+        checker = attach_checker(sim, [MinimalityOracle()], mode="record")
+        sim.step()
+        assert messages(checker) == [
+            "packet 0 moved (5, 5)->(4, 5) (distance 1->2), not a profitable move "
+            "for dest (5, 4)",
+            "packet 0 at (4, 5) strays 1 > delta 0 beyond rectangle (5, 5)..(5, 4)",
+        ]
+
+    def test_excursion_beyond_rectangle_is_flagged(self):
+        """A move off a packet's source-destination rectangle strays one
+        hop beyond it (and is unprofitable): both are reported, in that
+        order."""
+        sim = self.wrong_way_sim(Mesh(6), (2, 2), (2, 4), west_of=(0, 2))
+        checker = attach_checker(sim, [MinimalityOracle()], mode="record")
+        sim.step()
+        assert messages(checker) == {
+            "reference": [
+                "packet 0 moved (2, 2)->(3, 2) (distance 2->3), not a profitable "
+                "move for dest (2, 4)",
+                "packet 0 at (3, 2) strays 1 > delta 0 beyond rectangle (2, 2)..(2, 4)",
+            ],
+            "array": [
+                "packet 0 moved (2, 2)->(1, 2) (distance 2->3), not a profitable "
+                "move for dest (2, 4)",
+                "packet 0 at (1, 2) strays 1 > delta 0 beyond rectangle (2, 2)..(2, 4)",
+            ],
+        }[self.engine]
 
     def test_minimal_router_distance_monotone_clean(self):
         mesh = Mesh(8)
@@ -272,10 +324,9 @@ class TestMinimalityOracle:
             BoundedDimensionOrderRouter(1),
             random_permutation(mesh, seed=3),
         )
-        checker, objects = attach_paths(sim, lambda: [MinimalityOracle()], "strict")
+        checker = attach_checker(sim, [MinimalityOracle()], mode="strict")
         assert sim.run(5_000).completed
         assert checker.ok
-        assert objects is None or objects.ok
 
 
 class TestMinimalityOracleOnArrays(TestMinimalityOracle):
@@ -284,24 +335,41 @@ class TestMinimalityOracleOnArrays(TestMinimalityOracle):
 
     engine = "array"
 
-    def test_excursion_beyond_rectangle_is_flagged(self):
-        """A move west of a packet whose rectangle is the column x=2
-        strays one hop beyond it (and is unprofitable): both paths report
-        both, in the same order."""
-        mesh = Mesh(6)
-        sim = build(
-            self.engine, mesh, GreedyAdaptiveRouter(2), [Packet(0, (2, 2), (2, 4))],
-            validate=False,
-        )
-        sim._state.destf[0] = mesh.node_index((0, 2))
-        checker, objects = attach_paths(sim, lambda: [MinimalityOracle()], "record")
-        sim.step()
-        assert [v.message for v in checker.violations] == [
-            "packet 0 moved (2, 2)->(1, 2) (distance 2->3), not a profitable "
-            "move for dest (2, 4)",
-            "packet 0 at (1, 2) strays 1 > delta 0 beyond rectangle (2, 2)..(2, 4)",
-        ]
-        assert_paths_agree(checker, objects)
+
+@pytest.mark.parametrize(
+    "topology, packet, expected",
+    [
+        (
+            MeshND((4, 4, 4)),
+            Packet(0, (3, 3, 3), (3, 3, 1)),
+            [
+                "packet 0 moved (3, 3, 3)->(3, 2, 3) (distance 2->3), not a "
+                "profitable move for dest (3, 3, 1)",
+                "packet 0 at (3, 2, 3) strays 1 > delta 0 beyond rectangle "
+                "(3, 3, 3)..(3, 3, 1)",
+            ],
+        ),
+        (
+            # Off the pillar columns the distance is the walk to a pillar,
+            # so a +y step from (1, 0, 0) costs one more than a mesh's.
+            SparsePillarMesh(8),
+            Packet(0, (1, 0, 0), (1, 0, 2)),
+            [
+                "packet 0 moved (1, 0, 0)->(1, 1, 0) (distance 4->5), not a "
+                "profitable move for dest (1, 0, 2)",
+            ],
+        ),
+    ],
+    ids=["mesh3d", "pillar"],
+)
+def test_nonminimal_liar_caught_in_three_dimensions(topology, packet, expected):
+    """The reference engine's one path on d=3 grids: distances from the
+    topology's own metric, nodes named by their three coordinates, and no
+    rectangle check on the irregular pillar mesh."""
+    sim = Simulator(topology, NonMinimalLiar(2, "incoming"), [packet], validate=False)
+    checker = attach_checker(sim, [MinimalityOracle()], mode="record")
+    sim.step()
+    assert messages(checker) == expected
 
 
 class TestConservationOracle:
@@ -311,34 +379,25 @@ class TestConservationOracle:
         mesh = Mesh(6)
         packets = random_permutation(mesh, seed=1)
         sim = build(self.engine, mesh, GreedyAdaptiveRouter(4), packets)
-        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "strict")
+        checker = attach_checker(sim, [PacketConservationOracle()], mode="strict")
         assert sim.run(5_000).completed
         assert checker.ok
-        assert objects is None or objects.ok
 
     def test_detects_duplicated_packet(self):
         mesh = Mesh(6)
-        sim = build(
-            self.engine, mesh, GreedyAdaptiveRouter(4), [Packet(0, (0, 0), (3, 3))],
-            validate=False,
-        )
-        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
+        packet = Packet(0, (0, 0), (3, 3))
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(4), [packet], validate=False)
+        checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
         sim.step()
-        # Corrupt the state behind the simulator's back: clone a packet.
-        if self.engine == "reference":
-            p = next(sim.iter_packets())
-            for node_queues in sim.queues.values():
-                for q in node_queues.values():
-                    if q:
-                        q.append(p.copy())
-                        break
-        else:
-            clone_slot(sim, int(sim._act[0]))
+        # Corrupt the state behind the simulator's back: clone the packet.
+        plant_copy(sim, packet, (2, 2))
         sim.step()
-        assert any("occupies two queues" in v.message for v in checker.violations) or any(
-            "in-flight counter" in v.message for v in checker.violations
-        )
-        assert_paths_agree(checker, objects)
+        assert messages(checker) == [
+            "packet 0 occupies two queues",
+            "in-flight counter 1 != queued packets 2",
+            "conservation broken: delivered 0 + queued 2 + pending 0 + dropped 0 "
+            "+ rejected 0 != total 1",
+        ]
 
     def test_rejected_packets_conserve(self):
         """Regression for the streaming layer: packets refused at admission
@@ -346,13 +405,12 @@ class TestConservationOracle:
         tripping the oracle as lost."""
         mesh = Mesh(6)
         sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), [], validate=False)
-        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "strict")
+        checker = attach_checker(sim, [PacketConservationOracle()], mode="strict")
         # Four offers into (0, 0)'s central queue of capacity 2.
         admitted = sim.offer_packets(0, np.zeros(4, dtype=np.int64), np.full(4, 35))
         assert admitted.tolist() == [True, True, False, False]
         assert sim.run(5_000).completed
         assert checker.ok
-        assert objects is None or objects.ok
         assert sim.total_packets == 4
         assert len(sim.delivery_times) == 2 and sorted(sim.rejected) == [2, 3]
 
@@ -361,7 +419,7 @@ class TestConservationOracle:
         backpressure -- the oracle must say so."""
         mesh = Mesh(6)
         sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), [], validate=False)
-        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
+        checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
         sim.inject_packet(Packet(0, (0, 0), (5, 5), injection_time=0))
         sim.step()
         # Corrupt: mark the in-network packet as rejected behind the
@@ -369,27 +427,24 @@ class TestConservationOracle:
         sim.rejected[0] = sim.time
         sim.total_packets += 1  # keep the aggregate count consistent
         sim.step()
-        assert any(
-            "despite admission rejection" in v.message for v in checker.violations
-        )
-        assert_paths_agree(checker, objects)
+        assert messages(checker) == ["packet 0 queued despite admission rejection"]
 
     def test_forgotten_delivery_is_flagged(self):
-        """Deleting a delivery record (on the array engine, the first row
-        of its delivery ledger) shrinks the delivered set and breaks the
-        sum; both are reported, by both paths alike."""
+        """Deleting the first row of the delivery ledger shrinks the
+        delivered set and breaks the sum; both are reported."""
         mesh = Mesh(6)
         packets = random_permutation(mesh, seed=1)
         sim = build(self.engine, mesh, GreedyAdaptiveRouter(4), packets)
-        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
+        checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
         while not sim.delivered_count:
             sim.step()
         forget_first_delivery(sim)
         sim.step()
-        messages = [v.message for v in checker.violations]
-        assert any("delivered set shrank" in m for m in messages)
-        assert any("conservation broken" in m for m in messages)
-        assert_paths_agree(checker, objects)
+        assert messages(checker) == [
+            "conservation broken: delivered 12 + queued 23 + pending 0 + dropped 0 "
+            "+ rejected 0 != total 36",
+            "delivered set shrank (lost pids [1])",
+        ]
 
     def test_duplicate_pid_rejected_across_outcomes(self):
         """Rejected offers, admitted offers and injected packets share the
@@ -406,84 +461,80 @@ class TestConservationOracle:
             with pytest.raises(ValueError, match="duplicate packet id"):
                 sim.offer_packets(pid, np.array([6]), np.array([35]))
 
+    def test_clone_of_delivered_packet_stays_queued(self):
+        """A delivered packet's clone, queued far from its destination for
+        two steps: each step reports it as still queued after delivery,
+        and the counts."""
+        mesh = Mesh(6)
+        packet = Packet(0, (0, 0), (0, 1))
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(4), [packet], validate=False)
+        checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
+        sim.step()
+        # In the corner farthest from its destination, 9 hops away.
+        plant_copy(sim, packet, (5, 5))
+        sim.step()
+        sim.step()
+        assert messages(checker) == [
+            "packet 0 still queued after delivery",
+            "in-flight counter 0 != queued packets 1",
+            "conservation broken: delivered 1 + queued 1 + pending 0 + dropped 0 "
+            "+ rejected 0 != total 1",
+        ] * 2
+
+    def test_clone_delivered_again(self):
+        """A clone one hop from its destination is delivered a second time
+        in the step after it was planted: the ledger then holds that pid
+        twice, which counts once, and only the in-flight counter
+        (decremented twice) is off."""
+        mesh = Mesh(6)
+        packet = Packet(0, (0, 0), (0, 1))
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(4), [packet], validate=False)
+        checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
+        sim.step()
+        plant_copy(sim, packet, (0, 0))
+        sim.step()
+        assert sim.deliveries.pid.tolist() == [0, 0]
+        assert len(sim.delivery_times) == 1
+        assert messages(checker) == ["in-flight counter -1 != queued packets 0"]
+
+    def test_wrong_node_delivery_is_flagged(self):
+        """A packet delivered away from the destination its caller gave:
+        on the array engine its working destination was moved next to the
+        source; on the reference engine its destination is moved away
+        once it is delivered."""
+        mesh = Mesh(6)
+        if self.engine == "array":
+            packet = Packet(0, (0, 0), (5, 5))
+        else:
+            packet = Packet(0, (0, 0), (1, 0))
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), [packet], validate=False)
+        checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
+        if self.engine == "array":
+            sim._state.destf[0] = mesh.node_index((1, 0))
+        else:
+            # The reference engine's Packet is the caller's own object.
+            sim.post_step_hooks.insert(0, lambda s, m: setattr(packet, "dest", (5, 5)))
+        sim.step()
+        assert sim.delivered_count == 1
+        assert messages(checker) == [
+            "packet 0 recorded delivered at (1, 0), destination is (5, 5)"
+        ]
+
 
 class TestConservationOracleOnArrays(TestConservationOracle):
     """The same tests on the array engine, corruption planted in ArrayState."""
 
     engine = "array"
 
-    def test_clone_of_delivered_packet_stays_queued(self):
-        """A delivered packet's clone, queued far from its destination for
-        two steps: each step reports it as still queued after delivery,
-        and the counts, by both paths alike."""
-        mesh = Mesh(6)
-        sim = build(
-            self.engine, mesh, GreedyAdaptiveRouter(4), random_permutation(mesh, seed=1),
-            validate=False,
-        )
-        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
-        led = sim.deliveries
-        while not (led.slot >= 0).any():
-            sim.step()
-        row = int(np.argmax(led.slot >= 0))  # the first delivery from a slot
-        slot, pid = int(led.slot[row]), int(led.pid[row])
-        clone = clone_slot(sim, slot)
-        # In the corner farthest from its destination, 5+ hops away.
-        x, y = divmod(int(sim._state.destf[clone]), mesh.height)
-        sim._state.posf[clone] = mesh.node_index((5 if x < 3 else 0, 5 if y < 3 else 0))
-        sim.step()
-        sim.step()
-        messages = [v.message for v in checker.violations]
-        assert messages.count(f"packet {pid} still queued after delivery") == 2
-        assert any("in-flight counter" in m for m in messages)
-        assert_paths_agree(checker, objects)
-
-    def test_clone_delivered_again(self):
-        """A clone one hop from its destination is delivered a second time
-        in the step after it was planted: the ledger then holds that pid
-        twice, both paths count it once, and only the in-flight counter
-        (decremented twice) is off."""
-        mesh = Mesh(6)
-        sim = build(
-            self.engine, mesh, GreedyAdaptiveRouter(4), [Packet(0, (0, 0), (0, 1))],
-            validate=False,
-        )
-        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
-        sim.step()
-        clone = clone_slot(sim, 0)
-        sim._state.posf[clone] = mesh.node_index((0, 0))
-        sim.step()
-        assert sim.deliveries.pid.tolist() == [0, 0]
-        assert len(sim.delivery_times) == 1
-        assert [v.message for v in checker.violations] == [
-            "in-flight counter -1 != queued packets 0"
-        ]
-        assert_paths_agree(checker, objects)
-
-    def test_wrong_node_delivery_is_flagged(self):
-        """The engine's destination array moved next to the source: the
-        packet is delivered there, which both paths report."""
-        mesh = Mesh(6)
-        sim = build(
-            self.engine, mesh, GreedyAdaptiveRouter(2), [Packet(0, (0, 0), (5, 5))],
-            validate=False,
-        )
-        checker, objects = attach_paths(sim, lambda: [PacketConservationOracle()], "record")
-        sim._state.destf[0] = mesh.node_index((1, 0))
-        sim.step()
-        assert sim.delivered_count == 1
-        assert [v.message for v in checker.violations] == [
-            "packet 0 recorded delivered at (1, 0), destination is (5, 5)"
-        ]
-        assert_paths_agree(checker, objects)
-
 
 class TestStepBoundOracle:
+    engine = "reference"
+
     def test_theorem15_budget_enforced(self):
         mesh = Mesh(8)
         router = BoundedDimensionOrderRouter(1)
         bound = router.permutation_step_bound(8)
-        sim = Simulator(mesh, router, random_permutation(mesh, seed=0))
+        sim = build(self.engine, mesh, router, random_permutation(mesh, seed=0))
         checker = attach_checker(sim, [StepBoundOracle(bound)], mode="strict")
         result = sim.run(bound)
         checker.finish()
@@ -491,39 +542,51 @@ class TestStepBoundOracle:
 
     def test_absurdly_small_bound_fires(self):
         mesh = Mesh(8)
-        sim = Simulator(
-            mesh, BoundedDimensionOrderRouter(1), random_permutation(mesh, seed=0)
-        )
+        packets = random_permutation(mesh, seed=0)
+        sim = build(self.engine, mesh, BoundedDimensionOrderRouter(1), packets)
         checker = attach_checker(sim, [StepBoundOracle(1)], mode="record")
         sim.run(50)
-        assert checker.counters.get("step-bound", 0) >= 1
+        assert messages(checker)[0] == (
+            "step 2 exceeds the proven bound 1 with 54 packet(s) undelivered"
+        )
 
     def test_distance_floor_checked_at_finish(self):
         mesh = Mesh(8)
-        sim = Simulator(
-            mesh, BoundedDimensionOrderRouter(1), random_permutation(mesh, seed=0)
-        )
-        checker = attach_checker(sim, [StepBoundOracle(None)], mode="strict")
+        packets = random_permutation(mesh, seed=0)
+        sim = build(self.engine, mesh, BoundedDimensionOrderRouter(1), packets)
+        checker = attach_checker(sim, [StepBoundOracle(None)], mode="record")
         sim.run(5_000)
+        assert checker.finish() == []
+        # Plant a second delivery of a packet, at step 0, below its floor:
+        # finish() must object.
+        p = next(p for p in packets if p.source != p.dest)
+        sim.deliveries.append(np.array([p.pid]), 0)
         checker.finish()
-        assert checker.ok
-        # Corrupt a delivery time below the floor; finish() must object.
-        pid = next(iter(sim.delivery_times))
-        sim.delivery_times[pid] = 0
-        checker2 = InvariantChecker(sim, [], mode="record")
-        oracle = StepBoundOracle(None)
-        oracle._floor = {pid: 1}
-        checker2.oracles = [oracle]
-        oracle.on_finish(checker2, sim)
-        assert checker2.violations
+        assert messages(checker) == [
+            f"packet {p.pid} delivered at step 0, before its distance floor "
+            f"{mesh.distance(p.source, p.dest)}"
+        ]
+
+
+class TestStepBoundOracleOnArrays(TestStepBoundOracle):
+    engine = "array"
 
 
 class TestStepBoundFloors:
-    """The array engine's distance floors come from its arrays; they must
-    equal the object path's, packet for packet."""
+    """Each engine's distance floors, from its step view, are the closed
+    form: queued packets at attach time ``t`` cannot arrive before ``t``
+    plus their distance to go, pending ones before their injection time
+    plus their source-to-destination distance."""
 
-    @staticmethod
-    def floors(engine, topology, packets, steps_before_attach):
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    @pytest.mark.parametrize("topology", [Mesh(7), Torus(6)], ids=["mesh", "torus"])
+    @pytest.mark.parametrize("steps_before_attach", [0, 3])
+    def test_floors_are_the_closed_form(self, engine, topology, steps_before_attach):
+        packets = list(random_permutation(topology, seed=4))  # appended to below
+        # Some packets wait in the pending pool, some start at their goal.
+        for p in packets[::5]:
+            p.injection_time = 2 + p.pid % 7
+        packets.append(Packet(len(packets), (1, 1), (1, 1), injection_time=5))
         sim = Simulator(
             topology, GreedyAdaptiveRouter(2, "incoming"), [p.copy() for p in packets],
             engine=engine,
@@ -532,23 +595,20 @@ class TestStepBoundFloors:
             sim.step()
         oracle = StepBoundOracle(None)
         attach_checker(sim, [oracle], mode="strict")
-        return oracle._floor
-
-    @pytest.mark.parametrize("topology", [Mesh(7), Torus(6)], ids=["mesh", "torus"])
-    @pytest.mark.parametrize("steps_before_attach", [0, 3])
-    def test_array_floors_equal_object_floors(self, topology, steps_before_attach):
-        packets = list(random_permutation(topology, seed=4))  # appended to below
-        # Some packets wait in the pending pool, some start at their goal.
-        for p in packets[::5]:
-            p.injection_time = 2 + p.pid % 7
-        packets.append(Packet(len(packets), (1, 1), (1, 1), injection_time=5))
-        reference = self.floors("reference", topology, packets, steps_before_attach)
-        array = self.floors("array", topology, packets, steps_before_attach)
-        assert array == reference
+        floors = dict(zip(oracle._pids.tolist(), oracle._floors.tolist()))
+        assert oracle._pids.tolist() == sorted(floors)
+        queued = {p.pid: p.pos for p in sim.iter_packets()}
+        delivered = sim.delivery_times
+        expected = {
+            p.pid: steps_before_attach + topology.distance(queued[p.pid], p.dest)
+            if p.pid in queued
+            else p.injection_time + topology.distance(p.source, p.dest)
+            for p in packets
+            if p.pid not in delivered
+        }
+        assert floors == expected
         if steps_before_attach == 0:
-            # At step 0 a queued packet's floor is its source-to-destination
-            # distance; a pending one adds its injection time.
-            assert reference == {
+            assert floors == {
                 p.pid: p.injection_time + topology.distance(p.source, p.dest)
                 for p in packets
                 if p.source != p.dest or p.injection_time > 0
