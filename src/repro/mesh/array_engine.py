@@ -100,17 +100,13 @@ class RouterKernel:
     engine owns everything else -- injection, transmit, counters, maxima.
 
     ``num_keys`` (1 central / 4 incoming) and ``track_age`` (packet state
-    is an integer age) declare the queue regime, and ``reads_key_order``
-    declares that ``schedule`` reads ``ArrayState.key_rank`` (the
-    queue-creation order); the engine keeps that state only for kernels
-    that declare it.  The engine reads all three off the *constructed*
-    kernel, so routers that support either queue kind set them per
-    instance in ``__init__``.
+    is an integer age) declare the queue regime.  The engine reads both
+    off the *constructed* kernel, so routers that support either queue
+    kind set them per instance in ``__init__``.
     """
 
     num_keys = 1
     track_age = False
-    reads_key_order = False
 
     def __init__(self, engine: "ArraySimulator") -> None:
         self.engine = engine
@@ -139,14 +135,11 @@ class BoundedDorKernel(RouterKernel):
 
     Straight-continuing packets (sitting in the queue opposite the
     outlink) have priority per outlink, FIFO within a class; the fallback
-    scans the node's *other* queues in queue-creation order -- the
-    reference engine's dict insertion order, mirrored by
-    ``ArrayState.key_rank``.  N/S inqueues always accept; E/W accept only
-    below capacity.
+    scans the node's *other* queues in key order.  N/S inqueues always
+    accept; E/W accept only below capacity.
     """
 
     num_keys = 4
-    reads_key_order = True
 
     def schedule(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         engine = self.engine
@@ -167,12 +160,11 @@ class BoundedDorKernel(RouterKernel):
         ckey = (cslot >> 2) & 3
         cdir = cslot & 3
         # Straight candidates (key is the opposite inlink of the outlink)
-        # outrank every fallback; fallbacks tie-break by queue-creation
-        # order, exactly the reference outqueue's dict-order scan.
-        # (node, direction, priority) keys are unique: one candidate per
-        # queue key, and key ranks are distinct within a node.
+        # outrank every fallback; fallbacks tie-break by key, the
+        # reference outqueue's scan order.  (node, direction, priority)
+        # keys are unique: one candidate per queue key.
         straight = ckey == OPP[cdir]
-        prio = np.where(straight, 0, st.key_rank[cnode, ckey] + 1)
+        prio = np.where(straight, 0, ckey + 1)
         nd = (cnode << 2) | cdir
         order2 = np.argsort((nd << 3) | prio)  # noqa: SC007 -- unique keys
         nd_s = nd[order2]
@@ -373,8 +365,8 @@ class FarthestFirstKernel(RouterKernel):
     distance in that dimension wins.  Incoming regime: straight-through
     priority -- any candidate from the opposite inlink queue beats every
     turner, and turners rank by the concatenation order of the node's
-    other queues (queue-creation order, FIFO within), so the full rank is
-    (straight class, -distance, key creation rank, FIFO).  Central
+    other queues (key order, FIFO within), so the full rank is
+    (straight class, -distance, key, FIFO).  Central
     regime: FIFO index breaks distance ties.  Inqueue: delivering offers
     always accept; incoming N/S always accept; otherwise space-gated
     (central sorts transit offers farthest-first against free space).
@@ -383,7 +375,6 @@ class FarthestFirstKernel(RouterKernel):
     def __init__(self, engine: "ArraySimulator") -> None:
         super().__init__(engine)
         self.num_keys = 1 if engine._central else 4
-        self.reads_key_order = not engine._central
 
     def schedule(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         engine = self.engine
@@ -402,14 +393,14 @@ class FarthestFirstKernel(RouterKernel):
                 act, (group, geom.node_bits + 2), (closeness, geom.dist_bits)
             )
         else:
-            krank = st.key_rank[node, st.qkey[act]]
-            notstraight = (st.qkey[act] != OPP[desired]).astype(np.int64)
+            qkey = st.qkey[act]
+            notstraight = (qkey != OPP[desired]).astype(np.int64)
             order = engine._fifo_order(
                 act,
                 (group, geom.node_bits + 2),
                 (notstraight, 1),
                 (closeness, geom.dist_bits),
-                (krank, 2),
+                (qkey, 2),
             )
         group_s = group[order]
         first = np.empty(len(group_s), dtype=bool)
@@ -811,10 +802,7 @@ class ArraySimulator(Simulator):
         # kernels pick ``num_keys`` per instance.
         self._kernel = kernel_cls(self)
         self._state = ArrayState(
-            GridGeometry(topology),
-            self._kernel.num_keys,
-            self._kernel.track_age,
-            self._kernel.reads_key_order,
+            GridGeometry(topology), self._kernel.num_keys, self._kernel.track_age
         )
         # Injection queue index per 4-bit profitable mask (made on first use).
         self._initial_kidx: np.ndarray | None = None
@@ -871,17 +859,9 @@ class ArraySimulator(Simulator):
         if not len(index):
             return
         pid, src, dst = pid[index], src[index], dst[index]
-        if not bool((src[1:] > src[:-1]).all()):
-            # The reference engine loads node by node, in order of each
-            # node's first appearance, pid-ascending within a node (sources
-            # that only ascend are that order already).
-            first = _rank_within(src) == 0
-            appearance = np.empty(self._state.geom.num_nodes, dtype=np.int64)
-            appearance[src[first]] = np.flatnonzero(first)
-            order = np.lexsort((pid, appearance[src]))
-            index, pid, src, dst = index[order], pid[order], src[order], dst[order]
         # Load-time FIFO sequence = pid: per-queue load order is
-        # pid-ascending, matching the reference append order.
+        # pid-ascending, matching the reference append order, whatever
+        # order the batch lists its packets in.
         self._place(pid, src, dst, qseq=pid)
         self._slots.load(batch, index)
         self._seq = int(pid.max()) + 1
@@ -933,14 +913,11 @@ class ArraySimulator(Simulator):
         """
         st = self._state
         kidx, slot = self._injection_slots(src, dst)
-        # Rank of each packet within its queue: admission reads it, and the
-        # queue-creation order (a key is created by its first placement).
-        rank = _rank_within(slot) if qseq is None or st.key_rank is not None else None
         if qseq is None:
-            placed = rank < self.spec.capacity - st.occ.ravel()[slot]
+            placed = _rank_within(slot) < self.spec.capacity - st.occ.ravel()[slot]
             if not bool(placed.all()):
                 pid, src, dst = pid[placed], src[placed], dst[placed]
-                kidx, slot, rank = kidx[placed], slot[placed], rank[placed]
+                kidx, slot = kidx[placed], slot[placed]
             n = len(pid)
             qseq = self._seq + np.arange(n, dtype=np.int64)
             self._seq += n
@@ -953,9 +930,6 @@ class ArraySimulator(Simulator):
         np.add.at(st.occ.ravel(), slot, 1)
         np.add.at(st.load, src, 1)
         self._in_flight += len(pid)
-        if st.key_rank is not None:
-            first = rank == 0
-            self._record_key_creations(src[first], kidx[first])
         # Every queue and node load increase updates the maxima, so the
         # maxima over all queues are the maxima over the touched ones.
         qmax = int(st.occ.max())
@@ -965,14 +939,10 @@ class ArraySimulator(Simulator):
         if self.validate and qmax > capacity:
             over = st.occ.ravel()[slot] > capacity
             if bool(over.any()):
-                # Report what the reference engine reports: the first node
-                # in placement order with an over-capacity queue, and its
-                # first such queue in creation order.  Only a load overflows
-                # (injection admits up to the free space), and a load starts
-                # from an empty state with each node's packets contiguous,
-                # so both are those of the first over-capacity entry.
-                i = int(np.argmax(over))
-                flat, k = int(src[i]), int(kidx[i])
+                # Only a load overflows (injection admits up to the free
+                # space); like the reference engine, report the lowest
+                # over-capacity (node, key).
+                flat, k = divmod(int(slot[over].min()), st.num_keys)
                 raise QueueOverflowError(
                     self.algorithm.name,
                     self._node_tuple(flat),
@@ -1350,7 +1320,7 @@ class ArraySimulator(Simulator):
             return ArrayMoves(self, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
         # Arrival order is (target, inlink direction): targets ascending,
         # multi-offer groups by came_from -- the reference accepted_moves
-        # order, which fixes FIFO sequence numbers and key creation order.
+        # order, which fixes FIFO sequence numbers.
         # Each (target, inlink) receives at most one move per step, so a
         # counting sort over one mark per (node, inlink) orders them.
         mark = self._arrival_mark
@@ -1405,8 +1375,6 @@ class ArraySimulator(Simulator):
                     int(qlen[i]),
                     self.spec.capacity,
                 )
-            if st.key_rank is not None:
-                self._record_key_creations(stgt, skey)
         dpkt = apkt[delivered]
         if len(dpkt):
             self.deliveries.append(st.pids[dpkt], self.time, dpkt)
@@ -1414,42 +1382,7 @@ class ArraySimulator(Simulator):
             st.in_net[dpkt] = False
             act = self._act
             self._act = act[st.in_net[act]]
-        # Prune bookkeeping: a node that sent and ended the step empty
-        # resets its queue-key creation order (the reference engine deletes
-        # the node dict, losing key insertion order).
-        if st.key_rank is not None:
-            emptied = asrc[st.load[asrc] == 0]  # repeats: the reset is idempotent
-            if len(emptied):
-                st.key_rank[emptied] = -1
-                st.key_count[emptied] = 0
         return ArrayMoves(self, apkt, asrc, adir, atgt)
-
-    def _record_key_creations(self, stgt: np.ndarray, skey: np.ndarray) -> None:
-        """Assign creation ranks to queue keys first occupied this step.
-
-        ``stgt``/``skey`` are in arrival order, at most one arrival per
-        (node, key) (one per inlink in transit; :meth:`_place` passes each
-        key's first placement), so each new (node, key) is a single
-        creation event, ranked per node in arrival order.
-        """
-        st = self._state
-        is_new = st.key_rank[stgt, skey] < 0
-        if not bool(is_new.any()):
-            return
-        pos = np.flatnonzero(is_new)
-        node = stgt[pos]
-        key = skey[pos]
-        order = np.lexsort((pos, node))
-        node_s = node[order]
-        key_s = key[order]
-        newg = np.empty(len(node_s), dtype=bool)
-        newg[0] = True
-        newg[1:] = node_s[1:] != node_s[:-1]
-        starts = np.flatnonzero(newg)
-        grp = np.cumsum(newg) - 1
-        rank_in_node = np.arange(len(node_s), dtype=np.int64) - starts[grp]
-        st.key_rank[node_s, key_s] = st.key_count[node_s] + rank_in_node
-        np.add.at(st.key_count, node_s, 1)
 
     def _inject_pending(self) -> None:
         ptime, ppid, psrc, pdst = self.pending_arrays()

@@ -10,12 +10,8 @@ arrays so each simulator phase becomes a handful of batched operations:
   number, and per-packet age (hot-potato state).  Slots are append-only;
   delivered packets simply leave the active-index set.  Only the order
   of the FIFO sequence numbers matters, so the engine may renumber them.
-- **Queue arrays**, indexed by flat node id: per-(node, key) occupancy,
-  per-node load, and -- only when the kernel reads it (bounded
-  dimension-order and incoming farthest-first) -- the queue-key
-  *creation-order* bookkeeping that mirrors the reference engine's dict
-  insertion order (``key_rank`` / ``key_count``), on which their
-  fallback scans depend.
+- **Queue arrays**, indexed by flat node id: per-(node, key) occupancy
+  and per-node load.
 - **Geometry tables** derived from the topology once: the flat neighbor
   ids of :meth:`repro.mesh.topology.Topology.link_array` (the table the
   reference engine's ``neighbor_table`` comes from too), an outlink
@@ -140,14 +136,9 @@ class ArrayState:
     increasing sequence numbers in exactly the order the reference engine
     appends packets to queue lists, so ascending ``qseq`` within one
     (node, key) queue *is* the reference queue order.
-
-    ``key_order`` allocates ``key_rank`` / ``key_count`` (else both are
-    None): the kernel's declaration that it reads queue-creation order.
     """
 
-    def __init__(
-        self, geometry: GridGeometry, num_keys: int, track_age: bool, key_order: bool
-    ) -> None:
+    def __init__(self, geometry: GridGeometry, num_keys: int, track_age: bool) -> None:
         self.geom = geometry
         self.num_keys = num_keys
         self.track_age = track_age
@@ -163,12 +154,6 @@ class ArrayState:
         n = geometry.num_nodes
         self.occ = np.zeros((n, num_keys), dtype=np.int64)
         self.load = np.zeros(n, dtype=np.int64)
-        if key_order:
-            self.key_rank = np.full((n, num_keys), -1, dtype=np.int64)
-            self.key_count = np.zeros(n, dtype=np.int64)
-        else:
-            self.key_rank = None
-            self.key_count = None
 
     def ensure_capacity(self, extra: int) -> None:
         """Grow the packet arrays to hold ``extra`` more slots (amortized)."""

@@ -13,7 +13,7 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Mapping, Sequence
 
-from repro.mesh.directions import Direction
+from repro.mesh.directions import DIRECTIONS, Direction
 from repro.mesh.queues import QueueSpec
 from repro.mesh.visibility import Offer, PacketView
 
@@ -144,8 +144,16 @@ class NodeContext:
 
     @property
     def queue_keys(self) -> Iterable[Any]:
+        """The node's occupied queue keys, in ascending key order.
+
+        The model's one queue order: a policy that scans a node's queues
+        (a turning packet's fallback, a turner ranking) sees them in key
+        value order -- N, E, S, W on a 2D grid -- however the queues came
+        to be occupied.  Load overflows are reported at the lowest
+        (node, key) too.
+        """
         if self._keys is None:
-            self._keys = [k for k, q in self._raw.items() if q]
+            self._keys = sorted(k for k, q in self._raw.items() if q)
         return self._keys
 
     def occupancy(self, key: Any) -> int:
@@ -204,11 +212,17 @@ class RoutingAlgorithm(abc.ABC):
     def bind_topology(self, topology: "Topology") -> None:
         """One-time hook: the simulator announces the topology it will run on.
 
-        Called before any packet is loaded.  Routers that adapt to dimension
-        metadata (axis count, escape axis, regularity) override this; the
-        default does nothing, so 2D routers are unaffected.
+        Called before any packet is loaded.  The default accepts only the
+        four compass directions, which is all a 2D router's policies speak,
+        and raises ``ValueError`` naming the router on any other grid.
+        Routers that adapt to dimension metadata (axis count, escape axis,
+        regularity) override this.
         """
-        return None
+        if tuple(topology.directions) != DIRECTIONS:
+            raise ValueError(
+                f"router {type(self).__name__} ({self.name!r}) routes only on "
+                f"2D grids (directions N, E, S, W), not on {topology!r}"
+            )
 
     def attach_credit_probe(self, probe: Any) -> None:
         """Receive the simulator's downstream-occupancy reader.

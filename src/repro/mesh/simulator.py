@@ -292,8 +292,8 @@ class Simulator:
 
         self._pending.sort(key=lambda p: (p.injection_time, p.pid))
 
-        for node, plist in originating.items():
-            plist.sort(key=lambda p: p.pid)
+        for node in sorted(originating):
+            plist = sorted(originating[node], key=lambda p: p.pid)
             node_queues = self.queues.setdefault(node, {})
             views = []
             for p in plist:
@@ -560,10 +560,8 @@ class Simulator:
             # (nearly) all of their node's queues, so eager construction
             # skips the per-queue lazy plumbing entirely.
             views_map: dict[Any, list[PacketView]] = {}
-            keys = []
             for key, q in node_queues.items():
                 if q:
-                    keys.append(key)
                     views_map[key] = factory(q)
             ctx = NodeContext(
                 node,
@@ -574,7 +572,6 @@ class Simulator:
                 factory,
             )
             ctx._views = views_map
-            ctx._keys = keys
             contexts[node] = ctx
             chosen = outqueue(ctx)
             if not chosen:
@@ -943,7 +940,7 @@ class Simulator:
     def _check_capacity(self, node: tuple[int, int]) -> None:
         if not self.validate:
             return
-        for key, q in self.queues.get(node, {}).items():
+        for key, q in sorted(self.queues.get(node, {}).items()):
             if len(q) > self.spec.capacity:
                 raise QueueOverflowError(
                     self.algorithm.name, node, key, len(q), self.spec.capacity

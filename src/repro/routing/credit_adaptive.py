@@ -122,7 +122,7 @@ class CreditAdaptiveRouter(RoutingAlgorithm):
     def outqueue(self, ctx: NodeContext) -> Mapping[Direction, PacketView]:
         chosen: dict[Direction, PacketView] = {}
         scheduled: set[int] = set()
-        keys = sorted(ctx.queue_keys)
+        keys = ctx.queue_keys
         # Escape packets first, straight with priority: this is the drain
         # invariant the static model declares, so it must hold by schedule
         # construction, not by luck of the credit comparison.

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.mesh import Mesh, Packet, Simulator, Topology, Torus
+from repro.mesh.directions import Direction
+from repro.mesh.queues import CENTRAL
 from repro.mesh.array_engine import ArraySimulator, ported_router_types
 from repro.mesh.errors import QueueOverflowError
 from repro.verify.engine_equivalence import LockstepReport, lockstep
@@ -267,7 +269,8 @@ class TestBatchedEntry:
     def overloaded(self):
         # Node (4, 4) appears first and creates its S queue (packets heading
         # north) before its E queue (heading west); (1, 1), lower in flat
-        # order, is overloaded too but appears later.
+        # order, is overloaded too (three packets heading north) but
+        # appears later.
         return [
             Packet(7, (4, 4), (4, 5)),
             Packet(3, (1, 1), (1, 4)),
@@ -291,13 +294,13 @@ class TestBatchedEntry:
         ]
 
     @pytest.mark.parametrize(
-        "algorithm,reads_key_order",
+        "algorithm",
         [
-            (lambda: BoundedDimensionOrderRouter(1), True),
-            (lambda: GreedyAdaptiveRouter(1, "incoming"), False),
-            (lambda: DimensionOrderRouter(2), False),
-            (lambda: CreditAdaptiveRouter(1), False),
-            (lambda: FarthestFirstRouter(1), True),
+            lambda: BoundedDimensionOrderRouter(1),
+            lambda: GreedyAdaptiveRouter(1, "incoming"),
+            lambda: DimensionOrderRouter(2),
+            lambda: CreditAdaptiveRouter(1),
+            lambda: FarthestFirstRouter(1),
         ],
         ids=[
             "bounded-dor",
@@ -307,16 +310,18 @@ class TestBatchedEntry:
             "farthest-first-incoming",
         ],
     )
-    def test_load_overflow_reports_the_same_queue(self, algorithm, reads_key_order):
-        for packets in (self.overloaded, self.created_against_key_order):
-            reference = overflow_on("reference", algorithm(), packets())
-            array = overflow_on("array", algorithm(), packets())
-            assert array == reference
-            assert reference[0] == (4, 4)
-        # Queue-creation order is kept only for kernels that read it.
-        sim = Simulator(Mesh(6), algorithm(), [], engine="array")
-        assert (sim._state.key_rank is None) == (not reads_key_order)
-        assert (sim._state.key_count is None) == (not reads_key_order)
+    def test_load_overflow_reports_the_same_queue(self, algorithm):
+        """Both engines report the lowest over-capacity (node, key), whatever
+        order the packets are listed and their queues created in."""
+        spec = algorithm().queue_spec
+        central, k = spec.kind == "central", spec.capacity
+        for engine in ("reference", "array"):
+            assert overflow_on(engine, algorithm(), self.overloaded()) == (
+                (1, 1), CENTRAL if central else Direction.S, 3, k
+            )
+            assert overflow_on(engine, algorithm(), self.created_against_key_order()) == (
+                (4, 4), CENTRAL if central else Direction.E, 4 if central else 2, k
+            )
 
     def test_load_places_like_the_reference(self):
         packets = self.overloaded() + [Packet(9, (2, 3), (2, 3), injection_time=2)]
@@ -397,6 +402,42 @@ class TestBatchedEntry:
             sim.offer_packets(1, np.array([2]), np.array([3]))
         with pytest.raises(ValueError, match="packet 9 endpoints outside"):
             sim.offer_packets(8, np.array([1, 16]), np.array([2, 3]))
+
+
+class TestQueueOrder:
+    """A node's queues are scanned in key order (N, E, S, W), not in the
+    order they were created in."""
+
+    def turners_against_key_order(self):
+        # Node (2, 2) creates its W queue (pid 1 heads east) before its E
+        # queue (pid 2 heads west).  On step 1 both leave, and pids 3 and 4
+        # arrive in those queues, each turning north to (2, 5): two turners,
+        # three hops out, competing for the N outlink with no straight
+        # (S queue) candidate.  A loaded packet always sits in its straight
+        # queue, so turners meet only after a transit step.
+        return [
+            Packet(1, (2, 2), (5, 2)),
+            Packet(2, (2, 2), (0, 2)),
+            Packet(3, (1, 2), (2, 5)),
+            Packet(4, (3, 2), (2, 5)),
+        ]
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [lambda: BoundedDimensionOrderRouter(2), lambda: FarthestFirstRouter(2)],
+        ids=["bounded-dor", "farthest-first-incoming"],
+    )
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    def test_turner_from_the_lower_key_goes_first(self, algorithm, engine):
+        sim = Simulator(
+            Mesh(6), algorithm(), self.turners_against_key_order(), engine=engine
+        )
+        sim.step()
+        waiting = sim.queues[(2, 2)]
+        assert [p.pid for p in waiting[Direction.W]] == [3]
+        assert [p.pid for p in waiting[Direction.E]] == [4]
+        moves = {m.packet.pid: m.direction for m in sim.step() if m.src == (2, 2)}
+        assert moves == {4: Direction.N}
 
 
 class TestPackedSortKeys:

@@ -4,9 +4,11 @@ import pytest
 
 from repro.mesh import (
     Mesh,
+    MeshND,
     Packet,
     QueueSpec,
     Simulator,
+    SparsePillarMesh,
 )
 from repro.mesh.directions import Direction
 from repro.mesh.errors import (
@@ -16,7 +18,11 @@ from repro.mesh.errors import (
     SimulationLimitError,
 )
 from repro.mesh.interfaces import RoutingAlgorithm
-from repro.routing import BoundedDimensionOrderRouter, DimensionOrderRouter
+from repro.routing import (
+    BoundedDimensionOrderRouter,
+    DimensionOrderRouter,
+    GreedyAdaptiveRouter,
+)
 
 
 class AcceptAllDOR(DimensionOrderRouter):
@@ -137,6 +143,11 @@ class TestModelEnforcement:
         sim = Simulator(mesh, Thief(2), [Packet(0, (2, 2), (4, 4))])
         with pytest.raises(InvalidScheduleError):
             sim.step()
+
+    @pytest.mark.parametrize("topology", [MeshND((4, 4, 4)), SparsePillarMesh(4)], ids=repr)
+    def test_2d_router_refuses_other_grids_at_construction(self, topology):
+        with pytest.raises(ValueError, match=r"GreedyAdaptiveRouter.*routes only on 2D"):
+            Simulator(topology, GreedyAdaptiveRouter(2), [])
 
     def test_run_raise_on_limit(self):
         mesh = Mesh(8)

@@ -23,7 +23,11 @@ from repro.mesh import Mesh, MeshND, Packet, Simulator, SparsePillarMesh, Torus
 from repro.mesh.directions import Direction
 from repro.mesh.errors import QueueOverflowError
 from repro.mesh.queues import CENTRAL
-from repro.routing import BoundedDimensionOrderRouter, GreedyAdaptiveRouter
+from repro.routing import (
+    BoundedDimensionOrderRouter,
+    CreditAdaptiveRouter,
+    GreedyAdaptiveRouter,
+)
 from repro.verify import (
     MinimalityOracle,
     PacketConservationOracle,
@@ -46,7 +50,7 @@ class OverflowingRouter(GreedyAdaptiveRouter):
         return list(offers)[: max(free, 0)]
 
 
-class NonMinimalLiar(GreedyAdaptiveRouter):
+class LiesAboutMinimality:
     """Claims minimality but schedules the first packet unprofitably."""
 
     name = "broken-nonminimal"
@@ -57,6 +61,14 @@ class NonMinimalLiar(GreedyAdaptiveRouter):
                 if d not in view.profitable:
                     return {d: view}
         return super().outqueue(ctx)
+
+
+class NonMinimalLiar(LiesAboutMinimality, GreedyAdaptiveRouter):
+    """The lie on a 2D router."""
+
+
+class NonMinimalGridLiar(LiesAboutMinimality, CreditAdaptiveRouter):
+    """The lie on a router that runs on d-dimensional grids."""
 
 
 def build(engine, topology, router, packets, **kwargs):
@@ -366,7 +378,7 @@ def test_nonminimal_liar_caught_in_three_dimensions(topology, packet, expected):
     """The reference engine's one path on d=3 grids: distances from the
     topology's own metric, nodes named by their three coordinates, and no
     rectangle check on the irregular pillar mesh."""
-    sim = Simulator(topology, NonMinimalLiar(2, "incoming"), [packet], validate=False)
+    sim = Simulator(topology, NonMinimalGridLiar(2), [packet], validate=False)
     checker = attach_checker(sim, [MinimalityOracle()], mode="record")
     sim.step()
     assert messages(checker) == expected
