@@ -57,6 +57,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 
+#: Entries (8 bytes each) a link-prefix table may hold: every link of a
+#: 1024 x 1024 grid.
+_MAX_PREFIX = 1 << 22
+
 
 def _mix(h: int) -> int:
     """The splitmix64 finalizer: a high-quality 64-bit avalanche."""
@@ -66,13 +70,21 @@ def _mix(h: int) -> int:
     return h ^ (h >> 31)
 
 
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
 def _mix_u64(h: np.ndarray) -> np.ndarray:
-    """:func:`_mix` over uint64 arrays (wrapping arithmetic is mod 2**64)."""
-    h = h ^ (h >> np.uint64(30))
-    h = h * np.uint64(0xBF58476D1CE4E5B9)
-    h = h ^ (h >> np.uint64(27))
-    h = h * np.uint64(0x94D049BB133111EB)
-    return h ^ (h >> np.uint64(31))
+    """:func:`_mix` over uint64 arrays (wrapping arithmetic is mod 2**64).
+
+    Mixes ``h`` in place: :func:`_chain` passes the fresh ``h ^ counter``
+    (a scalar is simply rebound)."""
+    h ^= h >> _S30
+    h *= _M1
+    h ^= h >> _S27
+    h *= _M2
+    h ^= h >> _S31
+    return h
 
 
 def counter_draw(seed: int, *counters: int) -> float:
@@ -97,20 +109,43 @@ def _counter_u64(c: int | np.ndarray) -> np.ndarray:
     return np.uint64((int(c) + _GOLDEN) & _MASK64)
 
 
+def _chain(h: np.ndarray, counters: tuple[int | np.ndarray, ...]) -> np.ndarray:
+    """Mix ``counters`` into the uint64 chain state ``h``, one by one."""
+    with np.errstate(over="ignore"):
+        for c in counters:
+            h = _mix_u64(h ^ _counter_u64(c))
+    return h
+
+
+def counter_prefix_array(seed: int, *counters: int | np.ndarray) -> np.ndarray:
+    """The uint64 chain state of ``counter_draw(seed, *counters, ...)`` after
+    its leading ``counters``: a prefix for :func:`counter_continue_array`.
+
+    The chain mixes one counter at a time, so the state after the counters
+    that do not change from step to step (an entity's coordinates) can be
+    kept in a table and continued with only the ones that do (the time).
+    """
+    return _chain(np.uint64(_mix(seed ^ _GOLDEN)), counters)
+
+
+def counter_continue_array(prefix: np.ndarray, *counters: int | np.ndarray) -> np.ndarray:
+    """Continue the chain states ``prefix`` with ``counters`` and draw:
+    ``counter_continue_array(counter_prefix_array(seed, *head), *tail)``
+    equals ``counter_draw_array(seed, *head, *tail)`` bit for bit.
+    ``(h >> 11) / 2**53`` is exact in float64."""
+    h = _chain(prefix, counters)
+    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
 def counter_draw_array(seed: int, *counters: int | np.ndarray) -> np.ndarray:
     """Vectorized :func:`counter_draw`: bit-identical draws for whole arrays.
 
     Each counter is an int or an integer array (arrays broadcast against
     each other); element ``i`` equals ``counter_draw(seed, ...)`` with the
     arrays' ``i``-th entries exactly.  uint64 arithmetic wraps mod 2**64
-    like the masked Python-int path, and ``(h >> 11) / 2**53`` is exact in
-    float64.
+    like the masked Python-int path.
     """
-    h: np.ndarray = np.uint64(_mix(seed ^ _GOLDEN))
-    with np.errstate(over="ignore"):
-        for c in counters:
-            h = _mix_u64(h ^ _counter_u64(c))
-    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    return counter_continue_array(counter_prefix_array(seed), *counters)
 
 
 def link_draw(
@@ -229,6 +264,14 @@ class BernoulliLinkPlan(FaultPlan):
             )
         self.availability = availability
         self.seed = seed
+        # A draw is (h >> 11) / 2**53 for the chain's final state h, so
+        # draw < availability exactly when h < ceil(availability * 2**53)
+        # << 11: the batched query compares states, with no float step.
+        self._cut = np.uint64(min(math.ceil(availability * 2.0**53) << 11, _MASK64))
+        # counter_prefix_array(seed, x, y, dir) of every link in the box
+        # [0, w) x [0, h) x [0, d), flattened; built by the first query.
+        self._table = np.empty(0, dtype=np.uint64)
+        self._extent = (0, 0, 0)
 
     def link_up(self, src: tuple[int, int], direction: Direction, time: int) -> bool:
         if self.availability >= 1.0:
@@ -238,10 +281,38 @@ class BernoulliLinkPlan(FaultPlan):
     def link_up_array(
         self, xs: np.ndarray, ys: np.ndarray, dirs: np.ndarray, time: int
     ) -> np.ndarray:
-        if self.availability >= 1.0:
+        if self.availability >= 1.0 or not len(xs):
             return np.ones(len(xs), dtype=bool)
-        draws = counter_draw_array(self.seed, xs, ys, dirs, time)
-        return draws < self.availability
+        return _chain(self._link_prefix(xs, ys, dirs), (time,)) < self._cut
+
+    def _link_prefix(
+        self, xs: np.ndarray, ys: np.ndarray, dirs: np.ndarray
+    ) -> np.ndarray:
+        """The chain state after ``(seed, x, y, dir)`` of each queried link.
+
+        Read from a table over the box of links queried so far, which a
+        query outside it grows.  The table holds 8 bytes per (node,
+        direction); a query it could not cover within ``_MAX_PREFIX``
+        entries, or with a negative coordinate (on no grid), is hashed
+        directly.
+        """
+        cols = x, y, di = [np.asarray(c, dtype=np.int64) for c in (xs, ys, dirs)]
+        w, h, d = self._extent
+        u64 = np.uint64
+        # Viewed unsigned, a negative coordinate exceeds every extent.
+        if x.view(u64).max() >= w or y.view(u64).max() >= h or di.view(u64).max() >= d:
+            w, h, d = (max(int(c.max()) + 1, size) for c, size in zip(cols, self._extent))
+            d = max(d, len(Direction))
+            if w * h * d > _MAX_PREFIX or min(int(c.min()) for c in cols) < 0:
+                return counter_prefix_array(self.seed, *cols)
+            self._table = counter_prefix_array(
+                self.seed,
+                np.arange(w, dtype=np.int64)[:, None, None],
+                np.arange(h, dtype=np.int64)[None, :, None],
+                np.arange(d, dtype=np.int64)[None, None, :],
+            ).ravel()
+            self._extent = (w, h, d)
+        return self._table[(x * h + y) * d + di]
 
 
 @dataclass(frozen=True)
@@ -344,6 +415,10 @@ class RenewalOutagePlan(FaultPlan):
         # before it; even-indexed windows are up.
         return (bisect_left(starts, time + 1) - 1) % 2 == 0
 
+    @property
+    def has_node_faults(self) -> bool:
+        return self.scope == "node"
+
     def node_up(self, node: tuple[int, int], time: int) -> bool:
         if self.scope != "node":
             return True
@@ -365,6 +440,10 @@ class CompositeFaultPlan(FaultPlan):
             raise ValueError("CompositeFaultPlan needs at least one plan")
         self.plans = plans
 
+    @property
+    def has_node_faults(self) -> bool:
+        return any(p.has_node_faults for p in self.plans)
+
     def link_up(self, src: tuple[int, int], direction: Direction, time: int) -> bool:
         return all(p.link_up(src, direction, time) for p in self.plans)
 
@@ -384,5 +463,6 @@ class CompositeFaultPlan(FaultPlan):
     ) -> np.ndarray:
         up = np.ones(len(xs), dtype=bool)
         for p in self.plans:
-            up &= p.node_up_array(xs, ys, time)
+            if p.has_node_faults:
+                up &= p.node_up_array(xs, ys, time)
         return up

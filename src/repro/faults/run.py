@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+import numpy as np
+
 from repro.analysis.stats import degradation_metrics, percentile, violation_counts
 from repro.faults.plan import FaultPlan
 from repro.faults.resilience import ResilienceManager
@@ -32,6 +34,7 @@ from repro.mesh.batch import PacketBatch
 from repro.mesh.interfaces import RoutingAlgorithm
 from repro.mesh.packet import Packet
 from repro.mesh.simulator import RunResult, Simulator
+from repro.mesh.stepview import DeliveryLedger
 from repro.mesh.topology import Topology
 from repro.verify.oracles import (
     MinimalityOracle,
@@ -129,7 +132,6 @@ def run_faulty(
     queue overflow rather than die on the simulator's own check.
     """
     batch = PacketBatch.of(packets, topology)
-    injection_time = dict(zip(batch.pid.tolist(), batch.injection_time.tolist()))
 
     sim = Simulator(topology, algorithm, batch, validate=False, engine=engine)
     plan.attach(sim)
@@ -166,9 +168,7 @@ def run_faulty(
         extra = dict(manager.counters())
     else:
         delivered, total = result.delivered, result.total_packets
-        latencies = sorted(
-            t - injection_time[pid] for pid, t in result.delivery_times.items()
-        )
+        latencies = _latencies(sim.deliveries, batch, delivered)
         extra = {"retransmissions": 0, "dropped_by_outage": 0}
     extra["engine"] = sim.engine_name
 
@@ -183,3 +183,18 @@ def run_faulty(
     return FaultyRunReport(
         result=result, violations=list(checker.violations), degradation=degradation
     )
+
+
+def _latencies(ledger: DeliveryLedger, batch: PacketBatch, delivered: int) -> list[int]:
+    """Delivery minus injection step of each of ``delivered`` distinct
+    delivered pids, sorted, from the ledger's columns.  A pid delivered
+    twice (corrupted state) counts once, at its last delivery, as in
+    ``delivery_times``."""
+    pid, step = ledger.pid, ledger.step
+    if len(pid) != delivered:
+        _, last = np.unique(pid[::-1], return_index=True)
+        keep = len(pid) - 1 - last
+        pid, step = pid[keep], step[keep]
+    order = np.argsort(batch.pid, kind="stable")
+    row = order[np.searchsorted(batch.pid, pid, sorter=order)]
+    return np.sort(step - batch.injection_time[row]).tolist()

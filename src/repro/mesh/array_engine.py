@@ -1246,12 +1246,12 @@ class ArraySimulator(Simulator):
             t = self.time
             geom = self._state.geom
             coords = self.topology.coords
-            sx, sy = coords[:, sched_src]
+            sx, sy = coords.take(sched_src, axis=1)
             keep = plan.link_up_array(sx, sy, sched_dir, t)
             if plan.has_node_faults:
                 keep &= plan.node_up_array(sx, sy, t)
                 # Scheduled moves are profitable, so the target always exists.
-                tx, ty = coords[:, geom.nbr_flat[sched_src, sched_dir]]
+                tx, ty = coords.take(geom.nbr_flat[sched_src, sched_dir], axis=1)
                 keep &= plan.node_up_array(tx, ty, t)
             if not bool(keep.all()):
                 sched_pkt = sched_pkt[keep]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -1152,7 +1153,9 @@ class Simulator:
 class _PacketStepView(StepView):
     """The reference engine's :class:`StepView`, built from its Packets:
     rows carry no slot, and a move's endpoints are its packet's current
-    ones (an interceptor may have exchanged the destination)."""
+    ones (an interceptor may have exchanged the destination).  As on the
+    array engine, the columns the oracles seldom read are built on first
+    read, by walking the queues again in the same order."""
 
     slots_made = 0
 
@@ -1163,20 +1166,16 @@ class _PacketStepView(StepView):
         index: dict[Any, int],
         moves: Sequence[ScheduledMove],
     ) -> None:
-        queues = [
-            (flat[at], index.get(key, -1), key, q)
-            for at, node_queues in sim.queues.items()
-            for key, q in node_queues.items()
-            if q
-        ]
+        self._sim, self._flat, self._index = sim, flat, index
         rows = [
-            (p.pid, at, flat[p.dest], i, j, -1)
-            for at, i, _, q in queues
-            for j, p in enumerate(q)
+            (p.pid, at, i)
+            for node, node_queues in sim.queues.items()
+            for at in (flat[node],)
+            for key, q in node_queues.items()
+            for i in (index.get(key, -1),)
+            for p in q
         ]
-        (self.pid, self.node, self.dest, self.key, self.order,
-         self.slot) = _columns(rows, 6)
-        self.outside_keys = [key for _, i, key, q in queues if i < 0 for _ in q]
+        self.pid, self.node, self.key = _columns(rows, 3)
         moved = [
             (p.pid, flat[mv.src], flat[mv.target], flat[p.source], flat[p.dest])
             for mv in moves
@@ -1184,10 +1183,43 @@ class _PacketStepView(StepView):
         ]
         (self.move_pid, self.move_src, self.move_target, self.move_source,
          self.move_dest) = _columns(moved, 5)
-        pending = [
-            (p.injection_time, p.pid, flat[p.source], flat[p.dest]) for p in sim._pending
+
+    def _queues(self) -> Iterator[tuple[Any, list[Packet]]]:
+        """Each queue's key and packets, in row order."""
+        for node_queues in self._sim.queues.values():
+            yield from node_queues.items()
+
+    @cached_property
+    def outside_keys(self) -> list[Any]:
+        if not len(self.key) or self.key.min() >= 0:
+            return []
+        index = self._index
+        return [key for key, q in self._queues() if key not in index for _ in q]
+
+    @cached_property
+    def dest(self) -> np.ndarray:
+        flat = self._flat
+        return np.fromiter(
+            [flat[p.dest] for _, q in self._queues() for p in q], np.int64, len(self.pid)
+        )
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        fifo = chain.from_iterable(range(len(q)) for _, q in self._queues())
+        return np.fromiter(fifo, np.int64, len(self.pid))
+
+    @cached_property
+    def slot(self) -> np.ndarray:
+        return np.full(len(self.pid), -1, dtype=np.int64)
+
+    @cached_property
+    def pending(self) -> tuple[np.ndarray, ...]:
+        flat = self._flat
+        rows = [
+            (p.injection_time, p.pid, flat[p.source], flat[p.dest])
+            for p in self._sim._pending
         ]
-        self.pending = tuple(_columns(pending, 4))
+        return tuple(_columns(rows, 4))
 
 
 def _columns(rows: list[tuple[int, ...]], width: int) -> np.ndarray:

@@ -18,9 +18,10 @@ shared RNG stream, so
 Each process answers two queries.  The scalar :meth:`ArrivalProcess.arrivals`
 gives one ``(source, time)`` batch and is the reference; the batched
 :meth:`ArrivalProcess.arrivals_array` gives one step's offers for every
-node as flat-id arrays, computed with :func:`~repro.faults.plan.counter_draw_array`
-over the node grid, and equals the concatenated scalar batches element
-for element.  The purity contract above holds element-wise for both.
+node as flat-id arrays, computed by continuing per-node prefix tables
+(:func:`~repro.faults.plan.counter_prefix_array`) with the time, and
+equals the concatenated scalar batches element for element.  The purity
+contract above holds element-wise for both.
 
 Two rate models are provided -- :class:`PoissonArrivals` (memoryless) and
 :class:`OnOffArrivals` (bursty Markov-modulated on/off) -- each paired
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.faults.plan import counter_draw, counter_draw_array
+from repro.faults.plan import counter_continue_array, counter_draw, counter_prefix_array
 from repro.mesh.topology import Topology
 
 #: Domain tags keep draws for different purposes statistically independent
@@ -101,13 +102,15 @@ def poisson_counts(u: np.ndarray, rate: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _grid(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node coordinates ``(xs, ys)`` in flat-id (column-major) order
-    (read-only: the cache shares them)."""
+def _node_prefix(seed: int, domain: int, width: int, height: int) -> np.ndarray:
+    """``counter_prefix_array(seed, domain, x, y)`` of every node in flat-id
+    (column-major) order, so a step's draws mix in only the time (and
+    arrival index).  8 bytes per node; read-only: the cache shares it."""
     xs = np.repeat(np.arange(width, dtype=np.int64), height)
     ys = np.tile(np.arange(height, dtype=np.int64), width)
-    xs.flags.writeable = ys.flags.writeable = False
-    return xs, ys
+    table = counter_prefix_array(seed, domain, xs, ys)
+    table.flags.writeable = False
+    return table
 
 
 def _no_offers() -> tuple[np.ndarray, np.ndarray]:
@@ -200,10 +203,8 @@ class UniformDestinations(DestinationModel):
         time: int,
         index: np.ndarray,
     ) -> np.ndarray:
-        height = topology.height
-        u = counter_draw_array(
-            self.seed, _DOMAIN_DEST, sources // height, sources % height, time, index
-        )
+        prefix = _node_prefix(self.seed, _DOMAIN_DEST, topology.width, topology.height)
+        u = counter_continue_array(prefix[sources], time, index)
         return self._uniform_other_array(topology, sources, u)
 
 
@@ -265,13 +266,14 @@ class HotspotDestinations(DestinationModel):
         hot = self._hot_node(topology)
         if not topology.contains(hot):
             raise ValueError(f"hotspot {hot} lies outside {topology!r}")
-        height = topology.height
-        xs, ys = sources // height, sources % height
-        u = counter_draw_array(self.seed, _DOMAIN_DEST, xs, ys, time, index)
+        shape = (topology.width, topology.height)
+        prefix = _node_prefix(self.seed, _DOMAIN_DEST, *shape)
+        u = counter_continue_array(prefix[sources], time, index)
         dest = self._uniform_other_array(topology, sources, u)
         if self.fraction > 0.0:
             hot_flat = topology.node_index(hot)
-            u_hot = counter_draw_array(self.seed, _DOMAIN_HOTSPOT, xs, ys, time, index)
+            prefix = _node_prefix(self.seed, _DOMAIN_HOTSPOT, *shape)
+            u_hot = counter_continue_array(prefix[sources], time, index)
             dest[(sources != hot_flat) & (u_hot < self.fraction)] = hot_flat
         return dest
 
@@ -378,8 +380,8 @@ class PoissonArrivals(ArrivalProcess):
     ) -> tuple[np.ndarray, np.ndarray]:
         if self.rate == 0.0:
             return _no_offers()
-        xs, ys = _grid(topology.width, topology.height)
-        u = counter_draw_array(self.seed, _DOMAIN_COUNT, xs, ys, time)
+        prefix = _node_prefix(self.seed, _DOMAIN_COUNT, topology.width, topology.height)
+        u = counter_continue_array(prefix, time)
         return self._offers(topology, time, poisson_counts(u, self.rate))
 
     def mean_rate(self) -> float:
@@ -467,9 +469,9 @@ class OnOffArrivals(ArrivalProcess):
             dtype=bool,
             count=topology.num_nodes,
         )
-        xs, ys = _grid(topology.width, topology.height)
+        prefix = _node_prefix(self.seed, _DOMAIN_COUNT, topology.width, topology.height)
         counts = np.zeros(len(on), dtype=np.int64)
-        u = counter_draw_array(self.seed, _DOMAIN_COUNT, xs[on], ys[on], time)
+        u = counter_continue_array(prefix[on], time)
         counts[on] = poisson_counts(u, self.rate)
         return self._offers(topology, time, counts)
 

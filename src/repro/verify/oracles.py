@@ -413,26 +413,27 @@ class MinimalityOracle(Oracle):
             return
         # On a mesh both checks come from one pass over the coordinates:
         # the move's change of distance, and the target's distance from
-        # the source-destination rectangle.
+        # the source-destination rectangle.  On one axis the target t lies
+        # (|t-a| + |t-b| - |a-b|) / 2 outside the span of a and b; ``twice``
+        # sums the numerators.
         src = view.move_source
         gain: Any = 0
-        excess: Any = 0
+        twice: Any = 0
         for coord in self._coords:
             t = coord[target]
             b = coord[dest]
-            if minimal:
-                gain = gain + (np.abs(t - b) - np.abs(coord[view.move_src] - b))
             a = coord[src]
-            excess = excess + np.maximum(
-                np.maximum(np.minimum(a, b) - t, 0), t - np.maximum(a, b)
-            )
+            tb = np.abs(t - b)
+            if minimal:
+                gain = gain + (tb - np.abs(coord[view.move_src] - b))
+            twice = twice + (np.abs(t - a) + tb - np.abs(a - b))
         if minimal:
             self._report_unprofitable(checker, sim, view, np.flatnonzero(gain != -1))
-        for i in np.flatnonzero(excess > delta).tolist():
+        for i in np.flatnonzero(twice > 2 * delta).tolist():
             at, a, b = _nodes(sim.topology, [target[i], src[i], dest[i]])
             checker.report(
                 self,
-                f"packet {view.move_pid[i]} at {at} strays {excess[i]} > delta "
+                f"packet {view.move_pid[i]} at {at} strays {twice[i] // 2} > delta "
                 f"{delta} beyond rectangle {a}..{b}",
             )
 

@@ -22,6 +22,7 @@ from repro.faults import (
 from repro.faults.plan import counter_draw_array, link_draw
 from repro.mesh import Mesh, Simulator, Torus
 from repro.mesh.directions import Direction
+from repro.streaming.arrivals import PoissonArrivals, _node_prefix
 from repro.verify import ARRAY_PORTED, REGISTRY
 from repro.workloads import random_permutation
 
@@ -111,6 +112,33 @@ class TestVectorizedDraws:
         dirs = np.array([1, 0, 1], dtype=np.int64)  # E, N, E
         up = plan.link_up_array(xs, ys, dirs, 5)
         assert up.tolist() == [False, True, True]
+
+    def test_prefix_tables_are_built_inside_the_run(self):
+        """Constructing a plan or an arrival process, attaching the plan
+        and constructing the simulator build no prefix table; the first
+        query does."""
+        _node_prefix.cache_clear()
+        topology = Mesh(8)
+        plan = BernoulliLinkPlan(0.9, seed=1)
+        process = PoissonArrivals(0.1, seed=1)
+        sims = [
+            plan.attach(
+                Simulator(
+                    topology,
+                    REGISTRY["bounded-dor"].factory(2, 0),
+                    random_permutation(topology, seed=0),
+                    engine=engine,
+                )
+            )
+            for engine in ("reference", "array")
+        ]
+        Simulator(topology, REGISTRY["bounded-dor"].factory(2, 0), [], engine="array")
+        assert plan._table.size == 0
+        assert _node_prefix.cache_info().currsize == 0
+        sims[-1].step()
+        assert plan._table.size == topology.num_nodes * len(Direction)
+        process.arrivals_array(topology, 0)
+        assert _node_prefix.cache_info().currsize == 2  # counts, destinations
 
     def test_all_up_plan_shortcuts_to_ones(self):
         plan = BernoulliLinkPlan(1.0)

@@ -182,7 +182,15 @@ def test_has_node_faults_only_when_node_up_is_overridden():
     assert not BernoulliLinkPlan(0.5).has_node_faults
     assert ScheduledOutagePlan([Outage((0, 0), 0, 1)]).has_node_faults
     assert RenewalOutagePlan(5.0, 2.0).has_node_faults
-    assert CompositeFaultPlan(BernoulliLinkPlan(0.5)).has_node_faults
+    assert CompositeFaultPlan(
+        BernoulliLinkPlan(0.5), RenewalOutagePlan(5.0, 2.0)
+    ).has_node_faults
+    # Plans whose node_up is True by construction say False.
+    assert not RenewalOutagePlan(5.0, 2.0, scope="link").has_node_faults
+    assert not CompositeFaultPlan(BernoulliLinkPlan(0.5)).has_node_faults
+    assert not CompositeFaultPlan(
+        BernoulliLinkPlan(0.5), RenewalOutagePlan(5.0, 2.0, scope="link")
+    ).has_node_faults
 
 
 class TestAttach:
