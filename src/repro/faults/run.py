@@ -34,7 +34,7 @@ from repro.mesh.batch import PacketBatch
 from repro.mesh.interfaces import RoutingAlgorithm
 from repro.mesh.packet import Packet
 from repro.mesh.simulator import RunResult, Simulator
-from repro.mesh.stepview import DeliveryLedger
+from repro.mesh.stepview import PacketLedger
 from repro.mesh.topology import Topology
 from repro.verify.oracles import (
     MinimalityOracle,
@@ -176,7 +176,7 @@ def run_faulty(
         delivered=delivered,
         total=total,
         latencies=latencies,
-        dropped=len(sim.dropped),
+        dropped=sim.drops.size,
         extra=extra,
     )
     result.counters.update(degradation)
@@ -185,7 +185,7 @@ def run_faulty(
     )
 
 
-def _latencies(ledger: DeliveryLedger, batch: PacketBatch, delivered: int) -> list[int]:
+def _latencies(ledger: PacketLedger, batch: PacketBatch, delivered: int) -> list[int]:
     """Delivery minus injection step of each of ``delivered`` distinct
     delivered pids, sorted, from the ledger's columns.  A pid delivered
     twice (corrupted state) counts once, at its last delivery, as in

@@ -10,12 +10,17 @@ every step, same counters, same ``RunResult`` -- which the equivalence
 harness (:mod:`repro.verify.engine_equivalence`), the golden step tables,
 and the hypothesis lockstep suite enforce.
 
-Only the *ported* routers run here -- bounded dimension-order,
-central-queue dimension-order, hot-potato, greedy-adaptive,
-farthest-first, and credit-adaptive, each as a :class:`RouterKernel` --
-and only on regular 2D grids with both axes wrapped or neither (``Mesh``,
-``Torus``, ``MeshND((w, h))``, ...) without interceptors or link-load
-recording.  ``Simulator(engine="array")`` always constructs
+Only the *ported* routers run here, each as a :class:`RouterKernel`:
+one :class:`DimensionOrderKernel` serves central-queue and bounded
+dimension order (and, with a farthest-first rank, farthest-first), and
+hot-potato, greedy-adaptive and credit-adaptive have their own.  The
+kernels share four primitives over sorted arrays -- :func:`_firsts` (run
+starts), :func:`_ranks` (run index and rank within the run),
+:func:`_up_to_free` (the first ``free`` entries per key get in) and
+:func:`_claim` (outlink claims, rank by rank) -- so a policy is a sort
+key plus these.  They run only on regular 2D grids with both axes
+wrapped or neither (``Mesh``, ``Torus``, ``MeshND((w, h))``, ...) without
+interceptors.  ``Simulator(engine="array")`` always constructs
 :class:`ArraySimulator`, whose constructor raises ``ValueError`` naming
 the supported set for anything else.  Fault plans
 (:mod:`repro.faults.plan`) attach through
@@ -29,11 +34,11 @@ arrays (a Packet list is converted to one first), and a slot's Packet
 object is resolved only when something asks for it.  The compatibility
 surface (``queues``, ``configuration()``, ``iter_packets`` and the
 observer hooks' move lists) is provided by materializing those objects
-on demand.  Deliveries go to the engine-neutral array ledger
-(:class:`~repro.mesh.stepview.DeliveryLedger`), and
+on demand.  Deliveries, drops and rejections go to the engine-neutral
+array ledgers (:class:`~repro.mesh.stepview.PacketLedger`), and
 :meth:`~repro.mesh.simulator.Simulator.step_view` hands observers the
 engine's own arrays, gathered per field on first read.  The hot path
-never touches the objects, and the verify oracles read only the ledger
+never touches the objects, and the verify oracles read only the ledgers
 and the view, so a run without object-level observers -- checked or not
 -- builds no Packet from a batch and stays fully vectorized.  See
 docs/PERFORMANCE.md for the memory layout, the porting checklist, and the
@@ -63,7 +68,7 @@ from repro.mesh.errors import QueueOverflowError
 from repro.mesh.packet import Packet
 from repro.mesh.queues import CENTRAL
 from repro.mesh.simulator import ScheduledMove, Simulator, StepRecord
-from repro.mesh.stepview import DeliveryLedger, StepView
+from repro.mesh.stepview import PacketLedger, StepView
 from repro.mesh.topology import Topology
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -77,17 +82,68 @@ _REPR_RANK = np.array([1, 0, 2, 3], dtype=np.int64)
 _BIG = np.int64(1) << 60
 
 
-def _rank_within(keys: np.ndarray) -> np.ndarray:
-    """Per entry, how many earlier entries (in array order) share its key."""
-    order = np.argsort(keys, kind="stable")
-    keys_s = keys[order]
-    newg = np.empty(len(keys_s), dtype=bool)
-    newg[:1] = True
-    newg[1:] = keys_s[1:] != keys_s[:-1]
-    starts = np.flatnonzero(newg)
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[order] = np.arange(len(keys_s), dtype=np.int64) - starts[np.cumsum(newg) - 1]
-    return rank
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Run-start mask of the sorted ``keys``: True where an entry's key
+    differs from the previous entry's, and at entry 0."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _ranks(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of the run-start mask ``first``: its run's index, and its
+    rank within the run (0 at the run's start)."""
+    grp = np.cumsum(first) - 1
+    rank = np.arange(len(first), dtype=np.int64) - np.flatnonzero(first)[grp]
+    return grp, rank
+
+
+def _up_to_free(order: np.ndarray, keys: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Admission mask: per key, the first ``free`` entries in ``order``.
+
+    ``order`` is a permutation that sorts ``keys`` (ties in the order the
+    entries are to be admitted); ``free[i]`` is the room of entry ``i``'s
+    key.  Entry ``i`` is admitted iff fewer than ``free[i]`` entries with
+    its key come before it in ``order``.
+    """
+    _, rank = _ranks(_firsts(keys[order]))
+    ok = np.empty(len(order), dtype=bool)
+    ok[order] = rank < free[order]
+    return ok
+
+
+def _claim(
+    grp: np.ndarray, rank: np.ndarray, *passes: tuple[np.ndarray, int]
+) -> np.ndarray:
+    """Outlink claims: returns each entry's claimed direction (-1: none).
+
+    Entries are grouped by ``grp`` (their node) and processed rank by rank
+    (``rank`` is contiguous from 0 within a group).  In each pass
+    ``(masks, pref)``, every entry still without an outlink takes the
+    first direction of its 4-bit ``masks`` entry that no one in its group
+    has taken yet, in the preference order ``pref, pref + 1, ...`` (mod 4).
+    """
+    taken = np.zeros(int(grp[-1]) + 1 if len(grp) else 0, dtype=np.int64)
+    cdir = np.full(len(grp), -1, dtype=np.int64)
+    by_rank = [np.flatnonzero(rank == r) for r in range(int(rank.max(initial=-1)) + 1)]
+    for npass, (masks, pref) in enumerate(passes):
+        for idx in by_rank:
+            if npass:  # skip the entries an earlier pass placed
+                idx = idx[cdir[idx] < 0]
+            if not len(idx):
+                continue
+            nn = grp[idx]
+            free = masks[idx] & ~taken[nn]
+            # Rotate so bit j means direction (j + pref) % 4; the lowest set
+            # bit is then the first free direction in preference order.
+            rot = ((free >> pref) | (free << (4 - pref))) & 15
+            dd = LOWBIT_DIR[rot & -rot]
+            placed = dd >= 0
+            d = (dd[placed] + pref) & 3
+            cdir[idx[placed]] = d
+            taken[nn[placed]] |= 1 << d
+    return cdir
 
 
 class RouterKernel:
@@ -99,13 +155,11 @@ class RouterKernel:
     target), and ``after_step`` (phase (e): packet-state updates).  The
     engine owns everything else -- injection, transmit, counters, maxima.
 
-    ``num_keys`` (1 central / 4 incoming) and ``track_age`` (packet state
-    is an integer age) declare the queue regime.  The engine reads both
-    off the *constructed* kernel, so routers that support either queue
-    kind set them per instance in ``__init__``.
+    The queue regime (one central queue or four incoming ones per node)
+    comes from the router's queue spec (``engine._central``);
+    ``track_age`` declares that packet state is an integer age.
     """
 
-    num_keys = 1
     track_age = False
 
     def __init__(self, engine: "ArraySimulator") -> None:
@@ -130,78 +184,54 @@ class RouterKernel:
         """Phase (e): packet-state updates from end-of-step contents."""
 
 
-class BoundedDorKernel(RouterKernel):
-    """Theorem 15 bounded dimension-order (four incoming queues of size k).
+class DimensionOrderKernel(RouterKernel):
+    """Dimension order: per outlink, one winner among the packets whose
+    dimension-order direction it is.
 
-    Straight-continuing packets (sitting in the queue opposite the
-    outlink) have priority per outlink, FIFO within a class; the fallback
-    scans the node's *other* queues in key order.  N/S inqueues always
-    accept; E/W accept only below capacity.
+    Serves Section 2's central-queue dimension order and Theorem 15's
+    bounded dimension order (four incoming queues), by the queue spec.
+    Per (node, direction) the winner is the least
+    ``(notstraight, [closeness,] key, FIFO)``, where ``notstraight`` and
+    ``key`` count only in the incoming regime: a straight-continuing
+    packet (in the queue opposite the outlink) beats every turner, and
+    turners rank by the node's queues in key order.  ``closeness`` ranks
+    farthest-first (:class:`FarthestFirstKernel`).  Central accept is the
+    rotating accept-up-to-space; incoming N/S inqueues always accept and
+    E/W accept only below capacity.
     """
 
-    num_keys = 4
+    farthest = False
 
     def schedule(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         engine = self.engine
         st = engine._state
+        geom = st.geom
+        node = st.posf[act]
         dx, dy = st.displacement(act)
         desired = st.desired_direction(dx, dy)
-        # Packed slot (node << 4 | queue key << 2 | desired direction); the
-        # FIFO-first packet per slot is the only candidate per slot.
-        slot = (st.posf[act] << 4) | (st.qkey[act] << 2) | desired
-        order = engine._fifo_order(act, (slot, st.geom.node_bits + 4))
-        slot_s = slot[order]
-        first = np.empty(len(slot_s), dtype=bool)
-        first[0] = True
-        first[1:] = slot_s[1:] != slot_s[:-1]
-        cand = act[order[first]]
-        cslot = slot_s[first]
-        cnode = cslot >> 4
-        ckey = (cslot >> 2) & 3
-        cdir = cslot & 3
-        # Straight candidates (key is the opposite inlink of the outlink)
-        # outrank every fallback; fallbacks tie-break by key, the
-        # reference outqueue's scan order.  (node, direction, priority)
-        # keys are unique: one candidate per queue key.
-        straight = ckey == OPP[cdir]
-        prio = np.where(straight, 0, ckey + 1)
-        nd = (cnode << 2) | cdir
-        order2 = np.argsort((nd << 3) | prio)  # noqa: SC007 -- unique keys
-        nd_s = nd[order2]
-        first2 = np.empty(len(nd_s), dtype=bool)
-        first2[0] = True
-        first2[1:] = nd_s[1:] != nd_s[:-1]
-        sel = order2[first2]
-        return cand[sel], cnode[sel], cdir[sel]
+        group = (node << 2) | desired
+        fields = [(group, geom.node_bits + 2)]
+        incoming = not engine._central
+        if incoming:
+            qkey = st.qkey[act]
+            fields.append(((qkey != OPP[desired]).astype(np.int64), 1))
+        if self.farthest:
+            # E/W are the odd direction values, so parity selects the axis;
+            # the complement of the distance sorts farthest first.
+            dist = np.where((desired & 1) == 1, np.abs(dx), np.abs(dy))
+            fields.append((((1 << geom.dist_bits) - 1) - dist, geom.dist_bits))
+        if incoming:
+            fields.append((qkey, 2))
+        order = engine._fifo_order(act, *fields)
+        sel = order[_firsts(group[order])]
+        return act[sel], node[sel], desired[sel]
 
     def accept(self, pkt, src, dirs, tgt, came):
-        st = self.engine._state
-        vertical = (came == Direction.N.value) | (came == Direction.S.value)
-        return vertical | (st.occ[tgt, came] < self.engine.spec.capacity)
-
-
-class CentralDorKernel(RouterKernel):
-    """Dimension-order with one central queue: FIFO out, rotating accept."""
-
-    num_keys = 1
-
-    def schedule(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         engine = self.engine
-        st = engine._state
-        dx, dy = st.displacement(act)
-        desired = st.desired_direction(dx, dy)
-        slot = (st.posf[act] << 2) | desired
-        order = engine._fifo_order(act, (slot, st.geom.node_bits + 2))
-        slot_s = slot[order]
-        first = np.empty(len(slot_s), dtype=bool)
-        first[0] = True
-        first[1:] = slot_s[1:] != slot_s[:-1]
-        cand = act[order[first]]
-        cslot = slot_s[first]
-        return cand, cslot >> 2, cslot & 3
-
-    def accept(self, pkt, src, dirs, tgt, came):
-        return _rotating_central_accept(self.engine, tgt, came)
+        if engine._central:
+            return _rotating_central_accept(engine, tgt, came)
+        vertical = (came == DIR_N) | (came == DIR_S)
+        return vertical | (engine._state.occ[tgt, came] < engine.spec.capacity)
 
 
 def _rotating_central_accept(
@@ -210,26 +240,14 @@ def _rotating_central_accept(
     """``accept_up_to_central_space``, batched: per target, the first
     ``capacity - occupancy`` offers in rotating round-robin priority
     (``rotation_order(time)``) are accepted."""
-    st = engine._state
-    free = engine.spec.capacity - st.occ[tgt, 0]
+    free = engine.spec.capacity - engine._state.occ[tgt, 0]
     prio = (came - (engine.time & 3)) & 3
-    order = np.lexsort((prio, tgt))
-    tgt_s = tgt[order]
-    newg = np.empty(len(tgt_s), dtype=bool)
-    newg[0] = True
-    newg[1:] = tgt_s[1:] != tgt_s[:-1]
-    starts = np.flatnonzero(newg)
-    grp = np.cumsum(newg) - 1
-    posg = np.arange(len(tgt_s), dtype=np.int64) - starts[grp]
-    acc = np.empty(len(tgt_s), dtype=bool)
-    acc[order] = posg < free[order]
-    return acc
+    return _up_to_free(np.lexsort((prio, tgt)), tgt, free)
 
 
 class HotPotatoKernel(RouterKernel):
     """Age-based deflection: oldest first, profitable else rotating free link."""
 
-    num_keys = 1
     track_age = True
 
     def schedule(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,52 +255,21 @@ class HotPotatoKernel(RouterKernel):
         st = engine._state
         node = st.posf[act]
         # Rank within each node by (-age, pid): the reference outqueue's
-        # processing order.  Ranks are 0..(packets at node - 1).
+        # processing order.
         order = np.lexsort((st.pids[act], -st.age[act], node))
         slots = act[order]
         snode = node[order]
-        newg = np.empty(len(snode), dtype=bool)
-        newg[0] = True
-        newg[1:] = snode[1:] != snode[:-1]
-        starts = np.flatnonzero(newg)
-        grp = np.cumsum(newg) - 1
-        rank = np.arange(len(snode), dtype=np.int64) - starts[grp]
-        un = snode[newg]
-        pmask = st.profitable_mask(slots)
-        taken = np.zeros(len(un), dtype=np.int64)
-        cdir = np.full(len(slots), -1, dtype=np.int64)
-        max_rank = int(rank.max())
-        # Pass 1: in rank order, each packet takes its lowest free
-        # profitable outlink (sorted(profitable) is ascending direction
-        # value, i.e. the lowest set bit of the 4-bit mask).
-        for r in range(max_rank + 1):
-            idx = np.flatnonzero(rank == r)
-            if len(idx) == 0:
-                break  # ranks are contiguous per node
-            nn = grp[idx]
-            free = pmask[idx] & ~taken[nn]
-            d = LOWBIT_DIR[free & -free]
-            placed = d >= 0
-            cdir[idx[placed]] = d[placed]
-            taken[nn[placed]] |= 1 << d[placed]
-        # Pass 2: deflection, still in rank order, onto the first free
-        # outlink in rotation_order(time) preference.
-        out = st.geom.out_mask[un]
-        pref = engine.time & 3
-        for r in range(max_rank + 1):
-            idx = np.flatnonzero((rank == r) & (cdir < 0))
-            if len(idx) == 0:
-                continue
-            nn = grp[idx]
-            free = out[nn] & ~taken[nn]
-            # Rotate the free mask so bit j means direction (j + pref) % 4;
-            # the lowest set bit is then the first free preferred direction.
-            rot = ((free >> pref) | (free << (4 - pref))) & 15
-            dd = LOWBIT_DIR[rot & -rot]
-            placed = dd >= 0
-            d = (dd[placed] + pref) & 3
-            cdir[idx[placed]] = d
-            taken[nn[placed]] |= 1 << d
+        grp, rank = _ranks(_firsts(snode))
+        # Pass 1: each packet takes its lowest free profitable outlink
+        # (sorted(profitable) is ascending direction value).  Pass 2:
+        # deflection onto the first free outlink in rotation_order(time)
+        # preference.
+        cdir = _claim(
+            grp,
+            rank,
+            (st.profitable_mask(slots), 0),
+            (st.geom.out_mask[snode], engine.time & 3),
+        )
         sel = cdir >= 0
         return slots[sel], snode[sel], cdir[sel]
 
@@ -306,16 +293,12 @@ class GreedyAdaptiveKernel(RouterKernel):
     accept-up-to-space; incoming accepts below per-queue capacity.
     """
 
-    def __init__(self, engine: "ArraySimulator") -> None:
-        super().__init__(engine)
-        self.num_keys = 1 if engine._central else 4
-
     def schedule(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         engine = self.engine
         st = engine._state
         node = st.posf[act]
         nbits = st.geom.node_bits
-        if self.num_keys == 1:
+        if engine._central:
             order = engine._fifo_order(act, (node, nbits))
         else:
             order = engine._fifo_order(
@@ -323,100 +306,37 @@ class GreedyAdaptiveKernel(RouterKernel):
             )
         slots = act[order]
         snode = node[order]
-        newg = np.empty(len(snode), dtype=bool)
-        newg[0] = True
-        newg[1:] = snode[1:] != snode[:-1]
-        starts = np.flatnonzero(newg)
-        grp = np.cumsum(newg) - 1
-        rank = np.arange(len(snode), dtype=np.int64) - starts[grp]
-        pmask = st.profitable_mask(slots)
-        taken = np.zeros(int(newg.sum()), dtype=np.int64)
-        cdir = np.full(len(slots), -1, dtype=np.int64)
-        pref = engine.time & 3
-        for r in range(int(rank.max()) + 1):
-            idx = np.flatnonzero(rank == r)
-            if len(idx) == 0:
-                break  # ranks are contiguous per node
-            nn = grp[idx]
-            free = pmask[idx] & ~taken[nn]
-            # Rotate so bit j means direction (j + pref) % 4; the lowest
-            # set bit is then the first free direction in preference order.
-            rot = ((free >> pref) | (free << (4 - pref))) & 15
-            dd = LOWBIT_DIR[rot & -rot]
-            placed = dd >= 0
-            d = (dd[placed] + pref) & 3
-            cdir[idx[placed]] = d
-            taken[nn[placed]] |= 1 << d
+        grp, rank = _ranks(_firsts(snode))
+        cdir = _claim(grp, rank, (st.profitable_mask(slots), engine.time & 3))
         sel = cdir >= 0
         return slots[sel], snode[sel], cdir[sel]
 
     def accept(self, pkt, src, dirs, tgt, came):
         engine = self.engine
-        if self.num_keys == 1:
+        if engine._central:
             return _rotating_central_accept(engine, tgt, came)
         return engine._state.occ[tgt, came] < engine.spec.capacity
 
 
-class FarthestFirstKernel(RouterKernel):
-    """Farthest-first dimension-order (the Section 5 E4 victim).
+class FarthestFirstKernel(DimensionOrderKernel):
+    """Farthest-first dimension order (the Section 5 E4 victim).
 
-    Every packet's sole candidate outlink is its dimension-order desired
-    direction; per (node, direction) the packet with the most remaining
-    distance in that dimension wins.  Incoming regime: straight-through
-    priority -- any candidate from the opposite inlink queue beats every
-    turner, and turners rank by the concatenation order of the node's
-    other queues (key order, FIFO within), so the full rank is
-    (straight class, -distance, key, FIFO).  Central
-    regime: FIFO index breaks distance ties.  Inqueue: delivering offers
-    always accept; incoming N/S always accept; otherwise space-gated
-    (central sorts transit offers farthest-first against free space).
+    Per (node, direction) the packet with the most remaining distance in
+    that dimension wins; the rest of the rank is
+    :class:`DimensionOrderKernel`'s (straight class first in the incoming
+    regime, then key, then FIFO).  Inqueue: delivering offers always
+    accept; incoming N/S always accept; otherwise space-gated (central
+    ranks transit offers farthest-first against free space).
     """
 
-    def __init__(self, engine: "ArraySimulator") -> None:
-        super().__init__(engine)
-        self.num_keys = 1 if engine._central else 4
-
-    def schedule(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        engine = self.engine
-        st = engine._state
-        geom = st.geom
-        node = st.posf[act]
-        dx, dy = st.displacement(act)
-        desired = st.desired_direction(dx, dy)
-        # E/W are the odd direction values, so parity selects the axis.
-        dist = np.where((desired & 1) == 1, np.abs(dx), np.abs(dy))
-        group = (node << 2) | desired
-        # Farthest first: the complement of the distance sorts ascending.
-        closeness = ((1 << geom.dist_bits) - 1) - dist
-        if self.num_keys == 1:
-            order = engine._fifo_order(
-                act, (group, geom.node_bits + 2), (closeness, geom.dist_bits)
-            )
-        else:
-            qkey = st.qkey[act]
-            notstraight = (qkey != OPP[desired]).astype(np.int64)
-            order = engine._fifo_order(
-                act,
-                (group, geom.node_bits + 2),
-                (notstraight, 1),
-                (closeness, geom.dist_bits),
-                (qkey, 2),
-            )
-        group_s = group[order]
-        first = np.empty(len(group_s), dtype=bool)
-        first[0] = True
-        first[1:] = group_s[1:] != group_s[:-1]
-        sel = order[first]
-        return act[sel], node[sel], desired[sel]
+    farthest = True
 
     def accept(self, pkt, src, dirs, tgt, came):
         engine = self.engine
         st = engine._state
-        capacity = engine.spec.capacity
         delivering = tgt == st.destf[pkt]
-        if self.num_keys == 4:
-            vertical = (came == DIR_N) | (came == DIR_S)
-            return delivering | vertical | (st.occ[tgt, came] < capacity)
+        if not engine._central:
+            return delivering | super().accept(pkt, src, dirs, tgt, came)
         # Central: delivering offers consume no space and always accept;
         # transit offers rank farthest-first (total remaining distance,
         # inlink value tie) against beginning-of-step free space.
@@ -424,18 +344,10 @@ class FarthestFirstKernel(RouterKernel):
         transit = np.flatnonzero(~delivering)
         if len(transit):
             dx, dy = st.displacement(pkt[transit])
-            totrem = np.abs(dx) + np.abs(dy)
             ttgt = tgt[transit]
-            order = np.lexsort((came[transit], -totrem, ttgt))
-            tgt_s = ttgt[order]
-            newg = np.empty(len(tgt_s), dtype=bool)
-            newg[0] = True
-            newg[1:] = tgt_s[1:] != tgt_s[:-1]
-            starts = np.flatnonzero(newg)
-            grp = np.cumsum(newg) - 1
-            posg = np.arange(len(tgt_s), dtype=np.int64) - starts[grp]
-            free = capacity - st.occ[ttgt, 0]
-            acc[transit[order]] = posg < free[order]
+            order = np.lexsort((came[transit], -(np.abs(dx) + np.abs(dy)), ttgt))
+            free = engine.spec.capacity - st.occ[ttgt, 0]
+            acc[transit] = _up_to_free(order, ttgt, free)
         return acc
 
 
@@ -455,8 +367,6 @@ class CreditAdaptiveKernel(RouterKernel):
     inqueues always accept, adaptive queues accept below capacity.
     """
 
-    num_keys = 4
-
     def schedule(self, act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         engine = self.engine
         st = engine._state
@@ -466,16 +376,10 @@ class CreditAdaptiveKernel(RouterKernel):
         slots = act[order]
         snode = node[order]
         skey = qkey[order]
-        newg = np.empty(len(snode), dtype=bool)
-        newg[0] = True
-        newg[1:] = snode[1:] != snode[:-1]
-        starts = np.flatnonzero(newg)
-        grp = np.cumsum(newg) - 1
-        rank = np.arange(len(snode), dtype=np.int64) - starts[grp]
+        grp, rank = _ranks(_firsts(snode))
         pmask = st.profitable_mask(slots)
-        taken = np.zeros(int(newg.sum()), dtype=np.int64)
+        taken = np.zeros(int(grp[-1]) + 1, dtype=np.int64)
         cdir = np.full(len(slots), -1, dtype=np.int64)
-        done = np.zeros(len(slots), dtype=bool)
         # Phase 1 (escape drain): the FIFO head of each vertical queue
         # goes straight when profitable.  N-heads claim S and S-heads
         # claim N, so the two sweeps can never collide.
@@ -484,14 +388,9 @@ class CreditAdaptiveKernel(RouterKernel):
             idxk = np.flatnonzero(skey == k)
             if len(idxk) == 0:
                 continue
-            nodek = snode[idxk]
-            firstk = np.empty(len(idxk), dtype=bool)
-            firstk[0] = True
-            firstk[1:] = nodek[1:] != nodek[:-1]
-            heads = idxk[firstk]
+            heads = idxk[_firsts(snode[idxk])]
             ok = heads[((pmask[heads] >> straight) & 1) == 1]
             cdir[ok] = straight
-            done[ok] = True
             taken[grp[ok]] |= 1 << straight
         # Phase 2 (credit steering): negative-first allowed set per packet.
         wbit = (pmask >> DIR_W) & 1
@@ -504,7 +403,7 @@ class CreditAdaptiveKernel(RouterKernel):
         nbr = st.geom.nbr_flat
         occ = st.occ
         for r in range(int(rank.max()) + 1):
-            idx = np.flatnonzero((rank == r) & ~done)
+            idx = np.flatnonzero((rank == r) & (cdir < 0))
             if len(idx) == 0:
                 continue  # phase-1 heads may hollow out a rank; keep going
             nn = grp[idx]
@@ -706,9 +605,8 @@ class ArraySimulator(Simulator):
     Construct through ``Simulator(..., engine="array")``.  This
     constructor is the one place that decides support: an unported router
     (subclasses of ported routers included), a topology other than a
-    regular 2D grid with both axes wrapped or neither, an interceptor, or
-    link-load recording raises
-    ``ValueError`` naming the supported set.  Capabilities used after
+    regular 2D grid with both axes wrapped or neither, or an interceptor
+    raises ``ValueError`` naming the supported set.  Capabilities used after
     construction fail fast too: arbitrary ``link_filter`` assignment
     raises at assignment time (fault plans attach through
     :meth:`attach_fault_plan` instead), and packet drops raise at the call.
@@ -719,9 +617,9 @@ class ArraySimulator(Simulator):
     ``configuration()``/``iter_packets``/``result()`` work unchanged, and
     :meth:`step` returns (and hands post-step hooks) the step's moves as
     :class:`ArrayMoves`, which builds the ``ScheduledMove`` list only when
-    iterated.  The verify oracles read :meth:`step_view` and the
-    :attr:`deliveries` ledger instead, so a checked run builds none of
-    these.
+    iterated.  The verify oracles read :meth:`step_view` and the outcome
+    ledgers (:attr:`deliveries`, :attr:`drops`, :attr:`rejections`)
+    instead, so a checked run builds none of these.
     """
 
     engine_name = "array"
@@ -735,16 +633,11 @@ class ArraySimulator(Simulator):
         interceptor: Any = None,
         validate: bool = True,
         record_series: bool = False,
-        record_link_loads: bool = False,
         engine: str = "array",
     ) -> None:
         if interceptor is not None:
             raise ValueError(
                 f"array engine does not support interceptors; {_supported()}"
-            )
-        if record_link_loads:
-            raise ValueError(
-                f"array engine does not support link-load recording; {_supported()}"
             )
         if not (
             topology.dims == 2 and topology.regular and len(set(topology.wrap)) == 1
@@ -763,16 +656,14 @@ class ArraySimulator(Simulator):
         self.interceptor = None
         self.validate = validate
         self.record_series = record_series
-        self.record_link_loads = False
-        self.link_loads: dict = {}
         self._fault_plan: Any = None
         self._plan_filter: Any = None
         self.spec = algorithm.queue_spec
         self.time = 0
         self.node_states: dict = {}
-        self.deliveries = DeliveryLedger()
-        self.dropped: dict[int, int] = {}
-        self.rejected: dict[int, int] = {}
+        self.deliveries = PacketLedger()
+        self.drops = PacketLedger()
+        self.rejections = PacketLedger()
         self.total_packets = 0
         self.total_moves = 0
         self.max_queue_len = 0
@@ -798,11 +689,9 @@ class ArraySimulator(Simulator):
         self._height = topology.height
         self.spec.bind_directions(topology.directions)
         algorithm.bind_topology(topology)
-        # The kernel is constructed first because queue-kind-dependent
-        # kernels pick ``num_keys`` per instance.
         self._kernel = kernel_cls(self)
         self._state = ArrayState(
-            GridGeometry(topology), self._kernel.num_keys, self._kernel.track_age
+            GridGeometry(topology), 1 if self._central else 4, kernel_cls.track_age
         )
         # Injection queue index per 4-bit profitable mask (made on first use).
         self._initial_kidx: np.ndarray | None = None
@@ -914,7 +803,8 @@ class ArraySimulator(Simulator):
         st = self._state
         kidx, slot = self._injection_slots(src, dst)
         if qseq is None:
-            placed = _rank_within(slot) < self.spec.capacity - st.occ.ravel()[slot]
+            free = self.spec.capacity - st.occ.ravel()[slot]
+            placed = _up_to_free(np.argsort(slot, kind="stable"), slot, free)
             if not bool(placed.all()):
                 pid, src, dst = pid[placed], src[placed], dst[placed]
                 kidx, slot = kidx[placed], slot[placed]
@@ -1148,9 +1038,9 @@ class ArraySimulator(Simulator):
         self.total_packets += m
         _, slot = self._injection_slots(sources, dests)
         free = self.spec.capacity - self._state.occ.ravel()[slot]
-        admitted = _rank_within(slot) < free
+        admitted = _up_to_free(np.argsort(slot, kind="stable"), slot, free)
         pid = first_pid + np.arange(m, dtype=np.int64)
-        self.rejected.update(dict.fromkeys(pid[~admitted].tolist(), time))
+        self.rejections.append(pid[~admitted], time)
         if bool(admitted.any()):
             self._queue_offers(pid[admitted], sources[admitted], dests[admitted])
         return admitted
@@ -1471,8 +1361,8 @@ def _register_kernels() -> None:
     from repro.routing.farthest_first import FarthestFirstRouter
     from repro.routing.hot_potato import HotPotatoRouter
 
-    _KERNELS[BoundedDimensionOrderRouter] = BoundedDorKernel
-    _KERNELS[DimensionOrderRouter] = CentralDorKernel
+    _KERNELS[BoundedDimensionOrderRouter] = DimensionOrderKernel
+    _KERNELS[DimensionOrderRouter] = DimensionOrderKernel
     _KERNELS[HotPotatoRouter] = HotPotatoKernel
     _KERNELS[GreedyAdaptiveRouter] = GreedyAdaptiveKernel
     _KERNELS[FarthestFirstRouter] = FarthestFirstKernel
@@ -1492,6 +1382,6 @@ def _supported() -> str:
     routers = ", ".join(cls.__name__ for cls in _KERNELS)
     return (
         f"it runs exact instances of {routers} on Mesh or Torus (a regular "
-        "2D grid with both axes wrapped or neither), without interceptors or "
-        "link-load recording; use engine='reference' otherwise"
+        "2D grid with both axes wrapped or neither), without interceptors; "
+        "use engine='reference' otherwise"
     )

@@ -37,7 +37,7 @@ from repro.mesh.errors import (
 )
 from repro.mesh.interfaces import NodeContext, RoutingAlgorithm
 from repro.mesh.packet import Packet
-from repro.mesh.stepview import DeliveryLedger, StepView
+from repro.mesh.stepview import PacketLedger, StepView
 from repro.mesh.topology import Topology
 from repro.mesh.visibility import FullPacketView, Offer, PacketView
 
@@ -130,8 +130,7 @@ class Simulator:
             The string alone picks the class; ``"array"`` on a run the
             array engine does not support (an unported router or a router
             subclass, a topology other than ``Mesh``/``Torus``, an
-            interceptor, link-load recording) raises ``ValueError`` naming
-            the supported set.
+            interceptor) raises ``ValueError`` naming the supported set.
     """
 
     #: The engine running this simulator ("reference" here; the array
@@ -163,7 +162,6 @@ class Simulator:
         interceptor: Interceptor | None = None,
         validate: bool = True,
         record_series: bool = False,
-        record_link_loads: bool = False,
         engine: str = "reference",
     ) -> None:
         self.topology = topology
@@ -171,9 +169,6 @@ class Simulator:
         self.interceptor = interceptor
         self.validate = validate
         self.record_series = record_series
-        self.record_link_loads = record_link_loads
-        #: (node, direction) -> transmissions, when link recording is on.
-        self.link_loads: dict[tuple[tuple[int, int], Direction], int] = {}
         #: Optional (src, direction, time) -> bool availability hook; see
         #: repro.faults.plan (fault plans install their filter here).
         self.link_filter: Callable[[tuple[int, int], Direction, int], bool] | None = None
@@ -195,16 +190,16 @@ class Simulator:
         self.queues: dict[tuple[int, int], dict[Any, list[Packet]]] = {}
         self.node_states: dict[tuple[int, int], Any] = {}
         #: Every delivery, one (pid, step) row each, in delivery order.
-        self.deliveries = DeliveryLedger()
-        #: pid -> step at which the packet was dropped (fault handling; see
-        #: repro.faults).  Empty in fault-free runs.  Dropped packets count
-        #: as resolved for :attr:`done` and for conservation.
-        self.dropped: dict[int, int] = {}
-        #: pid -> step at which the packet was refused admission (open-loop
-        #: injection backpressure; see repro.streaming).  Rejected packets
-        #: never enter the network but stay in the conservation accounting:
+        self.deliveries = PacketLedger()
+        #: Every drop (fault handling; see repro.faults), one row each.
+        #: Empty in fault-free runs.  Dropped packets count as resolved for
+        #: :attr:`done` and for conservation.
+        self.drops = PacketLedger()
+        #: Every offer refused admission (open-loop injection backpressure;
+        #: see repro.streaming), one row each.  Rejected packets never
+        #: enter the network but stay in the conservation accounting:
         #: delivered + queued + pending + dropped + rejected == total.
-        self.rejected: dict[int, int] = {}
+        self.rejections = PacketLedger()
         self.total_packets = 0
         self.total_moves = 0
         self.max_queue_len = 0
@@ -449,6 +444,16 @@ class Simulator:
     def delivery_times(self) -> dict[int, int]:
         """pid -> delivery step, built from :attr:`deliveries` when read."""
         return self.deliveries.as_dict()
+
+    @property
+    def dropped(self) -> dict[int, int]:
+        """pid -> drop step, built from :attr:`drops` when read."""
+        return self.drops.as_dict()
+
+    @property
+    def rejected(self) -> dict[int, int]:
+        """pid -> rejection step, built from :attr:`rejections` when read."""
+        return self.rejections.as_dict()
 
     @property
     def delivered_count(self) -> int:
@@ -759,7 +764,6 @@ class Simulator:
             sources.add(src)
         arrivals: set[tuple[int, int]] = set()
         arrival_map = self.spec._arrival_map
-        record_link_loads = self.record_link_loads
         delivered: list[int] = []
         self.total_moves += len(accepted_moves)
         max_queue_len = self.max_queue_len
@@ -769,9 +773,6 @@ class Simulator:
             p = mv.packet
             target = mv.target
             p.pos = target
-            if record_link_loads:
-                key = (mv.src, mv.direction)
-                self.link_loads[key] = self.link_loads.get(key, 0) + 1
             if target == p.dest:
                 delivered.append(p.pid)
                 self._in_flight -= 1
@@ -988,7 +989,7 @@ class Simulator:
             self._remove_packet(packet.pos, packet)
         self._node_load[packet.pos] -= 1
         self._in_flight -= 1
-        self.dropped[packet.pid] = self.time
+        self.drops.append([packet.pid], self.time)
         self._prune_empty((packet.pos,))
 
     def drop_pending(self, pid: int) -> None:
@@ -996,7 +997,7 @@ class Simulator:
         for i, p in enumerate(self._pending):
             if p.pid == pid:
                 del self._pending[i]
-                self.dropped[pid] = self.time
+                self.drops.append([pid], self.time)
                 return
         raise ValueError(f"packet {pid} is not pending")
 
@@ -1031,7 +1032,7 @@ class Simulator:
 
         A rejected offer -- the open-loop analogue of a dropped call --
         never enters the network but counts toward ``total_packets`` and is
-        recorded in :attr:`rejected`, so packet conservation still holds as
+        recorded in :attr:`rejections`, so packet conservation still holds as
         delivered + queued + pending + dropped + rejected == total, and
         :attr:`done` treats it as resolved.  The array engine implements
         the same rule over arrays.
@@ -1057,6 +1058,7 @@ class Simulator:
         spec = self.spec
         m = len(src_l)
         admitted = np.zeros(m, dtype=bool)
+        rejected: list[int] = []
         for i, (s, d) in enumerate(zip(src_l, dst_l)):
             src, dst = nodes[s], nodes[d]
             key = spec.initial_key(self._profitable(src, dst))
@@ -1067,7 +1069,8 @@ class Simulator:
                 self._pending.append(Packet(first_pid + i, src, dst, injection_time=time))
                 admitted[i] = True
             else:
-                self.rejected[first_pid + i] = time
+                rejected.append(first_pid + i)
+        self.rejections.append(rejected, time)
         self.total_packets += m
         if admitted.any():
             self._pending.sort(key=lambda p: (p.injection_time, p.pid))
@@ -1100,7 +1103,7 @@ class Simulator:
     @property
     def done(self) -> bool:
         return (
-            self.delivered_count + len(self.dropped) + len(self.rejected)
+            self.deliveries.size + self.drops.size + self.rejections.size
             == self.total_packets
         )
 

@@ -1,8 +1,9 @@
-"""Engine-neutral records for observers: the delivery ledger and the
-per-step array view.
+"""Engine-neutral records for observers: the packet-outcome ledgers and
+the per-step array view.
 
-Both step engines keep a :class:`DeliveryLedger` (``Simulator.deliveries``)
-and answer :meth:`~repro.mesh.simulator.Simulator.step_view` with a
+Both step engines record deliveries, drops and admission rejections in
+:class:`PacketLedger` rows (``Simulator.deliveries``, ``drops`` and
+``rejections``) and answer :meth:`~repro.mesh.simulator.Simulator.step_view` with a
 :class:`StepView`, so an observer -- the :mod:`repro.verify` oracles --
 is written once, over flat arrays, and runs on either engine.  Nodes are
 flat ids (:meth:`~repro.mesh.topology.Topology.node_index`); the
@@ -17,13 +18,14 @@ from typing import Any
 import numpy as np
 
 
-class DeliveryLedger:
-    """An engine's deliveries: append-only int64 columns of pid, step and
-    slot, one row per delivery, in delivery order.
+class PacketLedger:
+    """One kind of packet outcome (delivery, drop or rejection): append-only
+    int64 columns of pid, step and slot, one row per outcome, in the order
+    they happened.
 
-    ``slot`` is the array engine's packet slot; -1 for a packet that never
-    held one (delivered at its source, or on the reference engine, which
-    numbers no slots).  Observers read the rows past the last ones they
+    ``slot`` is the array engine's packet slot of a delivered packet; -1
+    for a row with none (a drop, a rejection, a packet delivered at its
+    source, or any row of the reference engine, which numbers no slots).  Observers read the rows past the last ones they
     saw.  Nothing keyed by pid exists until :meth:`as_dict` is called.
     """
 
@@ -49,7 +51,7 @@ class DeliveryLedger:
         return self._rows[2, : self.size]
 
     def append(self, pid: Any, step: int, slot: np.ndarray | int = -1) -> None:
-        """Record the deliveries of ``pid`` (an array or a list) at
+        """Record the outcomes of ``pid`` (an array or a list) at
         ``step``, from ``slot``."""
         start = self.size
         self.size = end = start + len(pid)
@@ -62,7 +64,8 @@ class DeliveryLedger:
         self._rows[2, start:end] = slot
 
     def as_dict(self) -> dict[int, int]:
-        """pid -> delivery step, in delivery order: ``delivery_times``.
+        """pid -> step, in row order (``delivery_times``, ``dropped``,
+        ``rejected``).
 
         Built on the first call and extended by the rows appended since;
         rebuilt whole if the rows it was built from changed.  The dict is

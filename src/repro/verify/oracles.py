@@ -31,24 +31,24 @@ see them work alone).
 Every oracle has one path, which runs on either engine: numpy reductions
 over the simulator's :meth:`~repro.mesh.simulator.Simulator.step_view`
 (flat-id arrays of the queued packets, the step's moves and the pending
-pool) and its :class:`~repro.mesh.stepview.DeliveryLedger`.  The oracles
-re-derive their figures rather than read the engine's bookkeeping: queue
-lengths are recounted from packet positions, not read from an occupancy
-table, and distances use each packet's own source and destination.
+pool) and its outcome ledgers (:class:`~repro.mesh.stepview.PacketLedger`).
+The oracles re-derive their figures rather than read the engine's
+bookkeeping: queue lengths are recounted from packet positions, not read
+from an occupancy table, and distances use each packet's own source and
+destination.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.mesh.simulator import ScheduledMove, Simulator
-from repro.mesh.stepview import StepView
+from repro.mesh.stepview import PacketLedger, StepView
 from repro.mesh.topology import Topology
 
 MODES = ("strict", "record", "off")
@@ -163,14 +163,14 @@ class PacketConservationOracle(Oracle):
 
     The dropped term is conservation-modulo-dropped for faulty runs (see
     :mod:`repro.faults`): a packet leaves the accounting only by being
-    delivered or by being explicitly recorded in ``Simulator.dropped``.
+    delivered or by being explicitly recorded in ``Simulator.drops``.
     The rejected term is its admission-time analogue for open-loop
     streaming runs (see :mod:`repro.streaming`): a packet refused at the
-    source under backpressure is recorded in ``Simulator.rejected`` and
+    source under backpressure is recorded in ``Simulator.rejections`` and
     never enters the network, but stays in the accounting.  In closed-loop
-    fault-free runs both dicts are empty and the invariant reduces to the
-    original equality.  Only a step that violates something walks its
-    packets.
+    fault-free runs both ledgers are empty and the invariant reduces to
+    the original equality.  Each step reads only the ledgers' new rows,
+    and only a step that violates something walks its packets.
     """
 
     name = "packet-conservation"
@@ -189,8 +189,9 @@ class PacketConservationOracle(Oracle):
         # were delivered already (at 0, the first check checks all).
         self._fresh_from = 0
         self._offenders = _EMPTY
-        self._dropped = _Ledger(sim.dropped)
-        self._rejected = _Ledger(sim.rejected)
+        # Per outcome ledger (drops, rejections): rows read, the pid of the
+        # last of them, and the distinct pids (sorted).
+        self._outcomes = [(0, 0, _EMPTY), (0, 0, _EMPTY)]
 
     def post_step(
         self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
@@ -199,15 +200,15 @@ class PacketConservationOracle(Oracle):
         pids = view.pid
         ordered = np.sort(pids)
         added, lost, offenders = self._read_ledger(sim, view, ordered)
-        self._dropped.update(sim.dropped)
-        self._rejected.update(sim.rejected)
+        dropped, rejected = self._read_outcomes(sim)
         suspect = bool(len(offenders)) or bool((ordered[1:] == ordered[:-1]).any())
-        for ledger in (self._dropped, self._rejected):
-            if len(ledger.keys) and not suspect:
-                suspect = bool(ledger.contains(ordered).any())
+        for outcome in (dropped, rejected):
+            if len(outcome) and not suspect:
+                suspect = bool(_member(outcome, ordered).any())
         if suspect:
             # Name the offenders in queue order: (node, queue key, FIFO).
             delivered = set(offenders.tolist())
+            was_dropped, was_rejected = set(dropped.tolist()), set(rejected.tolist())
             seen: set[int] = set()
             for pid in pids[np.lexsort((view.order, view.key, view.node))].tolist():
                 if pid in seen:
@@ -215,11 +216,11 @@ class PacketConservationOracle(Oracle):
                 seen.add(pid)
                 if pid in delivered:
                     checker.report(self, f"packet {pid} still queued after delivery")
-                if pid in sim.dropped:
+                if pid in was_dropped:
                     checker.report(
                         self, f"packet {pid} still queued after being dropped"
                     )
-                if pid in sim.rejected:
+                if pid in was_rejected:
                     checker.report(
                         self, f"packet {pid} queued despite admission rejection"
                     )
@@ -229,15 +230,14 @@ class PacketConservationOracle(Oracle):
                 self,
                 f"in-flight counter {sim.in_flight} != queued packets {in_network}",
             )
-        dropped, rejected = len(sim.dropped), len(sim.rejected)
         pending = sim.pending_count
-        total = self._distinct + in_network + pending + dropped + rejected
+        total = self._distinct + in_network + pending + len(dropped) + len(rejected)
         if total != sim.total_packets:
             checker.report(
                 self,
                 f"conservation broken: delivered {self._distinct} + "
-                f"queued {in_network} + pending {pending} + dropped {dropped} + "
-                f"rejected {rejected} != total {sim.total_packets}",
+                f"queued {in_network} + pending {pending} + dropped {len(dropped)} "
+                f"+ rejected {len(rejected)} != total {sim.total_packets}",
             )
         if len(lost):
             checker.report(
@@ -276,7 +276,7 @@ class PacketConservationOracle(Oracle):
         led = sim.deliveries
         rows = led.pid
         n, seen = led.size, self._read
-        if n >= seen and (not seen or rows[seen - 1] == self._last):
+        if _kept(led, seen, self._last):
             added = lost = _EMPTY
             if n > seen:
                 entries, slots = rows[seen:], led.slot[seen:]
@@ -312,6 +312,24 @@ class PacketConservationOracle(Oracle):
         self._fresh_from = view.slots_made
         self._offenders = offenders
         return added, lost, offenders
+
+    def _read_outcomes(self, sim: Simulator) -> list[NDArray[Any]]:
+        """Catch up with the drop and rejection ledgers; returns the
+        distinct pids of each, sorted.  Like the delivery ledger, each is
+        read from its new rows, or whole if the rows read before changed."""
+        pids_of = []
+        for i, led in enumerate((sim.drops, sim.rejections)):
+            read, last, pids = self._outcomes[i]
+            n = led.size
+            if not _kept(led, read, last):
+                pids = _distinct(led.pid)
+            elif n > read:
+                new = _distinct(led.pid[read:])
+                new = new[~_member(pids, new)]
+                pids = np.insert(pids, np.searchsorted(pids, new), new)
+            self._outcomes[i] = (n, int(led.pid[-1]) if n else 0, pids)
+            pids_of.append(pids)
+        return pids_of
 
     def _delivered(self) -> NDArray[Any]:
         """The distinct delivered pids read so far, sorted."""
@@ -457,48 +475,10 @@ class MinimalityOracle(Oracle):
             )
 
 
-class _Ledger:
-    """The keys of one pid-keyed dict, mirrored as a sorted array.
-
-    The simulator's dropped and rejected dicts gain keys at the end of
-    their insertion order, so an update reads only the entries added since
-    the last one, plus the entry just before them: that must still be the
-    newest key the last update saw.  Any deletion moves it, and the dict
-    is then re-read whole, so the mirror is always exact.
-    """
-
-    def __init__(self, ledger: dict[int, int]) -> None:
-        self.seen = len(ledger)
-        self.newest = next(reversed(ledger), None)
-        self.keys = np.sort(np.fromiter(ledger, dtype=np.int64, count=self.seen))
-
-    def update(self, ledger: dict[int, int]) -> tuple[NDArray[Any], NDArray[Any]]:
-        """Catch up with ``ledger``; returns the keys (added, lost) since
-        the last update."""
-        n = len(ledger)
-        fresh = n - self.seen
-        if not fresh and (not n or next(reversed(ledger)) == self.newest):
-            return _EMPTY, _EMPTY
-        tail = list(islice(reversed(ledger), fresh + 1)) if fresh >= 0 else []
-        if fresh >= 0 and (not self.seen or tail[-1] == self.newest):
-            added = np.sort(np.array(tail[:fresh], dtype=np.int64))
-            lost = _EMPTY
-            if fresh:
-                self.keys = np.insert(
-                    self.keys, np.searchsorted(self.keys, added), added
-                )
-        else:
-            now = np.sort(np.fromiter(ledger, dtype=np.int64, count=n))
-            added = np.setdiff1d(now, self.keys)
-            lost = np.setdiff1d(self.keys, now)
-            self.keys = now
-        self.seen = n
-        self.newest = next(reversed(ledger), None)
-        return added, lost
-
-    def contains(self, pids: NDArray[Any]) -> NDArray[Any]:
-        """Membership mask of ``pids`` in the ledger."""
-        return _member(self.keys, pids)
+def _kept(ledger: PacketLedger, read: int, last: int) -> bool:
+    """Whether the ``read`` rows read before are still ``ledger``'s first
+    rows: it did not shrink, and row ``read - 1`` still holds pid ``last``."""
+    return ledger.size >= read and (not read or ledger.pid[read - 1] == last)
 
 
 def _member(keys: NDArray[Any], values: NDArray[Any]) -> NDArray[Any]:

@@ -119,10 +119,6 @@ class TestDispatch:
         with pytest.raises(ValueError, match="interceptors.*" + SUPPORTED):
             make(interceptor=lambda s, moves: None)
 
-    def test_link_load_recording_raises(self):
-        with pytest.raises(ValueError, match="link-load.*" + SUPPORTED):
-            make(record_link_loads=True)
-
     def test_ported_types_match_public_list(self):
         from repro.harness.specs import ARRAY_PORTED
         from repro.verify import REGISTRY

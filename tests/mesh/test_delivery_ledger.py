@@ -6,7 +6,8 @@ builds the ``delivery_times`` dict from it only when asked.  Each
 scenario here runs both engines side by side and requires, per step,
 equal ``done``/``undelivered``/``delivered_count`` and equal series rows,
 and at the end the same ledger rows and the same ``delivery_times``
-items in the same order.
+items in the same order.  The streaming case also compares the rejection
+ledgers.
 """
 
 import numpy as np
@@ -122,6 +123,12 @@ def test_streaming_with_source_equals_destination_offers():
     run_pair(sims)
     assert homes
     assert_ledger_columns(sims[1], homes)
+    ref_rej, arr_rej = (s.rejections for s in sims)
+    assert ref_rej.size  # the offers overbook some queues
+    assert arr_rej.pid.tolist() == ref_rej.pid.tolist()
+    assert arr_rej.step.tolist() == ref_rej.step.tolist()
+    assert (arr_rej.slot == -1).all() and (ref_rej.slot == -1).all()
+    assert list(sims[1].rejected.items()) == list(sims[0].rejected.items())
 
 
 def test_late_packets_entering_at_their_goal():

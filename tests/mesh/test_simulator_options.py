@@ -1,9 +1,15 @@
 """Tests for less-traveled simulator options and queue-spec hooks."""
 
+import pytest
+
 from repro.mesh import Mesh, Packet, QueueSpec, Simulator
 from repro.mesh.directions import Direction
 from repro.mesh.queues import default_incoming_initial_key
-from repro.routing import BoundedDimensionOrderRouter, GreedyAdaptiveRouter
+from repro.routing import (
+    BoundedDimensionOrderRouter,
+    GreedyAdaptiveRouter,
+    HotPotatoRouter,
+)
 from repro.workloads import random_permutation
 
 
@@ -55,15 +61,12 @@ class TestRecordSeries:
             BoundedDimensionOrderRouter(2),
             random_permutation(mesh, seed=1),
             record_series=True,
-            record_link_loads=True,
         )
         result = sim.run(10_000)
         assert result.completed
         assert len(result.series) == result.steps
-        # The series' move counts sum to the link-load total.
-        assert sum(rec.moves for rec in result.series) == sum(
-            sim.link_loads.values()
-        )
+        # The series' move counts sum to the run's total.
+        assert sum(rec.moves for rec in result.series) == result.total_moves
 
     def test_in_flight_monotone_for_static_instances(self):
         mesh = Mesh(8)
@@ -76,3 +79,26 @@ class TestRecordSeries:
         result = sim.run(10_000)
         flights = [rec.in_flight for rec in result.series]
         assert all(a >= b for a, b in zip(flights, flights[1:]))
+
+
+@pytest.mark.parametrize("engine", ["reference", "array"])
+@pytest.mark.parametrize(
+    "router",
+    [
+        lambda: BoundedDimensionOrderRouter(2),
+        lambda: GreedyAdaptiveRouter(2, "incoming"),
+        HotPotatoRouter,
+    ],
+    ids=["bounded-dor", "greedy-incoming", "hot-potato"],
+)
+def test_at_most_one_packet_per_link_per_step(engine, router):
+    """Every step's moves use distinct links (src, direction)."""
+    mesh = Mesh(10)
+    sim = Simulator(mesh, router(), random_permutation(mesh, seed=1), engine=engine)
+    moved = 0
+    while not sim.done and sim.time < 10_000:
+        links = [(mv.src, mv.direction) for mv in sim.step()]
+        assert len(set(links)) == len(links)
+        moved += len(links)
+    assert sim.done
+    assert moved == sim.total_moves

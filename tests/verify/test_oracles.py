@@ -436,7 +436,7 @@ class TestConservationOracle:
         sim.step()
         # Corrupt: mark the in-network packet as rejected behind the
         # simulator's back.
-        sim.rejected[0] = sim.time
+        sim.rejections.append([0], sim.time)
         sim.total_packets += 1  # keep the aggregate count consistent
         sim.step()
         assert messages(checker) == ["packet 0 queued despite admission rejection"]
