@@ -228,20 +228,6 @@ def _feeders(
     return tuple(sorted(steps, key=lambda s: s.source))
 
 
-def _arrival_slots(
-    topology: Topology, model: TransitionModel, channel: Channel
-) -> int:
-    """Max packets that can transit into ``channel`` in one step.
-
-    One per inlink: the incoming regime funnels a single link into each
-    queue; a central queue can receive from every existing inlink at once.
-    """
-    feeders = _feeders(topology, model, channel)
-    if model.queue_kind == KIND_CENTRAL:
-        return len({step.travel_out for step in feeders})
-    return 1 if feeders else 0
-
-
 def validate_drain_claims(
     model: TransitionModel,
 ) -> Tuple[Dict[object, str], List[str]]:

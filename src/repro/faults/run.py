@@ -168,7 +168,7 @@ def run_faulty(
         extra = dict(manager.counters())
     else:
         delivered, total = result.delivered, result.total_packets
-        latencies = _latencies(sim.deliveries, batch, delivered)
+        latencies = _latencies(sim.deliveries, batch)
         extra = {"retransmissions": 0, "dropped_by_outage": 0}
     extra["engine"] = sim.engine_name
 
@@ -185,16 +185,11 @@ def run_faulty(
     )
 
 
-def _latencies(ledger: PacketLedger, batch: PacketBatch, delivered: int) -> list[int]:
-    """Delivery minus injection step of each of ``delivered`` distinct
-    delivered pids, sorted, from the ledger's columns.  A pid delivered
-    twice (corrupted state) counts once, at its last delivery, as in
-    ``delivery_times``."""
-    pid, step = ledger.pid, ledger.step
-    if len(pid) != delivered:
-        _, last = np.unique(pid[::-1], return_index=True)
-        keep = len(pid) - 1 - last
-        pid, step = pid[keep], step[keep]
+def _latencies(ledger: PacketLedger, batch: PacketBatch) -> list[int]:
+    """Delivery minus injection step of each distinct delivered pid,
+    sorted, from the ledger's columns.  A pid delivered twice (corrupted
+    state) counts once, at its last delivery, as in ``delivery_times``."""
+    pid, step = ledger.last_rows()
     order = np.argsort(batch.pid, kind="stable")
     row = order[np.searchsorted(batch.pid, pid, sorter=order)]
     return np.sort(step - batch.injection_time[row]).tolist()

@@ -87,9 +87,6 @@ class CampaignRunResult:
     def cached(self) -> int:
         return sum(1 for r in self.results if r.cached)
 
-    def metrics_rows(self) -> list[dict[str, Any] | None]:
-        return [r.metrics for r in self.results]
-
 
 @contextmanager
 def _alarm(timeout_s: float | None) -> Iterator[None]:

@@ -40,7 +40,10 @@ array ledgers (:class:`~repro.mesh.stepview.PacketLedger`), and
 engine's own arrays, gathered per field on first read.  The hot path
 never touches the objects, and the verify oracles read only the ledgers
 and the view, so a run without object-level observers -- checked or not
--- builds no Packet from a batch and stays fully vectorized.  See
+-- builds no Packet from a batch and stays fully vectorized.  Nor does a
+step sort its moves: a packet's FIFO place comes from its arrival cell
+(target, inlink), and the moves are put in that order only when
+something reads them (:class:`ArrayMoves`).  See
 docs/PERFORMANCE.md for the memory layout, the porting checklist, and the
 equivalence-gate protocol.
 """
@@ -169,15 +172,10 @@ class RouterKernel:
         """Phase (a): return (packet slots, source flat ids, directions)."""
         raise NotImplementedError
 
-    def accept(
-        self,
-        pkt: np.ndarray,
-        src: np.ndarray,
-        dirs: np.ndarray,
-        tgt: np.ndarray,
-        came: np.ndarray,
-    ) -> np.ndarray:
-        """Phase (c): boolean acceptance mask over the scheduled moves."""
+    def accept(self, pkt: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """Phase (c): boolean acceptance mask over the scheduled moves of
+        packet slots ``pkt`` into arrival cells ``(target << 2) | inlink``
+        (the flat incoming-queue index)."""
         raise NotImplementedError
 
     def after_step(self) -> None:
@@ -226,22 +224,28 @@ class DimensionOrderKernel(RouterKernel):
         sel = order[_firsts(group[order])]
         return act[sel], node[sel], desired[sel]
 
-    def accept(self, pkt, src, dirs, tgt, came):
+    def accept(self, pkt, cell):
         engine = self.engine
         if engine._central:
-            return _rotating_central_accept(engine, tgt, came)
-        vertical = (came == DIR_N) | (came == DIR_S)
-        return vertical | (engine._state.occ[tgt, came] < engine.spec.capacity)
+            return _rotating_central_accept(engine, cell)
+        return _vertical_or_room(engine, cell)
 
 
-def _rotating_central_accept(
-    engine: "ArraySimulator", tgt: np.ndarray, came: np.ndarray
-) -> np.ndarray:
+def _vertical_or_room(engine: "ArraySimulator", cell: np.ndarray) -> np.ndarray:
+    """Incoming regime: N/S inqueues always accept, E/W ones below
+    capacity."""
+    came = cell & 3
+    vertical = (came == DIR_N) | (came == DIR_S)
+    return vertical | (engine._state.occ.ravel()[cell] < engine.spec.capacity)
+
+
+def _rotating_central_accept(engine: "ArraySimulator", cell: np.ndarray) -> np.ndarray:
     """``accept_up_to_central_space``, batched: per target, the first
     ``capacity - occupancy`` offers in rotating round-robin priority
     (``rotation_order(time)``) are accepted."""
-    free = engine.spec.capacity - engine._state.occ[tgt, 0]
-    prio = (came - (engine.time & 3)) & 3
+    tgt = cell >> 2
+    free = engine.spec.capacity - engine._state.occ.ravel()[tgt]
+    prio = ((cell & 3) - (engine.time & 3)) & 3
     return _up_to_free(np.lexsort((prio, tgt)), tgt, free)
 
 
@@ -273,7 +277,7 @@ class HotPotatoKernel(RouterKernel):
         sel = cdir >= 0
         return slots[sel], snode[sel], cdir[sel]
 
-    def accept(self, pkt, src, dirs, tgt, came):
+    def accept(self, pkt, cell):
         return np.ones(len(pkt), dtype=bool)  # bufferless: accept everything
 
     def after_step(self) -> None:
@@ -311,11 +315,11 @@ class GreedyAdaptiveKernel(RouterKernel):
         sel = cdir >= 0
         return slots[sel], snode[sel], cdir[sel]
 
-    def accept(self, pkt, src, dirs, tgt, came):
+    def accept(self, pkt, cell):
         engine = self.engine
         if engine._central:
-            return _rotating_central_accept(engine, tgt, came)
-        return engine._state.occ[tgt, came] < engine.spec.capacity
+            return _rotating_central_accept(engine, cell)
+        return engine._state.occ.ravel()[cell] < engine.spec.capacity
 
 
 class FarthestFirstKernel(DimensionOrderKernel):
@@ -331,12 +335,13 @@ class FarthestFirstKernel(DimensionOrderKernel):
 
     farthest = True
 
-    def accept(self, pkt, src, dirs, tgt, came):
+    def accept(self, pkt, cell):
         engine = self.engine
         st = engine._state
+        tgt = cell >> 2
         delivering = tgt == st.destf[pkt]
         if not engine._central:
-            return delivering | super().accept(pkt, src, dirs, tgt, came)
+            return delivering | _vertical_or_room(engine, cell)
         # Central: delivering offers consume no space and always accept;
         # transit offers rank farthest-first (total remaining distance,
         # inlink value tie) against beginning-of-step free space.
@@ -345,7 +350,7 @@ class FarthestFirstKernel(DimensionOrderKernel):
         if len(transit):
             dx, dy = st.displacement(pkt[transit])
             ttgt = tgt[transit]
-            order = np.lexsort((came[transit], -(np.abs(dx) + np.abs(dy)), ttgt))
+            order = np.lexsort((cell[transit] & 3, -(np.abs(dx) + np.abs(dy)), ttgt))
             free = engine.spec.capacity - st.occ[ttgt, 0]
             acc[transit] = _up_to_free(order, ttgt, free)
         return acc
@@ -424,26 +429,27 @@ class CreditAdaptiveKernel(RouterKernel):
         sel = cdir >= 0
         return slots[sel], snode[sel], cdir[sel]
 
-    def accept(self, pkt, src, dirs, tgt, came):
-        st = self.engine._state
-        vertical = (came == DIR_N) | (came == DIR_S)
-        return vertical | (st.occ[tgt, came] < self.engine.spec.capacity)
+    def accept(self, pkt, cell):
+        return _vertical_or_room(self.engine, cell)
 
 
 class ArrayMoves(Sequence[ScheduledMove]):
     """One step's accepted moves: parallel arrays, read as a lazy move list.
 
-    ``slots`` (packet slots), ``src`` and ``target`` (flat node ids) and
-    ``direction`` (direction values) are in the reference engine's
-    accepted-move order, (target, inlink).  Array-aware observers read
-    them through :meth:`ArraySimulator.step_view`.  Indexing or
-    iterating builds the ``ScheduledMove`` list the reference engine hands
-    its hooks, once; a build during the step that made the moves also
-    moves each Packet's ``pos`` to its target, as the reference engine
-    does.
+    The engine hands over the moves in schedule order with their arrival
+    cells, ``(target << 2) | inlink``.  Each cell takes at most one move
+    per step, so sorting by cell gives the reference engine's
+    accepted-move order, (target, inlink); that sort runs the first time
+    ``slots`` (packet slots), ``src`` and ``target`` (flat node ids) or
+    ``direction`` (direction values) is read, so a step nobody reads
+    never sorts.  Array-aware observers read them through
+    :meth:`ArraySimulator.step_view`.  Indexing or iterating builds the
+    ``ScheduledMove`` list the reference engine hands its hooks, once; a
+    build during the step that made the moves also moves each Packet's
+    ``pos`` to its target, as the reference engine does.
     """
 
-    __slots__ = ("slots", "src", "direction", "target", "_engine", "_time", "_moves")
+    __slots__ = ("_raw", "_cols", "_engine", "_time", "_moves")
 
     def __init__(
         self,
@@ -451,18 +457,41 @@ class ArrayMoves(Sequence[ScheduledMove]):
         slots: np.ndarray,
         src: np.ndarray,
         direction: np.ndarray,
-        target: np.ndarray,
+        cell: np.ndarray,
     ) -> None:
-        self.slots = slots
-        self.src = src
-        self.direction = direction
-        self.target = target
+        self._raw = (slots, src, direction, cell)
+        self._cols: tuple[np.ndarray, ...] | None = None  # in cell order
         self._engine = engine
         self._time = engine.time
         self._moves: list[ScheduledMove] | None = None
 
+    def _sorted(self) -> tuple[np.ndarray, ...]:
+        cols = self._cols
+        if cols is None:
+            slots, src, direction, cell = self._raw
+            order = np.argsort(cell)  # noqa: SC007 -- unique keys
+            cell = cell[order]
+            self._cols = cols = (slots[order], src[order], direction[order], cell >> 2)
+        return cols
+
+    @property
+    def slots(self) -> np.ndarray:
+        return self._sorted()[0]
+
+    @property
+    def src(self) -> np.ndarray:
+        return self._sorted()[1]
+
+    @property
+    def direction(self) -> np.ndarray:
+        return self._sorted()[2]
+
+    @property
+    def target(self) -> np.ndarray:
+        return self._sorted()[3]
+
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self._raw[0])
 
     def __getitem__(self, index: Any) -> Any:
         return self._build()[index]
@@ -695,10 +724,6 @@ class ArraySimulator(Simulator):
         )
         # Injection queue index per 4-bit profitable mask (made on first use).
         self._initial_kidx: np.ndarray | None = None
-        # Counting-sort buffers of _transmit, one entry per (node, inlink)
-        # (made on first use).
-        self._arrival_mark: np.ndarray | None = None
-        self._arrival_pos = _EMPTY
         if algorithm.uses_credit:
             algorithm.attach_credit_probe(self._downstream_occupancy)
         self._slots = SlotPackets(topology)
@@ -1150,24 +1175,25 @@ class ArraySimulator(Simulator):
         if instr is not None:
             instr.mark("b")
 
-        # (c) inqueue policies, batched in the kernel.
+        # (c) inqueue policies, batched in the kernel.  A move's arrival
+        # cell is its (target, inlink) pair, (target << 2) | came_from.
         if sched_pkt.size:
             tgt = self._state.geom.nbr_flat[sched_src, sched_dir]
             came = OPP[sched_dir]
-            acc = self._kernel.accept(sched_pkt, sched_src, sched_dir, tgt, came)
+            cell = (tgt << 2) | came
+            acc = self._kernel.accept(sched_pkt, cell)
             apkt = sched_pkt[acc]
             asrc = sched_src[acc]
             adir = sched_dir[acc]
-            atgt = tgt[acc]
-            acame = came[acc]
+            acell = cell[acc]
         else:
-            apkt = asrc = adir = atgt = acame = _EMPTY
+            apkt = asrc = adir = acell = _EMPTY
         self.refused_moves += n_scheduled - len(apkt)
         if instr is not None:
             instr.mark("c")
 
-        # (d) transmit: departures, then arrivals in (target, inlink) order.
-        moves = self._transmit(apkt, asrc, adir, atgt, acame)
+        # (d) transmit: departures, then arrivals.
+        moves = self._transmit(apkt, asrc, adir, acell)
         if instr is not None:
             instr.mark("d")
 
@@ -1196,39 +1222,20 @@ class ArraySimulator(Simulator):
         return moves
 
     def _transmit(
-        self,
-        apkt: np.ndarray,
-        asrc: np.ndarray,
-        adir: np.ndarray,
-        atgt: np.ndarray,
-        acame: np.ndarray,
+        self, apkt: np.ndarray, asrc: np.ndarray, adir: np.ndarray, acell: np.ndarray
     ) -> "ArrayMoves":
+        """Phase (d) over the accepted moves, in schedule order, arriving
+        at cells ``(target << 2) | inlink``: one move per cell, in the
+        reference append order.  A survivor's FIFO number is the counter
+        plus its cell, which orders it within its queue; only deliveries
+        are sorted (for the ledger), and :class:`ArrayMoves` sorts the
+        moves if read."""
         st = self._state
         n_acc = len(apkt)
         self.total_moves += n_acc
         if n_acc == 0:
             return ArrayMoves(self, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
-        # Arrival order is (target, inlink direction): targets ascending,
-        # multi-offer groups by came_from -- the reference accepted_moves
-        # order, which fixes FIFO sequence numbers.
-        # Each (target, inlink) receives at most one move per step, so a
-        # counting sort over one mark per (node, inlink) orders them.
-        mark = self._arrival_mark
-        if mark is None:
-            size = 4 * st.geom.num_nodes
-            self._arrival_mark = mark = np.zeros(size, dtype=bool)
-            self._arrival_pos = np.empty(size, dtype=np.int64)
-        cell = (atgt << 2) | acame
-        mark[cell] = True
-        self._arrival_pos[cell] = np.arange(n_acc, dtype=np.int64)
-        cell = np.flatnonzero(mark)
-        mark[cell] = False
-        order = self._arrival_pos[cell]
-        apkt = apkt[order]
-        asrc = asrc[order]
-        adir = adir[order]
-        atgt = atgt[order]
-        acame = acame[order]
+        atgt = acell >> 2
         # Departures first.
         num_keys = st.num_keys
         occ = st.occ.ravel()
@@ -1239,17 +1246,18 @@ class ArraySimulator(Simulator):
         st.posf[apkt] = atgt
         surv = ~delivered
         spkt = apkt[surv]
-        stgt = atgt[surv]
         n_surv = len(spkt)
         if n_surv:
-            skey = acame[surv] if not self._central else np.zeros(n_surv, dtype=np.int64)
+            scell = acell[surv]
+            stgt = scell >> 2
+            skey = np.zeros(n_surv, dtype=np.int64) if self._central else scell & 3
+            squeue = stgt if self._central else scell  # flat queue index
             st.qkey[spkt] = skey
-            st.qseq[spkt] = self._seq + np.arange(n_surv, dtype=np.int64)
-            self._seq += n_surv
-            scell = stgt * num_keys + skey
-            np.add.at(occ, scell, 1)
+            st.qseq[spkt] = self._seq + scell
+            self._seq += 4 * st.geom.num_nodes
+            np.add.at(occ, squeue, 1)
             np.add.at(st.load, stgt, 1)
-            qlen = occ[scell]
+            qlen = occ[squeue]
             max_q = int(qlen.max())
             if max_q > self.max_queue_len:
                 self.max_queue_len = max_q
@@ -1257,22 +1265,28 @@ class ArraySimulator(Simulator):
             if max_l > self.max_node_load:
                 self.max_node_load = max_l
             if self.validate and max_q > self.spec.capacity:
-                i = int(np.argmax(qlen > self.spec.capacity))
+                # Report the queue of the first overflowing arrival in
+                # (target, inlink) order, at the length the reference
+                # engine meets it: the first append past capacity.
+                over = np.flatnonzero(qlen > self.spec.capacity)
+                i = int(over[np.argmin(scell[over])])
+                before = int(qlen[i]) - int(np.count_nonzero(squeue == squeue[i]))
                 raise QueueOverflowError(
                     self.algorithm.name,
                     self._node_tuple(int(stgt[i])),
                     self._key_object(int(skey[i])),
-                    int(qlen[i]),
+                    max(before, self.spec.capacity) + 1,
                     self.spec.capacity,
                 )
-        dpkt = apkt[delivered]
-        if len(dpkt):
+        if n_surv < n_acc:
+            dpkt = apkt[delivered]
+            dpkt = dpkt[np.argsort(acell[delivered])]  # noqa: SC007 -- unique keys
             self.deliveries.append(st.pids[dpkt], self.time, dpkt)
             self._in_flight -= len(dpkt)
             st.in_net[dpkt] = False
             act = self._act
             self._act = act[st.in_net[act]]
-        return ArrayMoves(self, apkt, asrc, adir, atgt)
+        return ArrayMoves(self, apkt, asrc, adir, acell)
 
     def _inject_pending(self) -> None:
         ptime, ppid, psrc, pdst = self.pending_arrays()

@@ -132,10 +132,12 @@ class ArrayState:
     for the central-queue regime (key index 0) and 4 for the incoming
     regime (key index = ``Direction`` value).
 
-    ``qseq`` is the FIFO tiebreaker: the engine assigns strictly
-    increasing sequence numbers in exactly the order the reference engine
-    appends packets to queue lists, so ascending ``qseq`` within one
-    (node, key) queue *is* the reference queue order.
+    ``qseq`` is the FIFO tiebreaker: unique sequence numbers that
+    increase, within each (node, key) queue, in the order the reference
+    engine appends packets to that queue's list, so ascending ``qseq``
+    within one queue *is* the reference queue order.  Across queues they
+    follow no append order (an arrival is numbered by its (target,
+    inlink) cell), and they need not be dense.
     """
 
     def __init__(self, geometry: GridGeometry, num_keys: int, track_age: bool) -> None:

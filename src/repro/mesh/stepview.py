@@ -82,6 +82,15 @@ class PacketLedger:
         self._view_size = n
         return self._view
 
+    def last_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pid and step columns of :meth:`as_dict`: a pid with several
+        rows (corrupted state) keeps only its last one."""
+        view = self.as_dict()
+        n = len(view)
+        if n == self.size:
+            return self.pid, self.step
+        return np.fromiter(view, np.int64, n), np.fromiter(view.values(), np.int64, n)
+
 
 class StepView:
     """One step's network state as flat-id arrays, made by each engine.

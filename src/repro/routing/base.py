@@ -11,7 +11,7 @@ from typing import Sequence
 
 from repro.mesh.directions import DIRECTIONS, Direction
 from repro.mesh.interfaces import NodeContext
-from repro.mesh.visibility import Offer, PacketView
+from repro.mesh.visibility import Offer
 
 # Re-exported for algorithm implementations.
 from repro.mesh.interfaces import RoutingAlgorithm, RoutingContract  # noqa: F401
@@ -78,13 +78,3 @@ def accept_up_to_central_space(
     order = {d: i for i, d in enumerate(rotation_order(ctx.time))}
     ranked = sorted(offers, key=lambda off: order[off.came_from])
     return ranked[:free]
-
-
-def fifo_pick(
-    candidates: Sequence[PacketView], taken: set[int]
-) -> PacketView | None:
-    """First candidate (arrival order) not already scheduled this step."""
-    for view in candidates:
-        if view.key not in taken:
-            return view
-    return None

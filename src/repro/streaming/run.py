@@ -220,23 +220,23 @@ def run_streaming(
 
     horizon = warmup + measure
     next_pid = 0
-    injected_at: dict[int, int] = {}
+    # Step t offers pids first_pid[t], first_pid[t] + 1, ...
+    first_pid = np.zeros(horizon, dtype=np.int64)
     offered = admitted = 0
     offered_m = admitted_m = 0
 
     for t in range(horizon):
         sources, dests = process.arrivals_array(topology, t)
+        first_pid[t] = next_pid
         m = len(sources)
         if m:
-            took = offer_packet(sim, sources, dests, next_pid)
-            pids = next_pid + np.flatnonzero(took)
-            injected_at.update(dict.fromkeys(pids.tolist(), t))
+            took = int(offer_packet(sim, sources, dests, next_pid).sum())
             next_pid += m
             offered += m
-            admitted += len(pids)
+            admitted += took
             if t >= warmup:
                 offered_m += m
-                admitted_m += len(pids)
+                admitted_m += took
         sim.step()
 
     deadline = horizon + drain
@@ -248,14 +248,16 @@ def run_streaming(
     stalled = not sim.done and idle >= STALL_STEPS
     checker.finish()
 
-    delivery = sim.delivery_times
-    latencies = sorted(
-        delivery[pid] - t0
-        for pid, t0 in injected_at.items()
-        if t0 >= warmup and pid in delivery
-    )
+    result = sim.result()
+    # Only admitted offers are delivered; a pid's offer step is the last
+    # step whose first pid is at most it (a step that offers nothing
+    # shares its first pid with the next one).
+    pid, step = sim.deliveries.last_rows()
+    offered_at = np.searchsorted(first_pid, pid, side="right") - 1
+    measured = offered_at >= warmup
+    latencies = np.sort(step[measured] - offered_at[measured]).tolist()
     return StreamingReport(
-        result=sim.result(),
+        result=result,
         violations=list(checker.violations),
         engine=sim.engine_name,
         offered=offered,

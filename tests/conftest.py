@@ -8,9 +8,11 @@ from repro.mesh import Mesh, Simulator, Torus
 from repro.routing import (
     AlternatingAdaptiveRouter,
     BoundedDimensionOrderRouter,
+    CreditAdaptiveRouter,
     DimensionOrderRouter,
     FarthestFirstRouter,
     GreedyAdaptiveRouter,
+    HotPotatoRouter,
 )
 
 
@@ -47,6 +49,21 @@ def central_router_factories():
         ("alternating-adaptive", lambda k: AlternatingAdaptiveRouter(k)),
         ("farthest-first-central", lambda k: FarthestFirstRouter(k, "central")),
     ]
+
+
+#: Every array-engine configuration: each ported router in each queue
+#: regime it has.  The central cells take k=4, so up to four arrivals can
+#: enter one queue in a step; they may livelock on hard instances.
+ARRAY_CONFIGURATIONS = {
+    "bounded-dor": lambda: BoundedDimensionOrderRouter(2),
+    "credit-adaptive": lambda: CreditAdaptiveRouter(2),
+    "dor": lambda: DimensionOrderRouter(4),
+    "farthest-first-central": lambda: FarthestFirstRouter(4, "central"),
+    "farthest-first-incoming": lambda: FarthestFirstRouter(2),
+    "greedy-central": lambda: GreedyAdaptiveRouter(4),
+    "greedy-incoming": lambda: GreedyAdaptiveRouter(2, "incoming"),
+    "hot-potato": lambda: HotPotatoRouter(),
+}
 
 
 def route(topology, algorithm, packets, max_steps=50_000, **kwargs):

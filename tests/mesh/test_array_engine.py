@@ -10,10 +10,12 @@ it does not model instead of guessing at them.
 import numpy as np
 import pytest
 
+from repro.faults.plan import Outage, ScheduledOutagePlan
 from repro.mesh import Mesh, Packet, Simulator, Topology, Torus
 from repro.mesh.directions import Direction
 from repro.mesh.queues import CENTRAL
 from repro.mesh.array_engine import ArraySimulator, ported_router_types
+from repro.mesh.array_state import OPP
 from repro.mesh.errors import QueueOverflowError
 from repro.verify.engine_equivalence import LockstepReport, lockstep
 from repro.mesh.ndtopology import MeshND, SparsePillarMesh, TorusND
@@ -27,6 +29,7 @@ from repro.routing import (
     HotPotatoRouter,
 )
 from repro.workloads import random_permutation
+from tests.conftest import ARRAY_CONFIGURATIONS
 
 
 #: Every rejection names the supported set: the ported router classes and
@@ -209,10 +212,58 @@ class TestEngineAccessors:
         assert ra.delivery_times == rr.delivery_times
         assert ra.counters == rr.counters
 
-    def test_hooks_and_step_see_the_reference_move_lists(self):
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    def test_overflow_in_cell_order(self, engine):
+        """Two packets swap places head-on between P and Q above it, each
+        into an always-accept N/S queue whose one occupant is held by a
+        down link: both queues overflow in step 1.  The first arrival in
+        (target, inlink) order is the one into P, though the move from P
+        is scheduled first."""
+        p, q = (3, 3), (3, 4)
+        packets = [
+            Packet(0, p, (3, 6)),
+            Packet(1, q, (3, 1)),
+            Packet(2, p, (3, 0)),  # held in P's N queue
+            Packet(3, q, (3, 7)),  # held in Q's S queue
+        ]
+        sim = Simulator(Mesh(8), BoundedDimensionOrderRouter(1), packets, engine=engine)
+        ScheduledOutagePlan(
+            [Outage(p, 0, 5, Direction.S), Outage(q, 0, 5, Direction.N)]
+        ).attach(sim)
+        with pytest.raises(QueueOverflowError) as info:
+            sim.step()
+        err = info.value
+        assert (err.node, err.queue_key, err.occupancy) == (p, Direction.N, 2)
+
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    def test_central_overflow_length(self, engine):
+        """Hot-potato's four packets at P are held by down outlinks while
+        two neighbours' packets arrive: the first arrival takes P's queue
+        to 5 > 4, where the reference engine raises."""
+        p = (3, 3)
+        packets = [Packet(i, p, d) for i, d in enumerate([(0, 0), (7, 7), (0, 7), (7, 0)])]
+        packets += [Packet(4, (2, 3), (5, 3)), Packet(5, (4, 3), (0, 3))]
+        sim = Simulator(Mesh(8), HotPotatoRouter(), packets, engine=engine)
+        ScheduledOutagePlan([Outage(p, 0, 5, d) for d in Direction]).attach(sim)
+        with pytest.raises(QueueOverflowError) as info:
+            sim.step()
+        err = info.value
+        assert (err.node, err.queue_key, err.occupancy) == (p, CENTRAL, 5)
+
+    def test_configurations_cover_every_ported_router_and_regime(self):
+        made = [factory() for factory in ARRAY_CONFIGURATIONS.values()]
+        assert {type(a) for a in made} == set(ported_router_types())
+        regimes = {(type(a), a.queue_spec.kind) for a in made}
+        assert len(regimes) == len(made)
+        assert {kind for _, kind in regimes} == {"central", "incoming"}
+
+    @pytest.mark.parametrize("topology", [Mesh(8), Torus(8)], ids=["mesh", "torus"])
+    @pytest.mark.parametrize("config", sorted(ARRAY_CONFIGURATIONS))
+    def test_hook_move_lists(self, config, topology):
         """Object-level post-step hooks (and ``step``'s return value) get
-        the reference engine's ScheduledMove list, built only on demand,
-        with each moved Packet's ``pos`` at its target."""
+        the reference engine's ScheduledMove list, in (target, inlink)
+        order, built only on demand, with each moved Packet's ``pos`` at
+        its target."""
 
         def seen(sim):
             log = []
@@ -226,27 +277,44 @@ class TestEngineAccessors:
             )
             return log
 
-        topology = Mesh(6)
-        array = make(algorithm=GreedyAdaptiveRouter(2, "incoming"))
-        reference = Simulator(
-            topology,
-            GreedyAdaptiveRouter(2, "incoming"),
-            random_permutation(topology, seed=0),
+        router = ARRAY_CONFIGURATIONS[config]
+        # Two packets per source: queues fill, and central queues take
+        # several arrivals in one step.
+        base = list(random_permutation(topology, seed=1))
+        base += random_permutation(topology, seed=2)
+        packets = [Packet(i, p.source, p.dest) for i, p in enumerate(base)]
+        array, reference = (
+            Simulator(
+                topology,
+                router(),
+                [p.copy() for p in packets],
+                engine=engine,
+                validate=False,
+            )
+            for engine in ("array", "reference")
         )
         array_log, reference_log = seen(array), seen(reference)
-        for _ in range(8):
+        # The step cap bounds the central cells, which may livelock.
+        while not reference.done and reference.time < 200:
             returned = array.step()
             expected = reference.step()
             assert len(returned) == len(expected)
             assert [(m.packet.pid, m.target) for m in returned] == [
                 (m.packet.pid, m.target) for m in expected
             ]
+        assert array.done == reference.done
         assert array_log == reference_log
+        assert any(array_log)
 
     def test_moves_are_built_only_when_iterated(self):
         sim = make()
         moves = sim.step()
-        assert len(moves) > 0 and moves._moves is None
+        # Unread, the moves are neither sorted into (target, inlink) order
+        # nor built.
+        assert len(moves) > 0 and moves._cols is None and moves._moves is None
+        cells = (moves.target << 2) | OPP[moves.direction]
+        assert moves._cols is not None and moves._moves is None
+        assert (np.diff(cells) > 0).all()
         assert moves[0].target == (moves.target[0] // 6, moves.target[0] % 6)
         assert moves._moves is not None
 
@@ -474,7 +542,52 @@ class TestPackedSortKeys:
         lockstep(reference, array, 2000, report)
         assert report.ok, report.findings
         assert reference.done and report.steps > 0
-        assert 0 <= array._seq <= count + array.total_moves  # renumbered
+        # Renumbered: a step advances the counter by one number per
+        # (node, inlink) cell, so unrenumbered huge pids would exceed this.
+        assert 0 <= array._seq <= count + 4 * mesh.num_nodes * array.time
+
+    @pytest.mark.parametrize(
+        "algorithm,field_bits",
+        [
+            (lambda: GreedyAdaptiveRouter(2, "incoming"), lambda g: g.node_bits + 2),
+            (lambda: BoundedDimensionOrderRouter(2), lambda g: g.node_bits + 5),
+            (lambda: DimensionOrderRouter(4), lambda g: g.node_bits + 2),
+            (
+                lambda: FarthestFirstRouter(2),
+                lambda g: g.node_bits + 5 + g.dist_bits,
+            ),
+        ],
+        ids=["greedy-incoming", "bounded-dor", "dor", "farthest-first-incoming"],
+    )
+    def test_mid_run_renumbering_runs_in_lockstep(self, algorithm, field_bits):
+        """Arrivals take the counter plus their (target, inlink) cell, so
+        in-network sequence numbers are sparse and far apart.  With the
+        counter pushed to just under the limit of the kernel's packed
+        phase (a) key (``field_bits`` is what its fields use), the next
+        step's arrivals push it over and phase (a) renumbers them."""
+        mesh = Mesh(12)
+        base = random_permutation(mesh, seed=3) + random_permutation(mesh, seed=4)
+        packets = [Packet(i, p.source, p.dest) for i, p in enumerate(base)]
+        reference = Simulator(mesh, algorithm(), [p.copy() for p in packets])
+        array = Simulator(
+            mesh, algorithm(), [p.copy() for p in packets], engine="array"
+        )
+        renumbered = []
+        renumber = array._renumber_qseq
+        array._renumber_qseq = lambda: (renumbered.append(array.time), renumber())
+        report = LockstepReport("renumber", "permutation", 12, 2, 3)
+        lockstep(reference, array, 3, report)
+        assert report.ok and not renumbered, report.findings
+        limit = 1 << (63 - field_bits(array._state.geom))
+        array._seq = limit - 1
+        lockstep(reference, array, 400, report)
+        assert report.ok, report.findings
+        # Step 4's arrivals take the counter past the limit: the first
+        # packed sort after them renumbers (the configuration read of step
+        # 4 when its key is as wide as the kernel's, else step 5's phase
+        # (a)), once.
+        assert renumbered in ([4], [5])
+        assert array._seq < limit
 
     @pytest.mark.parametrize("bits", [8, 40, 61], ids=["wide", "medium", "no-room"])
     def test_fifo_order_matches_lexsort(self, bits):
