@@ -442,8 +442,10 @@ class ArrayMoves(Sequence[ScheduledMove]):
     accepted-move order, (target, inlink); that sort runs the first time
     ``slots`` (packet slots), ``src`` and ``target`` (flat node ids) or
     ``direction`` (direction values) is read, so a step nobody reads
-    never sorts.  Array-aware observers read them through
-    :meth:`ArraySimulator.step_view`.  Indexing or iterating builds the
+    never sorts.  Array-aware observers read
+    :meth:`ArraySimulator.step_view`, which takes the unsorted columns
+    (:attr:`scheduled`), so a checked step does not sort either.
+    Indexing or iterating builds the
     ``ScheduledMove`` list the reference engine hands its hooks, once; a
     build during the step that made the moves also moves each Packet's
     ``pos`` to its target, as the reference engine does.
@@ -473,6 +475,12 @@ class ArrayMoves(Sequence[ScheduledMove]):
             cell = cell[order]
             self._cols = cols = (slots[order], src[order], direction[order], cell >> 2)
         return cols
+
+    @property
+    def scheduled(self) -> tuple[np.ndarray, ...]:
+        """``(slots, src, direction, cell)`` in schedule order: the same
+        rows as the sorted columns, for a reader that needs no order."""
+        return self._raw
 
     @property
     def slots(self) -> np.ndarray:
@@ -1322,7 +1330,9 @@ class ArraySimulator(Simulator):
 class _ArrayStepView(StepView):
     """The array engine's :class:`StepView`: the engine's own arrays, and
     gathers from them (the rarely read ``dest`` and ``order`` on first
-    read).  A move's source and destination are the ones its caller gave
+    read).  The move rows are :class:`ArrayMoves` in schedule order, never
+    sorted; :meth:`move_rows` sorts just the rows asked for by arrival
+    cell.  A move's source and destination are the ones its caller gave
     (:class:`SlotPackets`), not the engine's working destination array."""
 
     def __init__(self, engine: "ArraySimulator", moves: Any) -> None:
@@ -1331,11 +1341,18 @@ class _ArrayStepView(StepView):
         self.slot, self.slots_made = act, st.size
         self.pid, self.node = st.pids[act], st.posf[act]
         self.key, self.outside_keys = _key_column(engine, st.qkey[act])
-        moves = moves if moves is not None else ArrayMoves(engine, *[_EMPTY] * 4)
-        self.move_src, self.move_target = moves.src, moves.target
-        self.move_pid = st.pids[moves.slots]
-        self.move_source = engine._slots.source[moves.slots]
-        self.move_dest = engine._slots.dest[moves.slots]
+        slots, self.move_src, _, cell = (
+            moves.scheduled if moves is not None else (_EMPTY,) * 4
+        )
+        self._move_cell = cell
+        self.move_target = cell >> 2
+        self.move_pid = st.pids[slots]
+        self.move_source = engine._slots.source[slots]
+        self.move_dest = engine._slots.dest[slots]
+
+    def move_rows(self, mask: np.ndarray) -> np.ndarray:
+        rows = np.flatnonzero(mask)
+        return rows[np.argsort(self._move_cell[rows])]  # noqa: SC007 -- unique keys
 
     @cached_property
     def dest(self) -> np.ndarray:

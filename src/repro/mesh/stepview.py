@@ -100,9 +100,11 @@ class StepView:
     for a key outside the regime, listed in row order in
     ``outside_keys``), ``order`` (ascending within a queue is its FIFO
     order) and ``slot`` (the array engine's slot; -1 for none).  The
-    step's moves: ``move_pid``, the link's ``move_src``/``move_target``,
-    and the packet's ``move_source``/``move_dest`` as its caller gave them
-    (on the reference engine, its current ones).  ``pending`` is the pool
+    step's moves, one row each in no particular order: ``move_pid``, the
+    link's ``move_src``/``move_target``, and the packet's
+    ``move_source``/``move_dest`` as its caller gave them (on the
+    reference engine, its current ones); :meth:`move_rows` puts the rows a
+    report names in the reference order.  ``pending`` is the pool
     outside the network as ``(injection_time, pid, source, dest)`` sorted
     by (time, pid).  ``slots_made`` counts the slots numbered so far (0 on
     an engine that numbers none), so a row whose slot is -1 or at least an
@@ -123,4 +125,11 @@ class StepView:
     move_dest: np.ndarray
     pending: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     slots_made: int
+
+    def move_rows(self, mask: np.ndarray) -> np.ndarray:
+        """The indices of the move rows where ``mask`` holds, in the
+        reference engine's move order, (target, inlink): the order a
+        report names them in.  The reference engine's rows come in that
+        order already."""
+        return np.flatnonzero(mask)
 

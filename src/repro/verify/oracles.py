@@ -169,29 +169,24 @@ class PacketConservationOracle(Oracle):
     source under backpressure is recorded in ``Simulator.rejections`` and
     never enters the network, but stays in the accounting.  In closed-loop
     fault-free runs both ledgers are empty and the invariant reduces to
-    the original equality.  Each step reads only the ledgers' new rows,
-    and only a step that violates something walks its packets.
+    the original equality.  Each step sorts the queued pids once and
+    otherwise reads only what is new since the last check: the ledgers'
+    new rows and the slots made since (see :class:`_Outcomes`).  Only a
+    step that violates something walks its packets.
     """
 
     name = "packet-conservation"
 
     def on_attach(self, checker: InvariantChecker, sim: Simulator) -> None:
-        led = sim.deliveries
-        # The ledger as read so far: rows read, the pid of the last of
-        # them, and the distinct delivered pids (sorted chunks, one per
-        # step that added any).
-        self._read = led.size
-        self._last = int(led.pid[-1]) if led.size else 0
-        self._chunks = [_distinct(led.pid)]
-        self._distinct = len(self._chunks[0])
-        # Slots below ``_fresh_from`` were checked against the delivered
-        # set when last queued; ``_offenders`` are the queued pids that
-        # were delivered already (at 0, the first check checks all).
+        # Deliveries, drops and rejections as read so far.  Rows recorded
+        # before the oracle attached are read now: they are not this
+        # step's, so no move is checked against them.
+        self._outcomes = tuple(
+            _Outcomes(led) for led in (sim.deliveries, sim.drops, sim.rejections)
+        )
+        # Slots below ``_fresh_from`` were looked up in every outcome set
+        # when last queued (at 0, the first check looks up all).
         self._fresh_from = 0
-        self._offenders = _EMPTY
-        # Per outcome ledger (drops, rejections): rows read, the pid of the
-        # last of them, and the distinct pids (sorted).
-        self._outcomes = [(0, 0, _EMPTY), (0, 0, _EMPTY)]
 
     def post_step(
         self, checker: InvariantChecker, sim: Simulator, moves: Sequence[ScheduledMove]
@@ -199,22 +194,32 @@ class PacketConservationOracle(Oracle):
         view = sim.step_view(moves)
         pids = view.pid
         ordered = np.sort(pids)
-        added, lost, offenders = self._read_ledger(sim, view, ordered)
-        dropped, rejected = self._read_outcomes(sim)
-        suspect = bool(len(offenders)) or bool((ordered[1:] == ordered[:-1]).any())
-        for outcome in (dropped, rejected):
-            if len(outcome) and not suspect:
-                suspect = bool(_member(outcome, ordered).any())
+        if not view.slots_made:
+            born = ordered  # an engine that numbers no slots: every pid is new
+        elif view.slots_made > self._fresh_from:
+            born = pids[(view.slot < 0) | (view.slot >= self._fresh_from)]
+        else:
+            born = _EMPTY
+        self._fresh_from = view.slots_made
+        delivered, dropped, rejected = self._outcomes
+        added, lost = delivered.catch_up(sim.deliveries, ordered, born)
+        dropped.catch_up(sim.drops, ordered, born)
+        rejected.catch_up(sim.rejections, ordered, born)
+        offenders = delivered.offenders
+        suspect = bool((ordered[1:] == ordered[:-1]).any()) or any(
+            len(outcomes.offenders) for outcomes in self._outcomes
+        )
         if suspect:
             # Name the offenders in queue order: (node, queue key, FIFO).
-            delivered = set(offenders.tolist())
-            was_dropped, was_rejected = set(dropped.tolist()), set(rejected.tolist())
+            was_delivered = set(offenders.tolist())
+            was_dropped = set(dropped.offenders.tolist())
+            was_rejected = set(rejected.offenders.tolist())
             seen: set[int] = set()
             for pid in pids[np.lexsort((view.order, view.key, view.node))].tolist():
                 if pid in seen:
                     checker.report(self, f"packet {pid} occupies two queues")
                 seen.add(pid)
-                if pid in delivered:
+                if pid in was_delivered:
                     checker.report(self, f"packet {pid} still queued after delivery")
                 if pid in was_dropped:
                     checker.report(
@@ -231,13 +236,15 @@ class PacketConservationOracle(Oracle):
                 f"in-flight counter {sim.in_flight} != queued packets {in_network}",
             )
         pending = sim.pending_count
-        total = self._distinct + in_network + pending + len(dropped) + len(rejected)
+        n_delivered = len(delivered.pids)
+        n_dropped, n_rejected = len(dropped.pids), len(rejected.pids)
+        total = n_delivered + in_network + pending + n_dropped + n_rejected
         if total != sim.total_packets:
             checker.report(
                 self,
-                f"conservation broken: delivered {self._distinct} + "
-                f"queued {in_network} + pending {pending} + dropped {len(dropped)} "
-                f"+ rejected {len(rejected)} != total {sim.total_packets}",
+                f"conservation broken: delivered {n_delivered} + "
+                f"queued {in_network} + pending {pending} + dropped {n_dropped} "
+                f"+ rejected {n_rejected} != total {sim.total_packets}",
             )
         if len(lost):
             checker.report(
@@ -249,7 +256,7 @@ class PacketConservationOracle(Oracle):
             if not len(offenders) and np.array_equal(arrived, added):
                 return  # each new delivery is a move that reached its goal
             delivering = _member(added, view.move_pid)
-            for i in np.flatnonzero(delivering & (target != dest)).tolist():
+            for i in view.move_rows(delivering & (target != dest)).tolist():
                 at, goal = _nodes(sim.topology, [target[i], dest[i]])
                 checker.report(
                     self,
@@ -257,86 +264,68 @@ class PacketConservationOracle(Oracle):
                     f"destination is {goal}",
                 )
 
-    def _read_ledger(
-        self, sim: Simulator, view: StepView, ordered: NDArray[Any]
-    ) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
-        """Catch up with the delivery ledger.  Returns the pids delivered
-        since the last check and not before (sorted), the pids no longer
-        delivered (sorted), and the queued pids that are delivered.
 
-        The ledger only grows, so this reads its new rows.  A new row can
-        repeat an earlier delivery only if its pid was queued after that
-        delivery at the last check (an offender then), or if its slot was
-        not queued at the last check (made since, or none); only those
-        rows are looked up.  Likewise a queued pid is delivered only if it
-        was an offender, was delivered now, or holds a slot made since or
-        none (every reference-engine row).  If the rows read before changed
-        (the pid of the last one moved), the whole set is compared instead.
+class _Outcomes:
+    """One outcome ledger (deliveries, drops or rejections) as the
+    conservation oracle has read it: the rows read, the pid of the last
+    of them, the distinct pids, and ``offenders``, the queued pids among
+    them at the last check (sorted)."""
+
+    def __init__(self, ledger: PacketLedger) -> None:
+        self.read = ledger.size
+        self.last = int(ledger.pid[-1]) if ledger.size else 0
+        self.pids: set[int] = set(ledger.pid.tolist())
+        self.offenders = _EMPTY
+
+    def catch_up(
+        self, ledger: PacketLedger, ordered: NDArray[Any], born: NDArray[Any]
+    ) -> tuple[NDArray[Any], NDArray[Any]]:
+        """Read ``ledger``'s new rows and find the queued pids (``ordered``,
+        sorted) among its pids.  Returns the pids added since the last
+        check and not before (sorted), and the pids no longer there
+        (sorted).
+
+        The ledger only grows, so a queued pid can be among its pids only
+        if it was an offender at the last check, has a new row, or is in
+        ``born`` (it holds a slot made since the last check, or none);
+        only those are looked up.  If the rows read before changed (the
+        pid of the last one moved), the whole set is rebuilt and every
+        queued pid looked up instead.
         """
-        led = sim.deliveries
-        rows = led.pid
-        n, seen = led.size, self._read
-        if _kept(led, seen, self._last):
-            added = lost = _EMPTY
-            if n > seen:
-                entries, slots = rows[seen:], led.slot[seen:]
-                unseen = (slots < 0) | (slots >= self._fresh_from)
-                if len(self._offenders) or bool(unseen.any()):
-                    again = _member(self._offenders, entries)
-                    again[unseen] |= _member(self._delivered(), entries[unseen])
-                    entries = entries[~again]
-                added = _distinct(entries)
-                self._chunks.append(added)
-            if not view.slots_made:
-                # An engine that numbers no slots: every queued pid is new.
-                offenders = ordered[_member(self._delivered(), ordered)]
-            else:
-                found = [added[_member(ordered, added)]]
-                if len(self._offenders):
-                    found.append(self._offenders[_member(ordered, self._offenders)])
-                if view.slots_made > self._fresh_from:
-                    born = view.pid[(view.slot < 0) | (view.slot >= self._fresh_from)]
-                    found.append(born[_member(self._delivered(), born)])
-                found = [f for f in found if len(f)]
-                offenders = _distinct(np.concatenate(found)) if found else _EMPTY
+        n = ledger.size
+        added = lost = _EMPTY
+        found: list[NDArray[Any]] = []
+        if not _kept(ledger, self.read, self.last):
+            now = set(ledger.pid.tolist())
+            added, lost = _sorted(now - self.pids), _sorted(self.pids - now)
+            self.pids = now
+            found.append(_among(now, ordered))
         else:
-            before = self._delivered()
-            now = _distinct(rows)
-            added = np.setdiff1d(now, before, assume_unique=True)
-            lost = np.setdiff1d(before, now, assume_unique=True)
-            offenders = _distinct(ordered[_member(now, ordered)])
-            self._chunks = [now]
-        self._distinct += len(added) - len(lost)
-        self._read = n
-        self._last = int(rows[-1]) if n else 0
-        self._fresh_from = view.slots_made
-        self._offenders = offenders
-        return added, lost, offenders
+            if n > self.read:
+                new = ledger.pid[self.read :]
+                added = self._add(new)
+                found.append(new[_member(ordered, new)])
+            if len(self.offenders):
+                found.append(self.offenders[_member(ordered, self.offenders)])
+            if len(born) and self.pids:
+                found.append(_among(self.pids, born))
+        found = [f for f in found if len(f)]
+        self.offenders = _distinct(np.concatenate(found)) if found else _EMPTY
+        self.read, self.last = n, int(ledger.pid[-1]) if n else 0
+        return added, lost
 
-    def _read_outcomes(self, sim: Simulator) -> list[NDArray[Any]]:
-        """Catch up with the drop and rejection ledgers; returns the
-        distinct pids of each, sorted.  Like the delivery ledger, each is
-        read from its new rows, or whole if the rows read before changed."""
-        pids_of = []
-        for i, led in enumerate((sim.drops, sim.rejections)):
-            read, last, pids = self._outcomes[i]
-            n = led.size
-            if not _kept(led, read, last):
-                pids = _distinct(led.pid)
-            elif n > read:
-                new = _distinct(led.pid[read:])
-                new = new[~_member(pids, new)]
-                pids = np.insert(pids, np.searchsorted(pids, new), new)
-            self._outcomes[i] = (n, int(led.pid[-1]) if n else 0, pids)
-            pids_of.append(pids)
-        return pids_of
-
-    def _delivered(self) -> NDArray[Any]:
-        """The distinct delivered pids read so far, sorted."""
-        if len(self._chunks) > 1:
-            # Sorted runs: a stable (merging) sort is linear in them.
-            self._chunks = [np.sort(np.concatenate(self._chunks), kind="stable")]
-        return self._chunks[0]
+    def _add(self, new: NDArray[Any]) -> NDArray[Any]:
+        """Add the pids ``new`` to the set; returns those it did not hold,
+        distinct and sorted."""
+        pids = self.pids
+        values = new.tolist()
+        if not pids.isdisjoint(values):  # a row repeats an earlier one
+            new = new[~_isin(pids, new)]
+            values = new.tolist()
+        size = len(pids)
+        pids.update(values)
+        # The usual case: every row is a pid the set did not hold.
+        return np.sort(new) if len(pids) - size == len(values) else _distinct(new)
 
 
 class QueueBoundOracle(Oracle):
@@ -426,7 +415,7 @@ class MinimalityOracle(Oracle):
                 topo = sim.topology
                 before = topo.flat_distance(view.move_src, dest)
                 after = topo.flat_distance(target, dest)
-                bad = np.flatnonzero(after != before - 1)
+                bad = view.move_rows(after != before - 1)
                 self._report_unprofitable(checker, sim, view, bad)
             return
         # On a mesh both checks come from one pass over the coordinates:
@@ -446,8 +435,8 @@ class MinimalityOracle(Oracle):
                 gain = gain + (tb - np.abs(coord[view.move_src] - b))
             twice = twice + (np.abs(t - a) + tb - np.abs(a - b))
         if minimal:
-            self._report_unprofitable(checker, sim, view, np.flatnonzero(gain != -1))
-        for i in np.flatnonzero(twice > 2 * delta).tolist():
+            self._report_unprofitable(checker, sim, view, view.move_rows(gain != -1))
+        for i in view.move_rows(twice > 2 * delta).tolist():
             at, a, b = _nodes(sim.topology, [target[i], src[i], dest[i]])
             checker.report(
                 self,
@@ -462,7 +451,8 @@ class MinimalityOracle(Oracle):
         view: StepView,
         bad: NDArray[Any],
     ) -> None:
-        """Report moves ``bad``, which did not shrink the distance by one."""
+        """Report moves ``bad`` (row indices, in report order), which did
+        not shrink the distance by one."""
         topo = sim.topology
         for i in bad.tolist():
             ends = [view.move_src[i], view.move_target[i]]
@@ -485,8 +475,23 @@ def _member(keys: NDArray[Any], values: NDArray[Any]) -> NDArray[Any]:
     """Membership mask of ``values`` in the sorted array ``keys``."""
     if not len(keys):
         return np.zeros(len(values), dtype=bool)
-    at = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
-    return keys[at] == values
+    return keys.take(keys.searchsorted(values), mode="clip") == values
+
+
+def _isin(pids: set[int], values: NDArray[Any]) -> NDArray[Any]:
+    """Membership mask of ``values`` in the set ``pids``: one hash lookup
+    per value, however large the set."""
+    return np.fromiter(map(pids.__contains__, values.tolist()), bool, len(values))
+
+
+def _among(pids: set[int], values: NDArray[Any]) -> NDArray[Any]:
+    """The ``values`` that are in the set ``pids``."""
+    return values[_isin(pids, values)] if pids else _EMPTY
+
+
+def _sorted(pids: set[int]) -> NDArray[Any]:
+    """The set ``pids`` as a sorted array."""
+    return np.array(sorted(pids), dtype=np.int64)
 
 
 def _distinct(values: NDArray[Any]) -> NDArray[Any]:

@@ -136,9 +136,8 @@ def plant_copy(sim, packet, node):
     sim._node_load[node] = sim._node_load.get(node, 0) + 1
 
 
-def forget_first_delivery(sim):
-    """Delete the oldest row of the delivery ledger."""
-    led = sim.deliveries
+def forget_first_row(led):
+    """Delete the oldest row of an outcome ledger."""
     led._rows[:, : led.size - 1] = led._rows[:, 1 : led.size].copy()
     led.size -= 1
 
@@ -440,6 +439,68 @@ class TestConservationOracle:
         sim.total_packets += 1  # keep the aggregate count consistent
         sim.step()
         assert messages(checker) == ["packet 0 queued despite admission rejection"]
+        # Reported again on every step the packet stays queued.
+        sim.step()
+        sim.step()
+        assert sim.in_flight == 1
+        assert [(v.time, v.message) for v in checker.violations] == [
+            (t, "packet 0 queued despite admission rejection") for t in (2, 3, 4)
+        ]
+
+    def test_rejection_row_for_a_long_queued_packet_is_flagged_at_once(self):
+        """A rejection row written, mid-step, for a packet queued since
+        several steps before is reported in that same step."""
+        mesh = Mesh(6)
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), [], validate=False)
+        checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
+        sim.inject_packet(Packet(0, (0, 0), (5, 5), injection_time=0))
+
+        def reject_at_step_4(sim, moves):
+            if sim.time == 4:
+                sim.rejections.append([0], sim.time)
+                sim.total_packets += 1
+
+        sim.post_step_hooks.insert(0, reject_at_step_4)
+        for _ in range(4):
+            sim.step()
+        assert [(v.time, v.message) for v in checker.violations] == [
+            (4, "packet 0 queued despite admission rejection")
+        ]
+
+    def test_new_slot_with_a_rejected_pid_is_flagged_on_its_first_step(self):
+        """A pid with a rejection row that enters the network later, in a
+        slot made then, is reported on the step it enters, and after."""
+        mesh = Mesh(6)
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), [], validate=False)
+        checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
+        sim.inject_packet(Packet(7, (0, 0), (5, 5), injection_time=2))
+        sim.step()
+        # Corrupt: reject the pending packet behind the simulator's back.
+        sim.rejections.append([7], sim.time)
+        sim.total_packets += 1  # keep the aggregate count consistent
+        sim.step()
+        assert sim.in_flight == 0 and checker.ok
+        sim.step()  # the packet enters the network
+        sim.step()
+        assert [(v.time, v.message) for v in checker.violations] == [
+            (t, "packet 7 queued despite admission rejection") for t in (3, 4)
+        ]
+
+    def test_rewritten_rejection_ledger_is_recounted(self):
+        """Deleting a row of the rejection ledger changes rows already read:
+        the oracle recounts the whole ledger and the sum breaks."""
+        mesh = Mesh(6)
+        sim = build(self.engine, mesh, GreedyAdaptiveRouter(2), [], validate=False)
+        checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
+        sim.offer_packets(0, np.zeros(4, dtype=np.int64), np.full(4, 35))
+        sim.step()
+        assert checker.ok and sim.rejections.pid.tolist() == [2, 3]
+        forget_first_row(sim.rejections)
+        sim.step()
+        assert messages(checker) == [
+            "conservation broken: delivered 0 + queued 2 + pending 0 + dropped 0 "
+            "+ rejected 1 != total 4"
+        ]
 
     def test_forgotten_delivery_is_flagged(self):
         """Deleting the first row of the delivery ledger shrinks the
@@ -450,7 +511,7 @@ class TestConservationOracle:
         checker = attach_checker(sim, [PacketConservationOracle()], mode="record")
         while not sim.delivered_count:
             sim.step()
-        forget_first_delivery(sim)
+        forget_first_row(sim.deliveries)
         sim.step()
         assert messages(checker) == [
             "conservation broken: delivered 12 + queued 23 + pending 0 + dropped 0 "
