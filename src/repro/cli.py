@@ -707,7 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1_000_000,
         help="step budget; a fault-free run (--availability 1.0) also "
-        "stops, STALLED, after 16 consecutive steps without a move",
+        "stops, STALLED, after 16 consecutive steps without a move while "
+        "no packet waits to enter",
     )
     p.add_argument(
         "--engine",

@@ -31,7 +31,7 @@ from repro.faults.resilience import (
     ConservativeBoundedDimensionOrderRouter,
     ResilienceManager,
 )
-from repro.faults.run import FaultyRunReport, percentile, run_faulty
+from repro.faults.run import FaultyRunReport, run_faulty
 
 __all__ = [
     "BernoulliLinkPlan",
@@ -47,6 +47,5 @@ __all__ = [
     "counter_draw",
     "counter_draw_array",
     "link_draw",
-    "percentile",
     "run_faulty",
 ]

@@ -214,10 +214,10 @@ class ResilienceManager:
     @property
     def settled(self) -> bool:
         """No future retransmission can occur: every original is either
-        delivered or out of retransmission budget.  The faulty run loop
-        keeps stepping past ``Simulator.done`` until this holds (dropped
-        packets count as resolved there, but their sources may still owe
-        a retransmit)."""
+        delivered or out of retransmission budget.  ``run_faulty`` passes
+        it to :meth:`Simulator.run` as ``until``, so the run keeps stepping
+        past ``Simulator.done`` until this holds (dropped packets count as
+        resolved there, but their sources may still owe a retransmit)."""
         return all(
             orig in self.delivered_at
             or self._attempts.get(orig, self.max_retransmits)

@@ -27,7 +27,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.analysis.stats import degradation_metrics, percentile, violation_counts
+from repro.analysis.stats import degradation_metrics, violation_counts
 from repro.faults.plan import FaultPlan
 from repro.faults.resilience import ResilienceManager
 from repro.mesh.batch import PacketBatch
@@ -43,11 +43,6 @@ from repro.verify.oracles import (
     Violation,
     attach_checker,
 )
-
-
-# ``percentile`` moved to :mod:`repro.analysis.stats` (shared with the
-# streaming layer); re-exported here for existing importers.
-__all__ = ["FaultyRunReport", "percentile", "run_faulty"]
 
 
 @dataclass
@@ -151,15 +146,7 @@ def run_faulty(
         else None
     )
 
-    if manager is None:
-        result = sim.run(max_steps=max_steps)
-    else:
-        # ``Simulator.done`` counts dropped packets as resolved, but their
-        # sources may still owe a retransmit whose deadline has not passed
-        # -- keep stepping until the manager has no future work either.
-        while sim.time < max_steps and not (sim.done and manager.settled):
-            sim.step()
-        result = sim.result()
+    result = sim.run(max_steps, until=(lambda: manager.settled) if manager else None)
     checker.finish()
 
     if manager is not None:

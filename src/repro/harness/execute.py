@@ -21,7 +21,6 @@ from repro.core.bounds import diameter_bound
 from repro.core.extensions import HhLowerBoundConstruction, TorusLowerBoundConstruction
 from repro.harness.specs import DEFAULT_VICTIMS, TrialSpec
 from repro.mesh import Mesh, Simulator, Torus
-from repro.mesh.simulator import RunResult
 from repro.mesh.interfaces import RoutingAlgorithm
 from repro.routing import (
     AlternatingAdaptiveRouter,
@@ -141,10 +140,9 @@ def build_route(spec: TrialSpec) -> BuiltTrial:
         BernoulliLinkPlan(spec.availability, seed=spec.seed).attach(sim)
 
     def run() -> dict[str, Any]:
-        if spec.availability < 1.0:
-            result = sim.run(max_steps=spec.max_steps)
-        else:
-            result = _run_closed(sim, spec.max_steps)
+        # Without faults or arrivals, a stall is a wedge for good (the
+        # central-queue routers' exchange deadlocks and livelocks).
+        result = sim.run(spec.max_steps, stop_on_stall=spec.availability == 1.0)
         return {
             "algorithm_name": algorithm.name,
             "engine": sim.engine_name,
@@ -159,26 +157,6 @@ def build_route(spec: TrialSpec) -> BuiltTrial:
         }
 
     return BuiltTrial(run, sim)
-
-
-def _run_closed(sim: Simulator, max_steps: int) -> RunResult:
-    """Run a fault-free trial like ``sim.run``, but stop at a wedge:
-    :data:`~repro.streaming.run.STALL_STEPS` consecutive steps without a
-    move while no packet waits outside the network.  Without faults or
-    arrivals such a network has settled into the stalled configuration
-    (the central-queue routers' exchange deadlocks and livelocks), so the
-    rest of the step budget would change nothing but the step count."""
-    from repro.streaming.run import STALL_STEPS
-
-    idle = 0
-    while not sim.done and sim.time < max_steps and idle < STALL_STEPS:
-        moves_before = sim.total_moves
-        sim.step()
-        if sim.total_moves != moves_before or sim.pending_count:
-            idle = 0
-        else:
-            idle += 1
-    return sim.result()
 
 
 def build_lower_bound(spec: TrialSpec, *, check_invariants: bool = False) -> BuiltTrial:

@@ -39,7 +39,6 @@ from repro.mesh.errors import (
     QueueOverflowError,
     NonMinimalMoveError,
     InvalidScheduleError,
-    SimulationLimitError,
 )
 
 
@@ -84,5 +83,4 @@ __all__ = [
     "QueueOverflowError",
     "NonMinimalMoveError",
     "InvalidScheduleError",
-    "SimulationLimitError",
 ]

@@ -56,17 +56,6 @@ class NonMinimalMoveError(InvalidScheduleError):
     """A minimal algorithm scheduled a packet on an unprofitable outlink."""
 
 
-class SimulationLimitError(SimulationError):
-    """The step budget was exhausted before all packets were delivered."""
-
-    def __init__(self, steps: int, undelivered: int) -> None:
-        super().__init__(
-            f"{undelivered} packet(s) undelivered after {steps} steps"
-        )
-        self.steps = steps
-        self.undelivered = undelivered
-
-
 class AdversaryError(SimulationError):
     """The adversary could not find an eligible packet for an exchange.
 

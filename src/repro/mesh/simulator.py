@@ -23,7 +23,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.mesh.errors import (
     InvalidScheduleError,
     NonMinimalMoveError,
     QueueOverflowError,
-    SimulationLimitError,
 )
 from repro.mesh.interfaces import NodeContext, RoutingAlgorithm
 from repro.mesh.packet import Packet
@@ -69,12 +68,26 @@ class StepRecord:
     max_queue_len: int
 
 
+#: Consecutive idle steps (no move, no packet pending) after which
+#: :meth:`Simulator.run` with ``stop_on_stall`` ends a run ``"stalled"``.
+#: Central-queue routers can *exchange-deadlock* (full neighbours refusing
+#: each other's head forever -- the Section 2 caveat that motivates
+#: Theorem 15's four incoming queues); a wedged network never moves again,
+#: but phase-based routers may legitimately idle a few steps, hence a
+#: threshold rather than one step.
+STALL_STEPS = 16
+
+#: Why :meth:`Simulator.run` returned (see :attr:`RunResult.stop`).
+StopReason = Literal["done", "limit", "stalled"]
+
+
 @dataclass
 class RunResult:
     """Outcome of :meth:`Simulator.run`.
 
     Attributes:
-        completed: True when every packet was delivered within the budget.
+        completed: True when every packet was resolved (delivered, or
+            dropped or rejected) within the budget.
         steps: Steps executed (equals the delivery time of the last packet
             when ``completed``).
         total_packets: Number of packets in the problem instance.
@@ -84,6 +97,8 @@ class RunResult:
         total_moves: Total packet transmissions (network load).
         delivery_times: pid -> step at which the packet was delivered.
         series: Per-step records when series recording was enabled.
+        stop: Why the run ended: ``"done"``, ``"limit"`` or ``"stalled"``
+            (see :meth:`Simulator.run`).
     """
 
     completed: bool
@@ -102,6 +117,7 @@ class RunResult:
     #: carries wall-clock fields (``wall_s``, per-phase ``phase_*_s`` and
     #: ``hooks_s``), which are *not* deterministic.
     counters: dict[str, Any] = field(repr=False, default_factory=dict)
+    stop: StopReason = "done"
 
 
 Interceptor = Callable[["Simulator", list[ScheduledMove]], None]
@@ -1107,13 +1123,37 @@ class Simulator:
             == self.total_packets
         )
 
-    def run(self, max_steps: int, *, raise_on_limit: bool = False) -> RunResult:
-        """Step until all packets are delivered or ``max_steps`` is reached."""
-        while not self.done and self.time < max_steps:
+    def run(
+        self,
+        max_steps: int,
+        *,
+        stop_on_stall: bool = False,
+        until: Callable[[], bool] | None = None,
+    ) -> RunResult:
+        """Step until the run ends; :attr:`RunResult.stop` says why.
+
+        The run ends ``"done"`` once every packet is resolved and
+        ``until()`` also holds (the resilience manager's ``settled``), and
+        ``"limit"`` at step ``max_steps``.  With ``stop_on_stall`` it also
+        ends ``"stalled"`` after :data:`STALL_STEPS` consecutive idle steps
+        while not done: a step is idle when it makes no move and no packet
+        is pending, so with nothing waiting to enter, the network has
+        wedged and the rest of the budget would change nothing but the
+        step count.
+        """
+        idle = 0
+        while True:
+            if self.done and (until is None or until()):
+                return self.result("done")
+            if idle == STALL_STEPS:
+                return self.result("stalled")
+            if self.time >= max_steps:
+                return self.result("limit")
+            moves = self.total_moves
             self.step()
-        if not self.done and raise_on_limit:
-            raise SimulationLimitError(self.time, self.undelivered)
-        return self.result()
+            if stop_on_stall and not self.done:
+                busy = self.total_moves != moves or self.pending_count
+                idle = 0 if busy else idle + 1
 
     def run_steps(self, steps: int) -> None:
         """Run exactly ``steps`` further steps (used by the construction)."""
@@ -1137,7 +1177,9 @@ class Simulator:
             counters.update(self.instrument.snapshot())
         return counters
 
-    def result(self) -> RunResult:
+    def result(self, stop: StopReason | None = None) -> RunResult:
+        """The run's outcome so far; ``stop`` defaults to ``"done"`` when
+        done and ``"limit"`` otherwise."""
         delivery_times = dict(self.delivery_times)
         return RunResult(
             completed=self.done,
@@ -1150,6 +1192,7 @@ class Simulator:
             delivery_times=delivery_times,
             series=list(self.series),
             counters=self.counter_snapshot(),
+            stop=stop or ("done" if self.done else "limit"),
         )
 
 

@@ -47,15 +47,6 @@ from repro.verify.oracles import (
     attach_checker,
 )
 
-#: Consecutive zero-move steps after which the drain declares a wedge.
-#: Sustained overload can *exchange-deadlock* the central-queue routers
-#: (full neighbours refusing each other's head forever -- the documented
-#: Section 2 caveat that motivates Theorem 15's four incoming queues);
-#: a wedged network makes no move ever again, but phase-based routers may
-#: legitimately idle a few steps, hence a threshold rather than one step.
-STALL_STEPS = 16
-
-
 @dataclass
 class StreamingReport:
     """Everything one open-loop streaming run produced.
@@ -74,10 +65,12 @@ class StreamingReport:
             delivered packets.
         drained: True when every admitted packet was resolved before the
             drain budget ran out.
-        stalled: True when the drain detected a wedged network (no move
-            for :data:`STALL_STEPS` consecutive steps with packets still
-            in flight) -- the overload exchange-deadlock of central-queue
-            routers, reported as data rather than an error.
+        stalled: True when the drain's :meth:`Simulator.run` ended
+            ``"stalled"``: no move for
+            :data:`~repro.mesh.simulator.STALL_STEPS` consecutive steps
+            while no packet waits to enter, with packets still in flight
+            -- the overload exchange-deadlock of central-queue routers,
+            reported as data rather than an error.
         engine: The step engine that ran (:attr:`Simulator.engine_name`);
             throughput metrics are meaningless without knowing which one
             produced them.
@@ -239,16 +232,9 @@ def run_streaming(
                 admitted_m += took
         sim.step()
 
-    deadline = horizon + drain
-    idle = 0
-    while not sim.done and sim.time < deadline and idle < STALL_STEPS:
-        moves_before = sim.total_moves
-        sim.step()
-        idle = idle + 1 if sim.total_moves == moves_before else 0
-    stalled = not sim.done and idle >= STALL_STEPS
+    result = sim.run(horizon + drain, stop_on_stall=True)
     checker.finish()
 
-    result = sim.result()
     # Only admitted offers are delivered; a pid's offer step is the last
     # step whose first pid is at most it (a step that offers nothing
     # shares its first pid with the next one).
@@ -271,5 +257,5 @@ def run_streaming(
         measure=measure,
         latencies=latencies,
         drained=sim.done,
-        stalled=stalled,
+        stalled=result.stop == "stalled",
     )

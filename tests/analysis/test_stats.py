@@ -31,13 +31,6 @@ class TestPercentile:
     def test_unsorted_input_ok(self):
         assert percentile([9, 1, 5], 50) == 5
 
-    def test_faults_reexport_is_the_same_function(self):
-        """The extraction moved percentile out of repro.faults.run; the
-        legacy import path must keep working and agree."""
-        from repro.faults.run import percentile as faults_percentile
-
-        assert faults_percentile is percentile
-
     def test_presorted_skips_the_sort_but_agrees(self):
         values = [9, 1, 5, 5, 2]
         ordered = sorted(values)

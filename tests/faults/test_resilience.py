@@ -123,8 +123,7 @@ class TestResilienceManager:
         # timeout=25: the first retransmit (step 25) also dies at the
         # still-down source; the second (step 50) finally gets through.
         manager = ResilienceManager(sim, plan, timeout=25)
-        while sim.time < 200 and not (sim.done and manager.settled):
-            sim.step()
+        sim.run(200, until=lambda: manager.settled)
         assert manager.dropped_by_outage >= 1
         assert manager.retransmissions >= 1
         assert 0 in manager.delivered_at
@@ -148,8 +147,7 @@ class TestResilienceManager:
             sim, [PacketConservationOracle()], mode="strict"
         )
         manager = ResilienceManager(sim, plan, timeout=15)
-        while sim.time < 1500 and not (sim.done and manager.settled):
-            sim.step()
+        sim.run(1500, until=lambda: manager.settled)
         checker.finish()
         assert manager.delivered_fraction == 1.0
         assert manager.retransmissions > 0
@@ -165,8 +163,7 @@ class TestResilienceManager:
         plan.attach(sim)
         manager = ResilienceManager(sim, plan, timeout=5, max_retransmits=2)
         assert not manager.settled  # retransmission budget remains
-        while sim.time < 100 and not (sim.done and manager.settled):
-            sim.step()
+        sim.run(100, until=lambda: manager.settled)
         assert manager.settled
         assert manager._attempts[0] == 2
         assert manager.delivered_fraction == 0.0
@@ -174,8 +171,7 @@ class TestResilienceManager:
     def test_counters_shape(self):
         sim = fresh_sim([Packet(0, (0, 0), (1, 1))])
         manager = ResilienceManager(sim, FaultPlan(), timeout=50)
-        while sim.time < 50 and not (sim.done and manager.settled):
-            sim.step()
+        sim.run(50, until=lambda: manager.settled)
         assert manager.counters() == {
             "originals": 1,
             "delivered_originals": 1,

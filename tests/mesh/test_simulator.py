@@ -15,7 +15,6 @@ from repro.mesh.errors import (
     InvalidScheduleError,
     NonMinimalMoveError,
     QueueOverflowError,
-    SimulationLimitError,
 )
 from repro.mesh.interfaces import RoutingAlgorithm
 from repro.routing import (
@@ -149,11 +148,12 @@ class TestModelEnforcement:
         with pytest.raises(ValueError, match=r"GreedyAdaptiveRouter.*routes only on 2D"):
             Simulator(topology, GreedyAdaptiveRouter(2), [])
 
-    def test_run_raise_on_limit(self):
+    def test_run_stops_at_limit(self):
         mesh = Mesh(8)
         sim = Simulator(mesh, DimensionOrderRouter(2), [Packet(0, (0, 0), (7, 7))])
-        with pytest.raises(SimulationLimitError):
-            sim.run(max_steps=3, raise_on_limit=True)
+        result = sim.run(max_steps=3)
+        assert result.stop == "limit"
+        assert not result.completed
 
 
 class TestInterceptor:
